@@ -24,7 +24,6 @@ import dataclasses
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +94,11 @@ class RunConfig:
             raise ValueError("t_start must not exceed t_end")
         if self.t_start == self.t_end:
             return np.asarray([self.t_start])
-        return np.linspace(self.t_start, self.t_end, self.t_steps + 1)
+        t = np.linspace(self.t_start, self.t_end, self.t_steps + 1)
+        if not np.all(np.diff(t) > 0.0):
+            raise ValueError("the time grid is not strictly increasing; "
+                             "widen [t_start, t_end] or lower t_steps")
+        return t
 
     def precision_plan(self) -> tuple[str, str]:
         """(scalar kind to compute with, escalation policy)."""
@@ -251,17 +254,10 @@ def _thermal_chunk(payload: dict) -> dict:
     cfg = RunConfig(**payload["cfg"])
     ts = np.asarray(payload["t"])
     kind, escalation = cfg.precision_plan()
-    jcfg = cfg.jcm_config()
-    thermal = cfg.thermal_config()
-    kwargs = dict(mode=cfg.mode, series_spec=cfg.series_spec(),
-                  x_spec=cfg.x_spec(kind), y_spec=cfg.y_spec(kind),
-                  escalation=escalation)
-    with warnings.catch_warnings():
-        # the parent process reports the regime warning once, up front
-        warnings.simplefilter("ignore", jcm.PerturbativeRegimeWarning)
-        p1 = np.atleast_1d(jcm.p1_correction(ts, jcfg, thermal, **kwargs))
-        p2 = np.atleast_1d(jcm.p2_correction(ts, jcfg, thermal, **kwargs))
-        pth = np.atleast_1d(jcm.pg_thermal(ts, jcfg, thermal, **kwargs))
+    # the parent process reports the regime and any breakdown rows
+    p1, p2, pth = jcm._thermal_terms(
+        ts, cfg.jcm_config(), cfg.thermal_config(), cfg.mode,
+        cfg.series_spec(), cfg.x_spec(kind), cfg.y_spec(kind), escalation)
     return {"P1": p1, "P2": p2, "pg_thermal": pth,
             "sigma_z_thermal": 1.0 - 2.0 * pth}
 
@@ -285,12 +281,6 @@ def cmd_series(cfg: RunConfig) -> int:
         print(f"numerical failure: column {bad} contains non-finite values",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    snapshot = dataclasses.asdict(cfg)
-    jcm.TimeSeries(t=t, columns={"sigma_z_series": sigma},
-                   provenance="series", config=snapshot)
-    if "envelope" in columns:
-        jcm.TimeSeries(t=t, columns={"envelope": columns["envelope"]},
-                       provenance="envelope", config=snapshot)
     _write_csv(cfg, t, columns)
     return EXIT_OK
 
@@ -311,9 +301,6 @@ def cmd_integrals(cfg: RunConfig) -> int:
         print(f"numerical failure: column {bad} contains non-finite values",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    jcm.TimeSeries(t=t, columns=value_cols,
-                   provenance="integral_J" if cfg.delta_omega == 0.0 else "integral_I",
-                   config=dataclasses.asdict(cfg))
     _write_csv(cfg, t, prof)
     if over.any():
         print(f"precision loss on {int(over.sum())} of {t.size} rows "
@@ -338,13 +325,12 @@ def cmd_thermal(cfg: RunConfig) -> int:
         print(f"numerical failure: column {bad} contains non-finite values",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    snapshot = dataclasses.asdict(cfg)
-    jcm.TimeSeries(t=t, columns={"P1": columns["P1"]},
-                   provenance="thermal_1", config=snapshot)
-    jcm.TimeSeries(t=t, columns={"P2": columns["P2"],
-                                 "pg_thermal": columns["pg_thermal"]},
-                   provenance="thermal_2", config=snapshot)
     _write_csv(cfg, t, columns)
+    outside = int(jcm._outside_unit_interval(columns["pg_thermal"]).sum())
+    if outside:
+        print(f"warning: thermal P_g left [0, 1] on {outside} of {t.size} "
+              "rows: the perturbative expansion breaks down there",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -205,7 +205,7 @@ def pg_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
     s2 = np.sin(phase) ** 2
     bracket = (1.0 - s2) + ratio[None, :] * s2   # cos^2 + ratio sin^2
     vals = bracket @ w
-    if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
+    if np.any(_outside_unit_interval(vals)):
         raise FloatingPointError("P_g left [0, 1] beyond roundoff tolerance")
     vals = np.clip(vals, 0.0, 1.0 + 1e-12)
     return float(vals[0]) if scalar else vals
@@ -488,26 +488,64 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
 
 
 # ---------------------------------------------------------------------------
-# escalation policy
+# escalation policy and the time sweep
 # ---------------------------------------------------------------------------
 
-def _budget_check(result: IntegralResult, kind: str, escalation: Escalation,
-                  rebuild_extended):
-    """Apply the cancellation budget; optionally retry in the extended kind."""
-    if result.cancellation_magnitude <= CANCELLATION_BUDGET[kind]:
-        return result
-    if escalation == "ignore":
-        return result
-    if escalation == "escalate" and kind == "standard":
-        result = rebuild_extended()
-        if result.cancellation_magnitude <= CANCELLATION_BUDGET["extended"]:
-            return result
-        kind = "extended"
-    raise PrecisionLossError(
-        f"cancellation magnitude {result.cancellation_magnitude:.3g} exceeds "
-        f"the {kind} precision budget {CANCELLATION_BUDGET[kind]:.1g}; the "
-        "correction integral would be noise at this time",
-        cancellation_magnitude=result.cancellation_magnitude)
+def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
+                      spec: QuadratureSpec, escalation: Escalation,
+                      j_form: bool = False, refuse: bool = False):
+    """Correction integrals at the scaled times big_ts under one policy.
+
+    One family serves every row; the extended family is built the first
+    time a row exceeds the standard budget under "escalate" and reused for
+    every later such row.  A row that no permitted kind can hold raises
+    PrecisionLossError under "raise", and under "escalate" too when refuse
+    is set; otherwise it is marked.  Returns the arrays (values,
+    cancellation, escalated, over_budget).
+    """
+    eff = _peak_aware(spec, float(big_ts.max(initial=0.0)))
+    fam = _CorrectionFamily(cfg, l, eff, j_form=j_form)
+    fam_ext = None
+    vals = np.empty_like(big_ts)
+    cancel = np.empty_like(big_ts)
+    escalated = np.zeros(big_ts.shape, dtype=bool)
+    over = np.zeros(big_ts.shape, dtype=bool)
+    for i, big_t in enumerate(big_ts):
+        res, kind = fam.integral(big_t), eff.precision_kind
+        if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
+                and escalation == "escalate" and kind == "standard"):
+            if fam_ext is None:
+                fam_ext = _CorrectionFamily(
+                    cfg, l, dataclasses.replace(eff, precision_kind="extended"),
+                    j_form=j_form)
+            res, kind = fam_ext.integral(big_t), "extended"
+            escalated[i] = True
+        over[i] = res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
+        if over[i] and (escalation == "raise"
+                        or (refuse and escalation == "escalate")):
+            raise PrecisionLossError(
+                f"cancellation magnitude {res.cancellation_magnitude:.3g} "
+                f"exceeds the {kind} precision budget "
+                f"{CANCELLATION_BUDGET[kind]:.1g}; the correction integral "
+                "would be noise at this time",
+                cancellation_magnitude=res.cancellation_magnitude)
+        vals[i] = res.value
+        cancel[i] = res.cancellation_magnitude
+    return vals, cancel, escalated, over
+
+
+def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec,
+           y_spec: QuadratureSpec, escalation: Escalation,
+           j_form: bool = False, refuse: bool = False):
+    """Line and correction integrals over a time grid, one family each.
+
+    Returns (line values, *_correction_sweep(...)).
+    """
+    big_ts = abs(cfg.kappa) * np.asarray(ts, dtype=float)
+    line = _LineFamily(cfg, l, x_spec, j_form=j_form)
+    line_vals = np.array([line.integral(big_t).value for big_t in big_ts])
+    return (line_vals, *_correction_sweep(cfg, l, big_ts, y_spec, escalation,
+                                          j_form, refuse))
 
 
 def _peak_aware(spec: QuadratureSpec, big_t: float) -> QuadratureSpec:
@@ -540,17 +578,9 @@ def i2_integral(l: int, t: float, cfg: JcmConfig,
                 escalation: Escalation = "raise") -> float:
     """Correction integral I2^(l)(t); may escalate per the policy."""
     _require_nonnegative_time(t)
-    big_t = abs(cfg.kappa) * float(t)
-    eff = _peak_aware(spec, big_t)
-    fam = _CorrectionFamily(cfg, l, eff)
-
-    def rebuild():
-        xfam = _CorrectionFamily(
-            cfg, l, dataclasses.replace(eff, precision_kind="extended"))
-        return xfam.integral(big_t)
-
-    return _budget_check(fam.integral(big_t), eff.precision_kind,
-                         escalation, rebuild).value
+    big_ts = np.asarray([abs(cfg.kappa) * float(t)])
+    return float(_correction_sweep(cfg, l, big_ts, spec, escalation,
+                                   refuse=True)[0][0])
 
 
 def j1_integral(t: float, cfg: JcmConfig,
@@ -577,18 +607,10 @@ def j2_integral(t: float, cfg: JcmConfig,
     """
     _require_resonant(cfg)
     _require_nonnegative_time(t)
-    big_t = abs(cfg.kappa) * float(t)
-    eff = _peak_aware(spec, big_t)
-    fam = _CorrectionFamily(cfg, 0, eff, j_form=True)
-
-    def rebuild():
-        xfam = _CorrectionFamily(
-            cfg, 0, dataclasses.replace(eff, precision_kind="extended"),
-            j_form=True)
-        return xfam.integral(big_t)
-
-    res = _budget_check(fam.integral(big_t), eff.precision_kind, escalation, rebuild)
-    return 2.0 * math.exp(-cfg.alpha ** 2) * res.value
+    big_ts = np.asarray([abs(cfg.kappa) * float(t)])
+    value = _correction_sweep(cfg, 0, big_ts, spec, escalation, j_form=True,
+                              refuse=True)[0][0]
+    return 2.0 * math.exp(-cfg.alpha ** 2) * float(value)
 
 
 def _require_resonant(cfg: JcmConfig):
@@ -663,36 +685,11 @@ def resonant_profile(ts, cfg: JcmConfig,
     """
     _require_resonant(cfg)
     _require_nonnegative_time(ts)
-    ts = np.asarray(ts, dtype=float)
     pref = math.exp(-cfg.alpha ** 2)
-    big_ts = abs(cfg.kappa) * ts
-    eff = _peak_aware(y_spec, float(big_ts.max(initial=0.0)))
-    line = _LineFamily(cfg, 0, x_spec, j_form=True)
-    corr = _CorrectionFamily(cfg, 0, eff, j_form=True)
-    corr_ext = None
-    j1 = np.empty_like(ts)
-    j2 = np.empty_like(ts)
-    cancel = np.empty_like(ts)
-    escalated = np.zeros(ts.shape, dtype=bool)
-    over = np.zeros(ts.shape, dtype=bool)
-    for i, big_t in enumerate(big_ts):
-        j1[i] = -pref * line.integral(big_t).value
-        res = corr.integral(big_t)
-        if res.cancellation_magnitude > CANCELLATION_BUDGET[eff.precision_kind]:
-            if escalation == "raise":
-                _budget_check(res, eff.precision_kind, "raise", None)
-            if escalation == "escalate" and eff.precision_kind == "standard":
-                if corr_ext is None:
-                    corr_ext = _CorrectionFamily(
-                        cfg, 0, dataclasses.replace(eff, precision_kind="extended"),
-                        j_form=True)
-                res = corr_ext.integral(big_t)
-                escalated[i] = True
-                over[i] = res.cancellation_magnitude > CANCELLATION_BUDGET["extended"]
-            else:
-                over[i] = True
-        j2[i] = 2.0 * pref * res.value
-        cancel[i] = res.cancellation_magnitude
+    line, corr, cancel, escalated, over = _sweep(
+        ts, cfg, 0, x_spec, y_spec, escalation, j_form=True)
+    j1 = -pref * line
+    j2 = 2.0 * pref * corr
     sigma = -0.5 * pref + j1 + j2
     return {"J1": j1, "J2": j2, "sigma_z": sigma, "cancellation": cancel,
             "escalated": escalated, "over_budget": over}
@@ -704,35 +701,9 @@ def detuned_profile(ts, cfg: JcmConfig, l: int = 0,
                     escalation: Escalation = "raise") -> dict[str, np.ndarray]:
     """I1^(l), I2^(l) and the (l = 0) assembled inversion over a time grid."""
     _require_nonnegative_time(ts)
-    ts = np.asarray(ts, dtype=float)
     pref = math.exp(-cfg.alpha ** 2)
-    big_ts = abs(cfg.kappa) * ts
-    eff = _peak_aware(y_spec, float(big_ts.max(initial=0.0)))
-    line = _LineFamily(cfg, l, x_spec)
-    corr = _CorrectionFamily(cfg, l, eff)
-    corr_ext = None
-    i1 = np.empty_like(ts)
-    i2 = np.empty_like(ts)
-    cancel = np.empty_like(ts)
-    escalated = np.zeros(ts.shape, dtype=bool)
-    over = np.zeros(ts.shape, dtype=bool)
-    for i, big_t in enumerate(big_ts):
-        i1[i] = line.integral(big_t).value
-        res = corr.integral(big_t)
-        if res.cancellation_magnitude > CANCELLATION_BUDGET[eff.precision_kind]:
-            if escalation == "raise":
-                _budget_check(res, eff.precision_kind, "raise", None)
-            if escalation == "escalate" and eff.precision_kind == "standard":
-                if corr_ext is None:
-                    corr_ext = _CorrectionFamily(
-                        cfg, l, dataclasses.replace(eff, precision_kind="extended"))
-                res = corr_ext.integral(big_t)
-                escalated[i] = True
-                over[i] = res.cancellation_magnitude > CANCELLATION_BUDGET["extended"]
-            else:
-                over[i] = True
-        i2[i] = res.value
-        cancel[i] = res.cancellation_magnitude
+    i1, i2, cancel, escalated, over = _sweep(
+        ts, cfg, l, x_spec, y_spec, escalation)
     sigma = 1.0 - pref * (1.0 + 2.0 * i1 - 4.0 * i2)
     return {"I1": i1, "I2": i2, "sigma_z": sigma, "cancellation": cancel,
             "escalated": escalated, "over_budget": over}
@@ -770,10 +741,7 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
     pref = math.exp(-cfg.alpha ** 2)
     s0 = cfg.c + float(l)
     out = np.empty_like(t_arr)
-    line = _LineFamily(cfg, l, x_spec)
-    big_max = abs(cfg.kappa) * float(t_arr.max(initial=0.0))
-    eff = _peak_aware(y_spec, big_max)
-    corr = _CorrectionFamily(cfg, l, eff)
+    i1, i2 = _sweep(t_arr, cfg, l, x_spec, y_spec, escalation, refuse=True)[:2]
     for i, t_i in enumerate(t_arr):
         big_t = abs(cfg.kappa) * float(t_i)
         if s0 > 0.0:
@@ -781,17 +749,52 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
                         + (cfg.c / s0) * math.sin(big_t * math.sqrt(s0)) ** 2)
         else:
             boundary = 1.0
-        i1 = line.integral(big_t).value
-
-        def rebuild(big_t=big_t):
-            fam = _CorrectionFamily(
-                cfg, l, dataclasses.replace(eff, precision_kind="extended"))
-            return fam.integral(big_t)
-
-        res = _budget_check(corr.integral(big_t), eff.precision_kind,
-                            escalation, rebuild)
-        out[i] = pref * (0.5 * boundary + i1 - 2.0 * res.value)
+        out[i] = pref * (0.5 * boundary + i1[i] - 2.0 * i2[i])
     return float(out[0]) if scalar else out
+
+
+def _thermal_terms(t, cfg: JcmConfig, thermal: ThermalConfig, mode: Mode,
+                   series_spec: SeriesSpec, x_spec: QuadratureSpec,
+                   y_spec: QuadratureSpec, escalation: Escalation,
+                   second_order: bool = True):
+    """(P1, P2, thermal P_g) from one evaluation of each needed Q^(l).
+
+    The brackets Q^(0) = P_g, Q^(1) and, for gamma_tilde != 0, Q^(2) are
+    evaluated in turn, so at most one l's quadrature families are alive at
+    once.  second_order=False forms P1 alone (the other two are None) and
+    needs no bracket when gamma_tilde = 0.  Nothing here warns; callers
+    report the regime.
+    """
+    q_args = (cfg, mode, series_spec, x_spec, y_spec, escalation)
+    g = thermal.gamma_tilde
+    t_arr, scalar = _time_grid(t)
+    p1 = 0.0 if scalar else np.zeros_like(t_arr)
+    if g == 0.0 and not second_order:
+        return p1, None, None
+    pg = q_g(0, t, *q_args)
+    q1 = q_g(1, t, *q_args)
+    if g != 0.0:
+        p1 = 2.0 * cfg.alpha * g * (pg - q1)
+    if not second_order:
+        return p1, None, None
+    a2 = cfg.alpha ** 2
+    g2 = g ** 2
+    if g == 0.0:
+        p2 = -2.0 * pg - 2.0 * a2 * q1
+    else:
+        q2 = q_g(2, t, *q_args)
+        p2 = (2.0 * (2.0 * a2 * g2 - g2 - 1.0) * pg
+              - 2.0 * a2 * (4.0 * g2 + 1.0) * q1
+              + 4.0 * a2 * g2 * q2)
+    if thermal.theta == 0.0:
+        return p1, p2, pg
+    return p1, p2, pg + thermal.theta * p1 + 0.5 * thermal.theta ** 2 * p2
+
+
+def _outside_unit_interval(p) -> np.ndarray:
+    """Mask of probabilities beyond [0, 1] by more than roundoff (1e-9)."""
+    p = np.asarray(p)
+    return (p < -1e-9) | (p > 1.0 + 1e-9)
 
 
 def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
@@ -805,12 +808,8 @@ def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
     The expansion parameter theta is applied at assembly (pg_thermal), not
     here.
     """
-    if thermal.gamma_tilde == 0.0:
-        t_arr, scalar = _time_grid(t)
-        return 0.0 if scalar else np.zeros_like(t_arr)
-    pg = q_g(0, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
-    q1 = q_g(1, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
-    return 2.0 * cfg.alpha * thermal.gamma_tilde * (pg - q1)
+    return _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
+                          escalation, second_order=False)[0]
 
 
 def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
@@ -829,17 +828,8 @@ def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
     reading in which that factor is part of the correction itself (assembly
     would then effectively carry theta^4).
     """
-    a2 = cfg.alpha ** 2
-    g2 = thermal.gamma_tilde ** 2
-    pg = q_g(0, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
-    q1 = q_g(1, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
-    if thermal.gamma_tilde == 0.0:
-        val = -2.0 * pg - 2.0 * a2 * q1
-    else:
-        q2 = q_g(2, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
-        val = (2.0 * (2.0 * a2 * g2 - g2 - 1.0) * pg
-               - 2.0 * a2 * (4.0 * g2 + 1.0) * q1
-               + 4.0 * a2 * g2 * q2)
+    val = _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
+                         escalation)[1]
     if keep_inner_theta_factor:
         val = 0.5 * thermal.theta ** 2 * val
     return val
@@ -862,15 +852,11 @@ def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,
             "theta^2 (4 gamma_tilde^2 + 1) alpha^2 > 0.5: outside the "
             "reliable second-order regime", PerturbativeRegimeWarning,
             stacklevel=2)
-    pg = q_g(0, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
     if thermal.theta == 0.0:
-        return pg
-    p1 = p1_correction(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
-                       escalation)
-    p2 = p2_correction(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
-                       escalation)
-    out = pg + thermal.theta * p1 + 0.5 * thermal.theta ** 2 * p2
-    if np.any(np.asarray(out) < -1e-9) or np.any(np.asarray(out) > 1.0 + 1e-9):
+        return q_g(0, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
+    out = _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
+                         escalation)[2]
+    if np.any(_outside_unit_interval(out)):
         warnings.warn("thermal P_g left [0, 1]: perturbative breakdown",
                       PerturbativeRegimeWarning, stacklevel=2)
     return out

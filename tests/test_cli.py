@@ -1,12 +1,14 @@
 """The command-line surface: columns, exit codes, config handling."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import jcrevival as jc
-from jcrevival.cli import main
+from jcrevival import cli
+from jcrevival.cli import RunConfig, main
 
 
 def _read_csv(path):
@@ -153,6 +155,41 @@ def test_thermal_integral_mode_matches_series_mode(tmp_path):
         assert np.abs(ca[col] - cb[col]).max() < 1e-5
 
 
+@pytest.mark.parametrize("gamma_tilde, brackets", [(1.0, 3), (0.0, 2)])
+def test_thermal_chunk_evaluates_each_bracket_once(gamma_tilde, brackets,
+                                                   monkeypatch):
+    cfg = RunConfig(command="thermal", mode="integral", delta_omega=4.0,
+                    gamma_tilde=gamma_tilde, dx=1e-2, dy=1e-2)
+    ts = [0.0, 1.5, 3.0]
+    q_g = jc.jcm.q_g
+    calls = []
+
+    def counting(l, *args, **kwargs):
+        calls.append(l)
+        return q_g(l, *args, **kwargs)
+
+    monkeypatch.setattr(jc.jcm, "q_g", counting)
+    chunk = cli._thermal_chunk({"cfg": dataclasses.asdict(cfg), "t": ts})
+    assert calls == list(range(brackets))
+    kind, escalation = cfg.precision_plan()
+    args = (np.asarray(ts), cfg.jcm_config(), cfg.thermal_config(), "integral",
+            cfg.series_spec(), cfg.x_spec(kind), cfg.y_spec(kind), escalation)
+    assert np.array_equal(chunk["P1"], jc.p1_correction(*args))
+    assert np.array_equal(chunk["P2"], jc.p2_correction(*args))
+    assert np.array_equal(chunk["pg_thermal"], jc.pg_thermal(*args))
+
+
+def test_thermal_reports_breakdown_rows(tmp_path, capsys):
+    out = tmp_path / "break.csv"
+    rc = main(["thermal", "--alpha", "4", "--theta", "0.5",
+               "--gamma-tilde", "1", "--t-end", "6", "--t-steps", "6",
+               "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    _, _, cols = _read_csv(out)
+    assert cols["pg_thermal"][0] == pytest.approx(-3.5)
+    assert "thermal P_g left [0, 1] on 7 of 7 rows" in capsys.readouterr().err
+
+
 def test_thermal_beta_epsilon_sets_theta(tmp_path):
     a, b = tmp_path / "be.csv", tmp_path / "th.csv"
     theta = math.atanh(math.exp(-4.0))
@@ -212,6 +249,8 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 def test_invalid_params_exit2():
     assert main(["series", "--alpha", "4", "--t-steps", "0"]) == 2
     assert main(["series", "--t-start", "5", "--t-end", "1"]) == 2
+    assert main(["series", "--t-start", "1", "--t-end", "1.0000000000000002",
+                 "--t-steps", "4"]) == 2
     assert main(["series", "--alpha", "4", "--kappa", "0"]) == 2
 
 

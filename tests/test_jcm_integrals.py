@@ -231,6 +231,28 @@ def test_j2_ignore_policy_returns_marked_noise(cfg4):
     assert prof["over_budget"][0]
 
 
+def test_escalating_q_sweep_builds_one_extended_family(cfg4, monkeypatch):
+    # both rows exceed the standard budget; the sweep must reuse one
+    # extended family for them and give the values of separate calls
+    coarse_x = dataclasses.replace(X, step=1e-2)
+    coarse_y = dataclasses.replace(Y, step=1e-2)
+    ts = np.array([7.0 * math.pi, 7.5 * math.pi])
+    build_grid = jc.jcm.quadrature.build_grid
+    kinds = []
+
+    def counting(a, b, spec):
+        kinds.append(spec.precision_kind)
+        return build_grid(a, b, spec)
+
+    monkeypatch.setattr(jc.jcm.quadrature, "build_grid", counting)
+    swept = jc.q_g(0, ts, cfg4, "integral", x_spec=coarse_x, y_spec=coarse_y,
+                   escalation="escalate")
+    assert kinds.count("extended") == 1
+    rows = [jc.q_g(0, t, cfg4, "integral", x_spec=coarse_x, y_spec=coarse_y,
+                   escalation="escalate") for t in ts]
+    assert np.array_equal(swept, rows)
+
+
 def test_romberg_fails_on_revival_integrand(cfg4):
     t = 9.0 * math.pi
     origin = jc.correction_origin(cfg4, 0, t, j_form=True)

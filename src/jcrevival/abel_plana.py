@@ -15,18 +15,23 @@ extended kind) and must be vectorized.  The engines never differentiate the
 callable; where the correction integrand has a removable 0/0 at y = 0 the
 caller may pass the analytic limit (``origin_value``), otherwise the engine
 extrapolates it from samples at y = h, h/2, h/4.
+
+This is a standalone library layer: :mod:`jcrevival.jcm` does not call it.
+The physics families fold the Bose factor into the complex-cosine
+exponentials, which keeps the revival integrand within range, and reuse one
+family across a whole time sweep; a callable evaluated afresh per transform
+can do neither.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import ddmath, quadrature, special
-from .ddmath import CDD, DD
+from .ddmath import DD
 from .errors import IntegrandError, PrecisionLossError
 from .quadrature import IntegralResult, QuadratureSpec
 
@@ -56,33 +61,10 @@ def _bose_weight(y):
     The y = 0 lane divides by zero; callers always replace that sample with
     an analytic limit, so the warning is suppressed here.
     """
+    two_pi = DD.from_pair(ddmath.TWO_PI) if special.is_extended(y) else 2.0 * np.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(y, DD):
-            two_pi = DD.from_pair(ddmath.TWO_PI)
-            em = ddmath.exp(-(y * two_pi))
-            return em / (DD(1.0) - em)
-        em = np.exp(-2.0 * np.pi * y)
+        em = special.exp(-(y * two_pi))
         return em / (1.0 - em)
-
-
-def _imag_axis(y, shift: float, sign: float, extended: bool):
-    """Points shift + sign*i*y in the kind matching y."""
-    if extended:
-        return CDD(DD(np.full_like(np.atleast_1d(y.hi), shift)), y * sign)
-    return shift + 1j * sign * y
-
-
-def _extrapolate_origin(g: Callable, h: float, extended: bool):
-    """Limit of g at y -> 0+ from samples at h, h/2, h/4 (O(h^3) accurate)."""
-    ys = np.array([h, h / 2.0, h / 4.0])
-    vals = g(DD(ys)) if extended else g(ys)
-    if isinstance(vals, CDD):
-        vals = vals.to_complex()
-    elif isinstance(vals, DD):
-        vals = vals.to_float()
-    else:
-        vals = np.asarray(vals)
-    return (vals[0] - 6.0 * vals[1] + 8.0 * vals[2]) / 3.0
 
 
 def _quiet(g: Callable) -> Callable:
@@ -97,14 +79,21 @@ def _quiet(g: Callable) -> Callable:
 def _correction(g: Callable, spec: QuadratureSpec, origin_value) -> IntegralResult:
     g = _quiet(g)
     if origin_value is None:
-        origin_value = _extrapolate_origin(g, spec.step,
-                                           spec.precision_kind == "extended")
+        # limit at y -> 0+ from samples at h, h/2, h/4 (O(h^3) accurate)
+        h = spec.step
+        v = quadrature.sample(g, [h, h / 2.0, h / 4.0], spec.precision_kind)
+        origin_value = (v[0] - 6.0 * v[1] + 8.0 * v[2]) / 3.0
     try:
         return quadrature.integrate_semi_infinite(g, spec, origin_value=origin_value)
     except (OverflowError, IntegrandError) as exc:
         raise PrecisionLossError(
             "correction integrand overflowed; re-run with the extended "
             "precision kind or rescale the summand") from exc
+
+
+def _on_axis(phi: Callable) -> Callable:
+    """phi restricted to real abscissae, which it receives as complex."""
+    return lambda x: phi(special.complex_of(x, 0.0))
 
 
 def finite_transform(phi: Callable, n1: int, n2: int, spec: QuadratureSpec,
@@ -122,19 +111,13 @@ def finite_transform(phi: Callable, n1: int, n2: int, spec: QuadratureSpec,
     if n1 >= n2:
         raise ValueError("finite_transform requires n1 < n2 (nondegenerate strip)")
     y_spec = y_spec or spec
-    ext = spec.precision_kind == "extended"
-
-    def on_axis(x):
-        return phi(CDD(x) if isinstance(x, DD) else x + 0.0j)
-
-    line = quadrature.integrate(on_axis, float(n1), float(n2), spec)
+    line = quadrature.integrate(_on_axis(phi), float(n1), float(n2), spec)
 
     def g(y):
-        w = _bose_weight(y)
-        bracket = (phi(_imag_axis(y, n2, 1.0, ext)) - phi(_imag_axis(y, n1, 1.0, ext))
-                   - phi(_imag_axis(y, n2, -1.0, ext)) + phi(_imag_axis(y, n1, -1.0, ext)))
-        minus_i = CDD(DD(0.0), DD(-1.0)) if ext else -1.0j
-        return minus_i * bracket * w
+        def at(n, sign):
+            return phi(special.complex_of(n, sign * y))
+        bracket = at(n2, 1.0) - at(n1, 1.0) - at(n2, -1.0) + at(n1, -1.0)
+        return -1.0j * bracket * _bose_weight(y)
 
     corr = _correction(g, y_spec, origin_value)
     return TransformResult(boundary_terms=0.0, line_integral=line.value,
@@ -152,18 +135,11 @@ def semi_infinite_transform(phi: Callable, spec: QuadratureSpec,
     spec.upper_limit.
     """
     y_spec = y_spec or spec
-    ext = spec.precision_kind == "extended"
-
-    def on_axis(x):
-        return phi(CDD(x) if isinstance(x, DD) else x + 0.0j)
-
-    line = quadrature.integrate_semi_infinite(on_axis, spec)
+    line = quadrature.integrate_semi_infinite(_on_axis(phi), spec)
 
     def g(y):
-        w = _bose_weight(y)
-        bracket = phi(_imag_axis(y, 0.0, 1.0, ext)) - phi(_imag_axis(y, 0.0, -1.0, ext))
-        plus_i = CDD(DD(0.0), DD(1.0)) if ext else 1.0j
-        return plus_i * bracket * w
+        bracket = phi(special.complex_of(0.0, y)) - phi(special.complex_of(0.0, -y))
+        return 1.0j * bracket * _bose_weight(y)
 
     corr = _correction(g, y_spec, origin_value)
     return TransformResult(boundary_terms=0.0, line_integral=line.value,
@@ -186,28 +162,19 @@ def factorial_weighted_transform(f: Callable, c: float, spec: QuadratureSpec,
     if c < 0:
         raise ValueError("factorial_weighted_transform requires c >= 0")
     y_spec = y_spec or spec
-    ext = spec.precision_kind == "extended"
-
-    if ext:
-        boundary = f(CDD(DD(np.asarray([c])))).re.to_float()[0] * 0.5
-    else:
-        boundary = complex(np.asarray(f(np.asarray([c + 0.0j])))[0]).real * 0.5
+    at_c = quadrature.sample(_on_axis(f), [c], spec.precision_kind)[0]
+    boundary = 0.5 * float(at_c.real)
 
     def line_integrand(x):
-        if isinstance(x, DD):
-            return (f(CDD(x + DD(c))) * special.reciprocal_gamma(CDD(x + 1.0))).re
-        return (np.asarray(f(x + c + 0.0j)) * special.reciprocal_gamma(x + 1.0 + 0.0j)).real
+        return (f(special.complex_of(x + c, 0.0))
+                * special.reciprocal_gamma(special.complex_of(x + 1.0, 0.0))).real
 
     line = quadrature.integrate_semi_infinite(line_integrand, spec)
 
     def g(y):
-        w = _bose_weight(y)
-        if isinstance(y, DD):
-            z = CDD(DD(np.full_like(np.atleast_1d(y.hi), c)), y)
-            num = f(z) * special.reciprocal_gamma(CDD(DD(np.ones_like(np.atleast_1d(y.hi))), y))
-            return num.im * w * (-2.0)
-        num = np.asarray(f(c + 1j * y)) * special.reciprocal_gamma(1.0 + 1j * y)
-        return -2.0 * num.imag * w
+        num = f(special.complex_of(c, y)) * special.reciprocal_gamma(
+            special.complex_of(1.0, y))
+        return -2.0 * num.imag * _bose_weight(y)
 
     corr = _correction(g, y_spec, origin_value)
     return TransformResult(boundary_terms=boundary, line_integral=line.value,

@@ -254,6 +254,9 @@ def _thermal_chunk(payload: dict) -> dict:
     cfg = RunConfig(**payload["cfg"])
     ts = np.asarray(payload["t"])
     kind, escalation = cfg.precision_plan()
+    if escalation == "ignore":
+        # no status column can mark an over-budget row, so refuse it
+        escalation = "raise"
     # the parent process reports the regime and any breakdown rows
     p1, p2, pth = jcm._thermal_terms(
         ts, cfg.jcm_config(), cfg.thermal_config(), cfg.mode,
@@ -262,11 +265,11 @@ def _thermal_chunk(payload: dict) -> dict:
             "sigma_z_thermal": 1.0 - 2.0 * pth}
 
 
-def _ensure_finite(columns: dict[str, np.ndarray]) -> str | None:
+def _ensure_finite(columns: dict[str, np.ndarray]) -> None:
     for name, col in columns.items():
         if not np.all(np.isfinite(col)):
-            return name
-    return None
+            raise FloatingPointError(
+                f"column {name} contains non-finite values")
 
 
 def cmd_series(cfg: RunConfig) -> int:
@@ -276,11 +279,7 @@ def cmd_series(cfg: RunConfig) -> int:
     columns = {"sigma_z_series": sigma}
     if cfg.delta_omega == 0.0 and cfg.alpha != 0.0:
         columns["envelope"] = np.atleast_1d(jcm.envelope_approximation(t, jcfg))
-    bad = _ensure_finite(columns)
-    if bad is not None:
-        print(f"numerical failure: column {bad} contains non-finite values",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+    _ensure_finite(columns)
     _write_csv(cfg, t, columns)
     return EXIT_OK
 
@@ -294,13 +293,8 @@ def cmd_integrals(cfg: RunConfig) -> int:
     escalated = prof.pop("escalated")
     # status: 0 ok, 1 escalated to extended, 2 precision loss (unrecoverable)
     prof["status"] = np.where(over, 2, np.where(escalated, 1, 0))
-    value_cols = {k: v for k, v in prof.items()
-                  if k in ("J1", "J2", "I1", "I2", "sigma_z")}
-    bad = _ensure_finite(value_cols)
-    if bad is not None:
-        print(f"numerical failure: column {bad} contains non-finite values",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+    _ensure_finite({k: v for k, v in prof.items()
+                    if k in ("J1", "J2", "I1", "I2", "sigma_z")})
     _write_csv(cfg, t, prof)
     if over.any():
         print(f"precision loss on {int(over.sum())} of {t.size} rows "
@@ -320,11 +314,7 @@ def cmd_thermal(cfg: RunConfig) -> int:
     jobs = _effective_jobs(cfg, t.size)
     chunks = _parallel_rows(_thermal_chunk, _chunk_payloads(cfg, t, jobs), jobs)
     columns = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
-    bad = _ensure_finite(columns)
-    if bad is not None:
-        print(f"numerical failure: column {bad} contains non-finite values",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+    _ensure_finite(columns)
     _write_csv(cfg, t, columns)
     outside = int(jcm._outside_unit_interval(columns["pg_thermal"]).sum())
     if outside:

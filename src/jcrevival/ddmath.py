@@ -180,6 +180,15 @@ class CDD:
         self.re = re if isinstance(re, DD) else DD(re)
         self.im = im if isinstance(im, DD) else DD(0.0 if im is None else im)
 
+    # numpy's spelling of the parts, so code reads either kind the same way
+    @property
+    def real(self) -> DD:
+        return self.re
+
+    @property
+    def imag(self) -> DD:
+        return self.im
+
     def conj(self):
         return CDD(self.re, -self.im)
 

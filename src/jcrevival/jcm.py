@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import ddmath, quadrature, special
-from .ddmath import CDD, DD
+from .ddmath import DD
 from .errors import PrecisionLossError
 from .quadrature import IntegralResult, QuadratureSpec
 
@@ -176,8 +176,13 @@ def _poisson_weights(alpha: float, n_max: int) -> np.ndarray:
                   - alpha * alpha)
 
 
+def _tail_need(cfg: JcmConfig) -> float:
+    """Index past which the Poisson weight (peak alpha^2) is negligible."""
+    return cfg.alpha ** 2 + 10.0 * math.sqrt(cfg.alpha ** 2 + 1.0)
+
+
 def _check_series_spec(cfg: JcmConfig, spec: SeriesSpec):
-    need = cfg.alpha ** 2 + 10.0 * math.sqrt(cfg.alpha ** 2 + 1.0)
+    need = _tail_need(cfg)
     if spec.n_max < need and not spec.override_tail_guard:
         raise ValueError(
             f"n_max = {spec.n_max} does not cover the Poisson tail for "
@@ -294,29 +299,27 @@ class _LineFamily:
     family instance amortizes them over a whole time sweep.  j_form selects
     the plain cos(2 sqrt(x) T) bracket of the resonant decomposition;
     otherwise the bracket is cos^2 + (c/(x+c+l)) sin^2 at shifted index l.
+    The scalar kind is the grid's, set by spec.precision_kind.
     """
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False, time_average: bool = False):
         _require_positive_alpha(cfg)
-        self.kind = spec.precision_kind
+        need = _tail_need(cfg)
+        if spec.upper_limit < need:
+            raise ValueError(
+                f"x_max = {spec.upper_limit:g} does not cover the Poisson tail "
+                f"for alpha = {cfg.alpha} (need >= {need:.1f}); raise x_max "
+                "(--x-max)")
         self.grid = quadrature.build_grid(0.0, spec.upper_limit, spec)
-        ext = self.kind == "extended"
         x = self.grid.x
+        # 2*ln_alpha as a double, in either kind, is exact enough: the weight
+        # is smooth and shared by every representation being compared
         ln_alpha = math.log(abs(cfg.alpha))
-        if ext:
-            lw = x * DD(2.0 * ln_alpha) - special.log_gamma(x + 1.0)
-            # 2*ln_alpha as a double is exact enough: the weight is smooth
-            # and shared by every representation being compared
-            w = ddmath.exp(lw)
-            s0 = DD(cfg.c + float(l))
-            self.sqrt_arg = ddmath.sqrt(x + s0)
-            ratio = (DD(cfg.c) / (x + s0)) if cfg.c > 0.0 else DD(np.zeros_like(x.hi))
-        else:
-            w = np.exp(2.0 * ln_alpha * x - special.log_gamma(x + 1.0))
-            s0 = cfg.c + float(l)
-            self.sqrt_arg = np.sqrt(x + s0)
-            ratio = cfg.c / (x + s0) if cfg.c > 0.0 else np.zeros_like(x)
+        w = special.exp(x * (2.0 * ln_alpha) - special.log_gamma(x + 1.0))
+        s0 = cfg.c + float(l)
+        self.sqrt_arg = special.sqrt(x + s0)
+        ratio = cfg.c / (x + s0) if cfg.c > 0.0 else 0.0
         if j_form:
             self.a0 = w * 0.0
             self.a1 = w
@@ -333,8 +336,7 @@ class _LineFamily:
             samples = self.a0 + self.a1
         else:
             phase = self.sqrt_arg * (2.0 * big_t)
-            cs = ddmath.cos(phase) if self.kind == "extended" else np.cos(phase)
-            samples = self.a0 + self.a1 * cs
+            samples = self.a0 + self.a1 * special.cos(phase)
         return quadrature.assemble(samples, self.grid)
 
 
@@ -346,94 +348,66 @@ class _CorrectionFamily:
     cosine's exponentials, keeping every intermediate below
     ~exp(T^2/(3 pi)) instead of cosh's exp(T sqrt(2 y)); that is what makes
     the revival window reachable at all.  j_form selects B = cos(2 sqrt(iy) T),
-    otherwise B = cos^2(sqrt(c+l+iy) T) + c/(c+l+iy) sin^2(...).
+    otherwise B = cos^2(sqrt(c+l+iy) T) + c/(c+l+iy) sin^2(...).  The scalar
+    kind is the grid's, set by spec.precision_kind.
     """
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False):
         _require_positive_alpha(cfg)
-        self.kind = spec.precision_kind
         self.cfg = cfg
         self.l = int(l)
         self.j_form = j_form
         self.grid = quadrature.build_grid(0.0, spec.upper_limit, spec)
-        ext = self.kind == "extended"
         y = self.grid.x
+        # the extended kind needs both constants to its own ~32 digits
+        if special.is_extended(y):
+            two_pi = DD.from_pair(ddmath.TWO_PI)
+            ln_alpha = ddmath.log(DD(abs(cfg.alpha)))
+        else:
+            two_pi, ln_alpha = 2.0 * np.pi, math.log(abs(cfg.alpha))
         with np.errstate(all="ignore"):
-            if ext:
-                ones = DD(np.ones_like(y.hi))
-                ln_alpha = ddmath.log(DD(abs(cfg.alpha)))
-                arg = CDD(DD(np.zeros_like(y.hi)), y * ln_alpha.scale_pow2(1))
-                a_fac = ddmath.cexp(arg - special.log_gamma(CDD(ones, y)))
-                self.a_re, self.a_im = a_fac.re, a_fac.im
-                two_pi_y = y * DD.from_pair(ddmath.TWO_PI)
-                self.em2piy = ddmath.exp(-two_pi_y)
-                self.inv1m = ones / (ones - self.em2piy)
-                self.two_pi_y = two_pi_y
-                s0 = CDD(DD(np.full_like(y.hi, cfg.c + float(l))), y)
-                root = ddmath.csqrt(s0)
-                self.p, self.q = root.re, root.im
-                if j_form:
-                    self.b0 = CDD(DD(np.zeros_like(y.hi)))
-                    self.b1 = CDD(ones)
-                else:
-                    ratio = CDD(DD(np.full_like(y.hi, cfg.c))) / s0 if cfg.c > 0.0 \
-                        else CDD(DD(np.zeros_like(y.hi)))
-                    self.b0 = (ratio + 1.0) * 0.5
-                    self.b1 = (1.0 - ratio) * 0.5
+            arg = special.complex_of(0.0, y * (2.0 * ln_alpha))
+            a_fac = special.exp(arg - special.log_gamma(special.complex_of(1.0, y)))
+            self.a_re, self.a_im = a_fac.real, a_fac.imag
+            self.two_pi_y = y * two_pi
+            self.em2piy = special.exp(-self.two_pi_y)
+            self.inv1m = 1.0 / (1.0 - self.em2piy)
+            s0 = special.complex_of(cfg.c + float(l), y)
+            root = special.principal_sqrt(s0)
+            self.p, self.q = root.real, root.imag
+            if j_form:
+                self.b0, self.b1 = 0.0, 1.0
             else:
-                a_fac = np.exp(2j * y * math.log(abs(cfg.alpha))
-                               - special.log_gamma(1.0 + 1j * y))
-                self.a_re, self.a_im = a_fac.real, a_fac.imag
-                self.two_pi_y = 2.0 * np.pi * y
-                self.em2piy = np.exp(-self.two_pi_y)
-                self.inv1m = 1.0 / (1.0 - self.em2piy)
-                root = np.sqrt(cfg.c + float(l) + 1j * y)
-                self.p, self.q = root.real, root.imag
-                if j_form:
-                    self.b0 = np.zeros_like(a_fac)
-                    self.b1 = np.ones_like(a_fac)
-                else:
-                    ratio = (cfg.c / (cfg.c + float(l) + 1j * y)) if cfg.c > 0.0 \
-                        else np.zeros_like(a_fac)
-                    self.b0 = (1.0 + ratio) * 0.5
-                    self.b1 = (1.0 - ratio) * 0.5
+                ratio = cfg.c / s0 if cfg.c > 0.0 else 0.0
+                self.b0 = (1.0 + ratio) * 0.5
+                self.b1 = (1.0 - ratio) * 0.5
 
     def origin_value(self, big_t: float) -> float:
         return correction_origin(self.cfg, self.l, big_t, j_form=self.j_form)
 
     def integral(self, big_t: float) -> IntegralResult:
-        ext = self.kind == "extended"
         with np.errstate(all="ignore"):
             if big_t == 0.0:
                 # B(iy) = b0 + b1 exactly; no oscillatory factor
-                bt = (self.b0 + self.b1) if not self.j_form else (
-                    CDD(DD(np.ones_like(self.grid.x.hi))) if ext else self.b1)
-                b_re, b_im = (bt.re, bt.im) if ext else (bt.real, bt.imag)
-                samples = (self.a_re * b_im + self.a_im * b_re) * \
+                bt = self.b0 + self.b1
+                samples = (self.a_re * bt.imag + self.a_im * bt.real) * \
                     (self.em2piy * self.inv1m)
                 return quadrature.assemble(samples, self.grid,
                                            origin_value=self.origin_value(0.0))
             two_t = 2.0 * big_t
-            if ext:
-                su, cu = ddmath.sincos(self.p * DD(two_t))
-                ep = ddmath.exp(self.q * DD(two_t) - self.two_pi_y)
-                em = ddmath.exp(-(self.q * DD(two_t)) - self.two_pi_y)
-            else:
-                su, cu = np.sin(two_t * self.p), np.cos(two_t * self.p)
-                ep = np.exp(two_t * self.q - self.two_pi_y)
-                em = np.exp(-two_t * self.q - self.two_pi_y)
+            su, cu = special.sincos(self.p * two_t)
+            qt = self.q * two_t
+            ep = special.exp(qt - self.two_pi_y)
+            em = special.exp(-qt - self.two_pi_y)
             ch = (ep + em) * 0.5
             sh = (ep - em) * 0.5
             # cos(2 T z) e^{-2 pi y} for z = p + iq, in parts
             ct_re = cu * ch
             ct_im = -(su * sh)
-            if ext:
-                b_re = self.b0.re * self.em2piy + self.b1.re * ct_re - self.b1.im * ct_im
-                b_im = self.b0.im * self.em2piy + self.b1.re * ct_im + self.b1.im * ct_re
-            else:
-                b_re = self.b0.real * self.em2piy + self.b1.real * ct_re - self.b1.imag * ct_im
-                b_im = self.b0.imag * self.em2piy + self.b1.real * ct_im + self.b1.imag * ct_re
+            b0, b1 = self.b0, self.b1
+            b_re = b0.real * self.em2piy + b1.real * ct_re - b1.imag * ct_im
+            b_im = b0.imag * self.em2piy + b1.real * ct_im + b1.imag * ct_re
             samples = (self.a_re * b_im + self.a_im * b_re) * self.inv1m
         return quadrature.assemble(samples, self.grid,
                                    origin_value=self.origin_value(big_t))

@@ -118,10 +118,6 @@ class Grid:
     n: int
     precision_kind: PrecisionKind
 
-    @property
-    def abscissae(self) -> np.ndarray:
-        return self.x.hi if isinstance(self.x, DD) else self.x
-
 
 def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
     """Lay out the composite grid for [a, b] under spec.
@@ -205,6 +201,16 @@ def _assemble_extended(samples, grid: Grid, origin_value=None) -> IntegralResult
                           cancellation_magnitude=cancel, step_used=grid.step_used)
 
 
+def sample(f: Callable, points, kind: PrecisionKind) -> np.ndarray:
+    """f at a few abscissae, evaluated in the given kind and rounded to
+    doubles (real or complex)."""
+    points = np.asarray(points, dtype=np.float64)
+    if kind == "standard":
+        return np.asarray(f(points))
+    vals = f(DD(points))
+    return vals.to_complex() if isinstance(vals, CDD) else vals.to_float()
+
+
 def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
               origin_value=None) -> IntegralResult:
     """Integrate f over [a, b] with the composite rule given by spec.
@@ -239,13 +245,8 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec,
     is reported as the tail diagnostic.
     """
     result = integrate(f, 0.0, spec.upper_limit, spec, origin_value=origin_value)
-    if spec.precision_kind == "extended":
-        tail = f(DD(np.asarray([spec.upper_limit])))
-        tail_mag = (abs(complex(tail.re.hi[0], tail.im.hi[0])) if isinstance(tail, CDD)
-                    else abs(float(np.atleast_1d(tail.hi)[0])))
-    else:
-        tail_mag = float(np.max(np.abs(np.asarray(f(np.asarray([spec.upper_limit]))))))
-    result.tail_estimate = tail_mag
+    tail = sample(f, [spec.upper_limit], spec.precision_kind)
+    result.tail_estimate = float(np.max(np.abs(tail)))
     return result
 
 

@@ -10,7 +10,10 @@ kinds are supported throughout:
 
 Mixing kinds promotes to extended: ``CDD`` and ``DD`` operands absorb floats
 and complexes.  All functions accept either kind and return the same kind
-they were given.
+they were given.  This is the one module that dispatches on the kind: the
+primitives :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos` and
+:func:`complex_of` let an integrand be written once for both kinds, reading
+complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
 """
 
 from __future__ import annotations
@@ -91,12 +94,37 @@ def _log(z):
     return np.log(z)
 
 
-def _exp(z):
+def exp(z):
+    """e^z, real or complex, in the kind of z."""
     if isinstance(z, CDD):
         return ddmath.cexp(z)
     if isinstance(z, DD):
         return ddmath.exp(z)
     return np.exp(z)
+
+
+def sqrt(x):
+    """Square root of a real argument in the kind of x (NaN below zero)."""
+    return ddmath.sqrt(x) if isinstance(x, DD) else np.sqrt(x)
+
+
+def sincos(x):
+    """(sin x, cos x) of a real argument in the kind of x."""
+    if isinstance(x, DD):
+        return ddmath.sincos(x)
+    return np.sin(x), np.cos(x)
+
+
+def cos(x):
+    """cos x of a real argument in the kind of x."""
+    return ddmath.cos(x) if isinstance(x, DD) else np.cos(x)
+
+
+def complex_of(re, im):
+    """re + i im; a CDD when either part is a DD."""
+    if isinstance(re, DD) or isinstance(im, DD):
+        return CDD(re, im)
+    return re + 1j * im
 
 
 def log_gamma(z):
@@ -152,12 +180,12 @@ def reciprocal_gamma(z):
         zc = z if isinstance(z, CDD) else CDD(z)
         neg = zc.re.hi <= 0.0
         if not np.any(neg):
-            out = _exp(-log_gamma(zc))
+            out = exp(-log_gamma(zc))
         else:
             safe_right = CDD(ddmath.where(neg, DD(1.0), zc.re), zc.im)
-            direct = _exp(-log_gamma(safe_right))
+            direct = exp(-log_gamma(safe_right))
             one_minus = CDD(ddmath.where(neg, DD(1.0) - zc.re, DD(1.0)), -zc.im)
-            refl = _exp(log_gamma(one_minus)) * _sinpi(zc) * (1.0 / np.pi)
+            refl = exp(log_gamma(one_minus)) * _sinpi(zc) * (1.0 / np.pi)
             out = CDD(ddmath.where(neg, refl.re, direct.re),
                       ddmath.where(neg, refl.im, direct.im))
         if not (np.all(np.isfinite(out.re.hi)) and np.all(np.isfinite(out.im.hi))):

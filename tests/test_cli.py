@@ -104,6 +104,21 @@ def test_integrals_standard_precision_loss_exit3(tmp_path):
     assert cols["status"][0] == 2  # marked, not silently blank
 
 
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_thermal_refuses_over_budget_rows(tmp_path, capsys, precision):
+    # the thermal CSV has no status column, so a row past the budget of the
+    # requested kind must stop the run instead of being written as a number
+    out = tmp_path / "loss.csv"
+    t = "25.13" if precision == "standard" else "28.5"
+    rc = main(["thermal", "--mode", "integral", "--precision", precision,
+               "--t-start", t, "--t-end", t, "--t-steps", "1",
+               "--dx", "1e-2", "--dy", "1e-2", "--jobs", "1", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert (f"exceeds the {precision} precision budget"
+            in capsys.readouterr().err)
+
+
 def test_integrals_auto_escalates(tmp_path):
     out = tmp_path / "auto.csv"
     rc = main(["integrals", "--alpha", "4", "--precision", "auto",
@@ -252,6 +267,9 @@ def test_invalid_params_exit2():
     assert main(["series", "--t-start", "1", "--t-end", "1.0000000000000002",
                  "--t-steps", "4"]) == 2
     assert main(["series", "--alpha", "4", "--kappa", "0"]) == 2
+    # the default x_max = 100 does not cover the Poisson tail at alpha = 8
+    assert main(["integrals", "--alpha", "8", "--t-steps", "1",
+                 "--jobs", "1"]) == 2
 
 
 def test_check_passes_on_defaults(capsys):

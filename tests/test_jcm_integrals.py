@@ -301,6 +301,32 @@ def test_q_bounds_for_shifted_index(cfg4_detuned, series200):
         assert np.all(q >= -1e-9) and np.all(q <= 1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("family", ["_LineFamily", "_CorrectionFamily"])
+@pytest.mark.parametrize("delta_omega, l, j_form",
+                         [(0.0, 0, True), (4.0, 1, False), (0.0, 0, False)])
+def test_families_agree_across_kinds(family, delta_omega, l, j_form):
+    # one code path serves both kinds: at a time well inside the standard
+    # budget the two kinds evaluate the same formula on the same grid
+    cfg = jc.JcmConfig(alpha=4.0, delta_omega=delta_omega)
+    spec = dataclasses.replace(X if family == "_LineFamily" else Y, step=1e-2)
+    ext = dataclasses.replace(spec, precision_kind="extended")
+    cls = getattr(jc.jcm, family)
+    std_val = cls(cfg, l, spec, j_form=j_form).integral(math.pi).value
+    ext_val = cls(cfg, l, ext, j_form=j_form).integral(math.pi).value
+    assert ext_val == pytest.approx(std_val, rel=1e-12)
+
+
+def test_line_family_refuses_an_uncovered_poisson_tail(series200):
+    cfg = jc.JcmConfig(alpha=8.0)
+    ts = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="x_max"):
+        jc.resonant_profile(ts, cfg)
+    wide = dataclasses.replace(X, upper_limit=150.0)
+    prof = jc.resonant_profile(ts, cfg, x_spec=wide)
+    want = jc.sigma_z_series(ts, cfg, series200)
+    assert np.max(np.abs(prof["sigma_z"] - want)) < 1e-9
+
+
 def test_extended_runs_are_bit_identical(cfg4):
     spec = dataclasses.replace(Y, precision_kind="extended")
     t = 5.5 * math.pi

@@ -102,6 +102,36 @@ def test_complex_trig_overflow_signal():
     special.complex_cos(1.0 + 699.9j)
 
 
+@pytest.mark.parametrize("extended", [False, True], ids=["standard", "extended"])
+def test_kind_primitives_keep_the_kind_and_agree_with_numpy(extended):
+    x = np.array([0.0, 0.3, 1.7, 12.5, 40.0])
+    y = np.array([0.5, -2.0, 3.25, 0.0, 7.0])
+    arg = DD(x) if extended else x
+    arg_y = DD(y) if extended else y
+
+    def check(got, want, kind):
+        assert isinstance(got, kind)
+        if isinstance(got, CDD):
+            got = got.to_complex()
+        elif isinstance(got, DD):
+            got = got.to_float()
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+    real, cplx = (DD, CDD) if extended else (np.ndarray, np.ndarray)
+    check(special.exp(arg), np.exp(x), real)
+    check(special.sqrt(arg), np.sqrt(x), real)
+    check(special.cos(arg), np.cos(x), real)
+    s, c = special.sincos(arg)
+    check(s, np.sin(x), real)
+    check(c, np.cos(x), real)
+    z = special.complex_of(arg, arg_y)
+    check(z, x + 1j * y, cplx)
+    check(special.complex_of(2.0, arg_y), 2.0 + 1j * y, cplx)
+    check(special.exp(z), np.exp(x + 1j * y), cplx)
+    if extended:
+        assert z.real is z.re and z.imag is z.im
+
+
 def test_extended_matches_standard_to_15_digits():
     for z in (1 + 1j, 2.5 - 3j, 0.3 + 0.1j, 7.0 + 0j):
         std = special.log_gamma(z)

@@ -24,7 +24,9 @@ import dataclasses
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -37,14 +39,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = ("alpha", "delta_omega", "kappa", "gamma_tilde", "theta",
-                "beta_epsilon", "n_max", "x_max", "dx", "y_max", "dy",
-                "rule", "precision", "t_start", "t_end", "t_steps", "jobs",
-                "mode")
+# --precision -> (scalar kind to compute with, escalation policy)
+_PRECISION_PLANS = {"standard": ("standard", "ignore"),
+                    "extended": ("extended", "ignore"),
+                    "auto": ("standard", "escalate")}
+_Precision = Literal[tuple(_PRECISION_PLANS)]
+_Rule = typing.get_type_hints(QuadratureSpec)["rule"]
 
 
 @dataclass
 class RunConfig:
+    """Every CLI setting, declared once: the fields give the flags, the
+    config-file keys and their types, and the order of the CSV header."""
+
     command: str
     alpha: float = 4.0
     delta_omega: float = 0.0
@@ -52,17 +59,17 @@ class RunConfig:
     gamma_tilde: float = 1.0
     theta: float = 0.025
     beta_epsilon: float | None = None
-    n_max: int = 100
-    x_max: float = 100.0
-    dx: float = 1e-3
-    y_max: float = 100.0
-    dy: float = 1e-3
-    rule: str = "simpson"
-    precision: str = "auto"
+    n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max
+    x_max: float = jcm.DEFAULT_X_SPEC.upper_limit
+    dx: float = jcm.DEFAULT_X_SPEC.step
+    y_max: float = jcm.DEFAULT_Y_SPEC.upper_limit
+    dy: float = jcm.DEFAULT_Y_SPEC.step
+    rule: _Rule = jcm.DEFAULT_X_SPEC.rule
+    precision: _Precision = "auto"
     t_start: float = 0.0
     t_end: float = 8.0 * math.pi
     t_steps: int = 4000
-    mode: str = "series"
+    mode: jcm.Mode = "series"
     out: str | None = None
     jobs: int = 0  # 0 means all available cores
 
@@ -80,12 +87,13 @@ class RunConfig:
         return jcm.SeriesSpec(n_max=self.n_max)
 
     def x_spec(self, kind: str) -> QuadratureSpec:
-        return QuadratureSpec(rule=self.rule, upper_limit=self.x_max,
-                              step=self.dx, precision_kind=kind)
+        return dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
+                                   upper_limit=self.x_max, step=self.dx,
+                                   precision_kind=kind)
 
     def y_spec(self, kind: str) -> QuadratureSpec:
-        return QuadratureSpec(rule="bode", upper_limit=self.y_max,
-                              step=self.dy, precision_kind=kind)
+        return dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
+                                   step=self.dy, precision_kind=kind)
 
     def time_grid(self) -> np.ndarray:
         if self.t_steps < 1:
@@ -102,29 +110,27 @@ class RunConfig:
 
     def precision_plan(self) -> tuple[str, str]:
         """(scalar kind to compute with, escalation policy)."""
-        if self.precision == "extended":
-            return "extended", "ignore"
-        if self.precision == "standard":
-            return "standard", "ignore"
-        if self.precision == "auto":
-            return "standard", "escalate"
-        raise ValueError(f"unknown precision policy {self.precision!r}")
+        return _PRECISION_PLANS[self.precision]
 
 
-def _parse_scalar(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            continue
-    return low.strip("\"'")
+def _settings_parser(**kwargs) -> argparse.ArgumentParser:
+    """A flag for each RunConfig field but `command`, typed by its
+    annotation: a Literal lists the choices and `X | None` parses as X."""
+    parser = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS, **kwargs)
+    for name, hint in list(typing.get_type_hints(RunConfig).items())[1:]:
+        literal = typing.get_origin(hint) is Literal
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=str if literal else (typing.get_args(hint) or (hint,))[0],
+            choices=typing.get_args(hint) if literal else None)
+    return parser
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; # starts a comment."""
+    """Flat `key = value` lines; # starts a comment.  The keys are the flag
+    names but `out`; each value is parsed and checked as its flag is."""
+    parser = _settings_parser(allow_abbrev=False, exit_on_error=False)
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -133,11 +139,16 @@ def _read_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _parse_scalar(value)
+            key, _, text = line.partition("=")
+            flag = "--" + key.strip().replace("_", "-")
+            text = text.strip().strip("\"'")
+            try:
+                values, unknown = parser.parse_known_args([f"{flag}={text}"])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if unknown or flag == "--out":
+                raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+            out.update(vars(values))
     return out
 
 
@@ -147,50 +158,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Collapse and revival of Rabi oscillations: series, "
                     "envelope and integral representations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    settings = _settings_parser()
     for name, blurb in (("series", "Fock-space series inversion"),
                         ("integrals", "integral representations"),
                         ("thermal", "low-temperature corrections"),
                         ("check", "identity and residual self-tests")):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--delta-omega", type=float, default=None)
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--gamma-tilde", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--beta-epsilon", type=float, default=None)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--x-max", type=float, default=None)
-        p.add_argument("--dx", type=float, default=None)
-        p.add_argument("--y-max", type=float, default=None)
-        p.add_argument("--dy", type=float, default=None)
-        p.add_argument("--rule", choices=("simpson", "bode"), default=None)
-        p.add_argument("--precision", choices=("standard", "extended", "auto"),
-                       default=None)
-        p.add_argument("--t-start", type=float, default=None)
-        p.add_argument("--t-end", type=float, default=None)
-        p.add_argument("--t-steps", type=int, default=None)
-        p.add_argument("--mode", choices=("series", "integral"), default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p = sub.add_parser(name, help=blurb, parents=[settings])
+        p.add_argument("--config")
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for key in (*_CONFIG_KEYS, "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
 def _format(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -198,12 +176,11 @@ def _format(value) -> str:
 
 def _write_csv(cfg: RunConfig, t: np.ndarray, columns: dict[str, np.ndarray]):
     lines = []
-    for key in ("command", *_CONFIG_KEYS):
-        if key == "jobs":
-            continue  # parallelism degree never changes the numbers
-        value = getattr(cfg, key)
-        if value is not None:
-            lines.append(f"# {key}={value}")
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        # the output path and the parallelism degree never change the numbers
+        if field.name not in ("out", "jobs") and value is not None:
+            lines.append(f"# {field.name}={value}")
     lines.append("t," + ",".join(columns))
     cols = list(columns.values())
     for i in range(t.size):
@@ -218,40 +195,43 @@ def _write_csv(cfg: RunConfig, t: np.ndarray, columns: dict[str, np.ndarray]):
 
 
 def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
-    jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    return max(1, min(jobs, n_samples))
+    """Worker count: at most one per core and one per time sample."""
+    if cfg.jobs < 0:
+        raise ValueError("jobs must be >= 0 (0 means all cores)")
+    cores = os.cpu_count() or 1
+    return max(1, min(cfg.jobs or cores, cores, n_samples))
 
 
-def _parallel_rows(worker, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _chunk_payloads(cfg: RunConfig, t: np.ndarray, jobs: int) -> list:
+def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
+    """Run worker on contiguous slices of t, one per job (in a process pool
+    when there are several), and join its columns in time order."""
+    jobs = _effective_jobs(cfg, t.size)
     bounds = np.linspace(0, t.size, jobs + 1).astype(int)
-    return [{"cfg": dataclasses.asdict(cfg), "t": t[a:b].tolist()}
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    payloads = [{"cfg": cfg, "t": t[a:b].tolist()}
+                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if jobs == 1:
+        chunks = [worker(p) for p in payloads]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(worker, payloads))
+    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
 
 
 def _integrals_chunk(payload: dict) -> dict:
-    cfg = RunConfig(**payload["cfg"])
+    cfg = payload["cfg"]
     ts = np.asarray(payload["t"])
     kind, escalation = cfg.precision_plan()
     if cfg.delta_omega == 0.0:
-        prof = jcm.resonant_profile(ts, cfg.jcm_config(),
+        return jcm.resonant_profile(ts, cfg.jcm_config(),
                                     cfg.x_spec(kind), cfg.y_spec(kind),
                                     escalation=escalation)
-    else:
-        prof = jcm.detuned_profile(ts, cfg.jcm_config(), 0,
-                                   cfg.x_spec(kind), cfg.y_spec(kind),
-                                   escalation=escalation)
-    return prof
+    return jcm.detuned_profile(ts, cfg.jcm_config(), 0,
+                               cfg.x_spec(kind), cfg.y_spec(kind),
+                               escalation=escalation)
 
 
 def _thermal_chunk(payload: dict) -> dict:
-    cfg = RunConfig(**payload["cfg"])
+    cfg = payload["cfg"]
     ts = np.asarray(payload["t"])
     kind, escalation = cfg.precision_plan()
     if escalation == "ignore":
@@ -286,9 +266,7 @@ def cmd_series(cfg: RunConfig) -> int:
 
 def cmd_integrals(cfg: RunConfig) -> int:
     t = cfg.time_grid()
-    jobs = _effective_jobs(cfg, t.size)
-    chunks = _parallel_rows(_integrals_chunk, _chunk_payloads(cfg, t, jobs), jobs)
-    prof = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+    prof = _chunk_columns(_integrals_chunk, cfg, t)
     over = prof.pop("over_budget")
     escalated = prof.pop("escalated")
     # status: 0 ok, 1 escalated to extended, 2 precision loss (unrecoverable)
@@ -305,15 +283,11 @@ def cmd_integrals(cfg: RunConfig) -> int:
 
 def cmd_thermal(cfg: RunConfig) -> int:
     t = cfg.time_grid()
-    thermal = cfg.thermal_config()
-    jcfg = cfg.jcm_config()
-    strength = jcm.perturbative_strength(jcfg, thermal)
+    strength = jcm.perturbative_strength(cfg.jcm_config(), cfg.thermal_config())
     if strength > 0.5:
         print(f"warning: perturbative strength {strength:.3g} > 0.5; the "
               "second-order expansion is marginal here", file=sys.stderr)
-    jobs = _effective_jobs(cfg, t.size)
-    chunks = _parallel_rows(_thermal_chunk, _chunk_payloads(cfg, t, jobs), jobs)
-    columns = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+    columns = _chunk_columns(_thermal_chunk, cfg, t)
     _ensure_finite(columns)
     _write_csv(cfg, t, columns)
     outside = int(jcm._outside_unit_interval(columns["pg_thermal"]).sum())
@@ -387,20 +361,22 @@ def _origin_limit_residual(cfg: jcm.JcmConfig, l: int, t: float) -> float:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    config = args.pop("config")
     try:
-        cfg = _merge_config(args)
+        # flags override the config file, which overrides the defaults
+        cfg = RunConfig(**{**(_read_config_file(config) if config else {}), **args})
         handler = {"series": cmd_series, "integrals": cmd_integrals,
                    "thermal": cmd_thermal, "check": cmd_check}[cfg.command]
         return handler(cfg)
+    except (PrecisionLossError, IntegrandError, OverflowError,
+            FloatingPointError) as exc:
+        # before ValueError, which IntegrandError subclasses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrecisionLossError, IntegrandError, OverflowError,
-            FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -161,7 +161,7 @@ def assemble(samples, grid: Grid, origin_value=None) -> IntegralResult:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise IntegrandError(
-            f"integrand is not finite at x = {grid.x[bad]!r}",
+            f"integrand is not finite at x = {float(grid.x[bad])!r}",
             abscissa=float(grid.x[bad]))
     terms = grid.pattern * samples * grid.step_used
     total = _fsum_ordered(terms)

@@ -1,6 +1,5 @@
 """The command-line surface: columns, exit codes, config handling."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +118,17 @@ def test_thermal_refuses_over_budget_rows(tmp_path, capsys, precision):
             in capsys.readouterr().err)
 
 
+def test_non_finite_integrand_exit3(tmp_path, capsys):
+    # IntegrandError subclasses ValueError but is a numerical failure
+    rc = main(["integrals", "--alpha", "4", "--precision", "standard",
+               "--t-start", "100", "--t-end", "100", "--t-steps", "1",
+               "--dx", "1e-2", "--dy", "1e-2", "--jobs", "1",
+               "--out", str(tmp_path / "nan.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: integrand is not finite at x = 41.17")
+
+
 def test_integrals_auto_escalates(tmp_path):
     out = tmp_path / "auto.csv"
     rc = main(["integrals", "--alpha", "4", "--precision", "auto",
@@ -184,7 +194,7 @@ def test_thermal_chunk_evaluates_each_bracket_once(gamma_tilde, brackets,
         return q_g(l, *args, **kwargs)
 
     monkeypatch.setattr(jc.jcm, "q_g", counting)
-    chunk = cli._thermal_chunk({"cfg": dataclasses.asdict(cfg), "t": ts})
+    chunk = cli._thermal_chunk({"cfg": cfg, "t": ts})
     assert calls == list(range(brackets))
     kind, escalation = cfg.precision_plan()
     args = (np.asarray(ts), cfg.jcm_config(), cfg.thermal_config(), "integral",
@@ -243,6 +253,22 @@ def test_jobs_parallelism_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):
+    # computes the worker count only: no process is started
+    def jobs(requested, rows):
+        return cli._effective_jobs(RunConfig(command="integrals", jobs=requested),
+                                   rows)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert jobs(4000, 4000) == 2
+    assert jobs(0, 4000) == 2  # 0 means all cores
+    assert (jobs(1, 4000), jobs(3, 1), jobs(0, 1)) == (1, 1, 1)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert (jobs(0, 10), jobs(8, 10)) == (1, 1)
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        jobs(-1, 10)
+
+
 def test_config_file_merging_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("alpha = 2.0\nt_steps = 5\nt-end = 3.0  # comment\n")
@@ -253,12 +279,27 @@ def test_config_file_merging_and_flag_precedence(tmp_path):
     assert meta["alpha"] == "2.0"
     assert len(cols["t"]) == 4  # flag overrode the file
     assert cols["t"][-1] == 3.0
+    # a config file writes the bytes of the same settings given as flags
+    cfgfile.write_text("alpha = 4\nt_steps = 10\nrule = 'bode'\n")
+    common = ["integrals", "--t-end", "3", "--dx", "1e-2", "--dy", "1e-2",
+              "--jobs", "1", "--out"]
+    flagged = tmp_path / "flags.csv"
+    assert main(common + [str(out), "--config", str(cfgfile)]) == 0
+    assert main(common + [str(flagged), "--alpha", "4", "--t-steps", "10",
+                          "--rule", "bode"]) == 0
+    assert out.read_bytes() == flagged.read_bytes()
 
 
-def test_unknown_config_key_is_usage_error(tmp_path):
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    # a config value is parsed and checked as its flag is
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("not_a_key = 1\n")
-    assert main(["series", "--config", str(cfgfile)]) == 2
+    for line in ("not_a_key = 1", "alpha = abc", "t_steps = 1e1",
+                 "rule = trapezoid", "precision = turbo", "out = x.csv",
+                 "command = series"):
+        cfgfile.write_text(line + "\n")
+        for command in ("series", "check"):
+            assert main([command, "--config", str(cfgfile)]) == 2, line
+            assert capsys.readouterr().err.startswith(f"error: {cfgfile}:1: ")
 
 
 def test_invalid_params_exit2():
@@ -270,6 +311,7 @@ def test_invalid_params_exit2():
     # the default x_max = 100 does not cover the Poisson tail at alpha = 8
     assert main(["integrals", "--alpha", "8", "--t-steps", "1",
                  "--jobs", "1"]) == 2
+    assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
 
 
 def test_check_passes_on_defaults(capsys):

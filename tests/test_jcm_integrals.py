@@ -327,6 +327,34 @@ def test_line_family_refuses_an_uncovered_poisson_tail(series200):
     assert np.max(np.abs(prof["sigma_z"] - want)) < 1e-9
 
 
+def test_signs_of_alpha_and_kappa_do_not_change_the_inversion():
+    """Only alpha^2 and |kappa| t enter the inversion, so flipping the sign
+    of alpha, of kappa or of both leaves every form bit for bit unchanged.
+    The thermal P1 = 2 alpha gamma_tilde (P_g - Q1) is odd in alpha, so
+    pg_thermal keeps its values when alpha and gamma_tilde flip together."""
+    ts = np.linspace(0.0, 6.0, 7)
+    thermal = jc.ThermalConfig(theta=0.025, gamma_tilde=1.0)
+    flipped = jc.ThermalConfig(theta=0.025, gamma_tilde=-1.0)
+
+    def forms(alpha, kappa):
+        cfg = jc.JcmConfig(alpha=alpha, kappa=kappa)
+        prof = jc.resonant_profile(ts, cfg)
+        detuned = jc.detuned_profile(
+            ts, jc.JcmConfig(alpha=alpha, kappa=kappa, delta_omega=4.0 * kappa))
+        return [jc.sigma_z_series(ts, cfg), jc.envelope_approximation(ts, cfg),
+                prof["J1"], prof["J2"], prof["sigma_z"],
+                detuned["I1"], detuned["I2"], detuned["sigma_z"]]
+
+    want = forms(4.0, 1.0)
+    for alpha, kappa in ((-4.0, 1.0), (4.0, -1.0), (-4.0, -1.0)):
+        for got, ref in zip(forms(alpha, kappa), want):
+            assert np.array_equal(got, ref), (alpha, kappa)
+    for mode in ("series", "integral"):
+        assert np.array_equal(
+            jc.pg_thermal(ts, jc.JcmConfig(alpha=-4.0), flipped, mode),
+            jc.pg_thermal(ts, jc.JcmConfig(alpha=4.0), thermal, mode)), mode
+
+
 def test_extended_runs_are_bit_identical(cfg4):
     spec = dataclasses.replace(Y, precision_kind="extended")
     t = 5.5 * math.pi

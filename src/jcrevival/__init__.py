@@ -11,7 +11,7 @@ from .ddmath import CDD, DD
 from .errors import ConvergenceError, IntegrandError, PrecisionLossError
 from .jcm import (DEFAULT_X_SPEC, DEFAULT_Y_SPEC, JcmConfig,
                   PerturbativeRegimeWarning, SeriesSpec, ThermalConfig,
-                  ThetaResult, TimeSeries, abel_plana_identity,
+                  ThetaResult, abel_plana_identity,
                   const_plateau, correction_integrand_probe,
                   correction_origin, detuned_profile,
                   envelope_approximation, envelope_factor, i1_integral,
@@ -32,7 +32,7 @@ __all__ = [
     "TransformResult", "factorial_weighted_transform", "finite_transform",
     "semi_infinite_transform", "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",
     "JcmConfig", "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
-    "ThetaResult", "TimeSeries", "abel_plana_identity", "const_plateau",
+    "ThetaResult", "abel_plana_identity", "const_plateau",
     "correction_integrand_probe", "correction_origin", "detuned_profile", "envelope_approximation",
     "envelope_factor", "i1_integral", "i2_integral", "j1_integral",
     "j2_integral", "p1_correction", "p2_correction",

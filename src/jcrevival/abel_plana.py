@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from . import ddmath, quadrature, special
-from .ddmath import DD
 from .errors import IntegrandError, PrecisionLossError
 from .quadrature import IntegralResult, QuadratureSpec
 
@@ -61,7 +60,7 @@ def _bose_weight(y):
     The y = 0 lane divides by zero; callers always replace that sample with
     an analytic limit, so the warning is suppressed here.
     """
-    two_pi = DD.from_pair(ddmath.TWO_PI) if special.is_extended(y) else 2.0 * np.pi
+    two_pi = special.constant(ddmath.TWO_PI, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         em = special.exp(-(y * two_pi))
         return em / (1.0 - em)

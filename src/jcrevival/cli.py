@@ -301,8 +301,8 @@ def cmd_thermal(cfg: RunConfig) -> int:
 def cmd_check(cfg: RunConfig) -> int:
     """Identity and residual self-tests; prints PASS/FAIL per item."""
     kind, escalation = cfg.precision_plan()
-    x_spec = cfg.x_spec("standard")
-    y_spec = cfg.y_spec("standard")
+    x_spec = cfg.x_spec(kind)
+    y_spec = cfg.y_spec(kind)
     failures = 0
 
     def report(name: str, measured: float, bound: float):

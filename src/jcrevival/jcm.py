@@ -137,30 +137,6 @@ def theta_of_beta(beta_epsilon: float) -> ThetaResult:
     return ThetaResult(exact=math.atanh(x), approximate=x)
 
 
-@dataclass
-class TimeSeries:
-    """Sampled t -> values with a record of which representation made them."""
-
-    t: np.ndarray
-    columns: dict[str, np.ndarray]
-    provenance: Literal["series", "envelope", "integral_J", "integral_I",
-                        "thermal_1", "thermal_2"]
-    config: dict
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        if self.t.ndim != 1:
-            raise ValueError("t must be one-dimensional")
-        if self.t.size > 1 and not np.all(np.diff(self.t) > 0.0):
-            raise ValueError("t must be strictly increasing")
-        for name, col in self.columns.items():
-            col = np.asarray(col)
-            if col.shape != self.t.shape:
-                raise ValueError(f"column {name!r} does not match the t grid")
-            if not np.all(np.isfinite(col)):
-                raise ValueError(f"column {name!r} contains non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # series representation
 # ---------------------------------------------------------------------------
@@ -256,8 +232,8 @@ def envelope_approximation(t, cfg: JcmConfig):
     t_arr, scalar = _time_grid(t)
     a = abs(cfg.alpha)
     big_t = abs(cfg.kappa) * t_arr
-    envelope = np.exp(cfg.alpha ** 2 * (np.cos(big_t / a) - 1.0))
-    vals = -envelope * np.cos(a * big_t + cfg.alpha ** 2 * np.sin(big_t / a))
+    vals = -envelope_factor(t_arr, cfg) * np.cos(
+        a * big_t + cfg.alpha ** 2 * np.sin(big_t / a))
     return float(vals[0]) if scalar else vals
 
 

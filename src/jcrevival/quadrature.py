@@ -6,6 +6,7 @@ compensated and runs in a fixed order, so two runs with the same spec are
 bit-identical.  Integrands are called once with the whole abscissa grid:
 an ndarray for the standard kind, a ``ddmath.DD`` array for the extended
 kind; they may return real, complex, DD or CDD samples of the same length.
+One :func:`assemble` sums them all through ``special``'s kind primitives.
 
 Every result carries a cancellation diagnostic (largest intermediate
 partial sum over the final value); callers that integrate violently
@@ -21,7 +22,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from . import ddmath
+from . import special
 from .ddmath import CDD, DD
 from .errors import ConvergenceError, IntegrandError
 
@@ -94,12 +95,6 @@ def _weight_pattern(rule: str, n: int) -> np.ndarray:
     return w * (2.0 / 45.0)
 
 
-def _fsum_ordered(terms: np.ndarray):
-    if np.iscomplexobj(terms):
-        return complex(math.fsum(terms.real), math.fsum(terms.imag))
-    return math.fsum(terms)
-
-
 def _cancellation(prefix_abs: np.ndarray, total_abs: float) -> float:
     peak = float(prefix_abs.max()) if prefix_abs.size else 0.0
     if total_abs == 0.0:
@@ -140,64 +135,35 @@ def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
                 precision_kind=spec.precision_kind)
 
 
+def _checked_samples(samples, x, origin_value):
+    """samples with the first one replaced by origin_value (if given);
+    raises IntegrandError at the first non-finite sample."""
+    if origin_value is not None:
+        samples = special.replace_first(samples, origin_value)
+    finite = np.isfinite(special.leading(samples))
+    if not finite.all():
+        bad = float(special.leading(x)[int(np.argmin(finite))])
+        raise IntegrandError(f"integrand is not finite at x = {bad!r}",
+                             abscissa=bad)
+    return samples
+
+
 def assemble(samples, grid: Grid, origin_value=None) -> IntegralResult:
     """Turn integrand samples on a grid into a weighted, compensated sum.
 
-    origin_value, when given, replaces the sample at the left endpoint
-    (used where the integrand is a removable 0/0 whose limit is known
-    analytically).  Raises IntegrandError if any retained sample is
-    non-finite.
+    Both kinds, real or complex samples.  origin_value, when given,
+    replaces the sample at the left endpoint (used where the integrand is a
+    removable 0/0 whose limit is known analytically).  Raises
+    IntegrandError if any retained sample is non-finite.
     """
-    if grid.precision_kind == "extended":
-        return _assemble_extended(samples, grid, origin_value)
-    samples = np.asarray(samples)
-    if origin_value is not None:
-        wide = complex if (np.iscomplexobj(samples) or
-                           isinstance(origin_value, complex)) else float
-        samples = samples.astype(wide)
-        samples[0] = origin_value
-    finite = np.isfinite(samples) if not np.iscomplexobj(samples) else (
-        np.isfinite(samples.real) & np.isfinite(samples.imag))
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise IntegrandError(
-            f"integrand is not finite at x = {float(grid.x[bad])!r}",
-            abscissa=float(grid.x[bad]))
-    terms = grid.pattern * samples * grid.step_used
-    total = _fsum_ordered(terms)
-    cancel = _cancellation(np.abs(np.cumsum(terms)), abs(total))
+    if grid.precision_kind == "extended" and not special.is_extended(samples):
+        samples = special.to_extended(samples) if np.iscomplexobj(samples) \
+            else DD(np.asarray(samples, dtype=np.float64))
+    samples = _checked_samples(samples, grid.x, origin_value)
+    terms = samples * grid.pattern * grid.h
+    total = special.compensated_sum(terms)
+    cancel = _cancellation(np.abs(np.cumsum(special.leading(terms))), abs(total))
     return IntegralResult(value=total, evaluations=grid.n + 1,
-                          cancellation_magnitude=cancel, step_used=grid.step_used)
-
-
-def _assemble_extended(samples, grid: Grid, origin_value=None) -> IntegralResult:
-    if isinstance(samples, CDD):
-        ov = None if origin_value is None else (
-            origin_value if isinstance(origin_value, CDD) else CDD(DD(complex(origin_value).real),
-                                                                   DD(complex(origin_value).imag)))
-        re = _assemble_extended(samples.re, grid, None if ov is None else ov.re)
-        im = _assemble_extended(samples.im, grid, None if ov is None else ov.im)
-        return IntegralResult(
-            value=complex(re.value, im.value), evaluations=grid.n + 1,
-            cancellation_magnitude=max(re.cancellation_magnitude,
-                                       im.cancellation_magnitude),
-            step_used=grid.step_used)
-    if not isinstance(samples, DD):
-        samples = DD(np.asarray(samples, dtype=np.float64))
-    if origin_value is not None:
-        ov = origin_value if isinstance(origin_value, DD) else DD(float(origin_value))
-        first = np.zeros(grid.n + 1, dtype=bool)
-        first[0] = True
-        samples = ddmath.where(first, ov, samples)
-    if not np.all(np.isfinite(samples.hi)):
-        bad = int(np.argmin(np.isfinite(samples.hi)))
-        raise IntegrandError(
-            f"integrand is not finite at x = {float(grid.x.hi[bad])!r}",
-            abscissa=float(grid.x.hi[bad]))
-    terms = samples * DD(grid.pattern) * grid.h
-    total = ddmath.dd_sum(terms)
-    cancel = _cancellation(np.abs(np.cumsum(terms.hi)), abs(float(total.to_float())))
-    return IntegralResult(value=float(total.to_float()), evaluations=grid.n + 1,
                           cancellation_magnitude=cancel, step_used=grid.step_used)
 
 
@@ -266,24 +232,14 @@ def integrate_romberg(f: Callable, a: float, b: float, max_levels: int = 20,
     for level in range(max_levels):
         n = 2 ** level
         x = np.linspace(a, b, n + 1)
-        samples = np.asarray(f(x))
-        if origin_value is not None and a == 0.0:
-            wide = complex if (np.iscomplexobj(samples) or
-                               isinstance(origin_value, complex)) else float
-            samples = samples.astype(wide)
-            samples[0] = origin_value
-        finite = np.isfinite(samples) if not np.iscomplexobj(samples) else (
-            np.isfinite(samples.real) & np.isfinite(samples.imag))
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise IntegrandError(
-                f"integrand is not finite at x = {x[bad]!r}", abscissa=float(x[bad]))
+        samples = _checked_samples(np.asarray(f(x)), x,
+                                   origin_value if a == 0.0 else None)
         evaluations += n + 1
         h = (b - a) / n
         weights = np.full(n + 1, h)
         weights[0] = weights[-1] = h / 2.0
-        trap = _fsum_ordered(weights * samples)
-        row = [trap]
+        terms = weights * samples
+        row = [special.compensated_sum(terms)]
         if rows:
             prev_row = rows[-1]
             for k in range(1, level + 1):
@@ -292,7 +248,6 @@ def integrate_romberg(f: Callable, a: float, b: float, max_levels: int = 20,
         rows.append(row)
         diag = row[-1]
         if diag_prev is not None and abs(diag - diag_prev) < tol:
-            terms = weights * samples
             cancel = _cancellation(np.abs(np.cumsum(terms)), abs(diag))
             return IntegralResult(value=diag, evaluations=evaluations,
                                   cancellation_magnitude=cancel,

@@ -11,12 +11,16 @@ kinds are supported throughout:
 Mixing kinds promotes to extended: ``CDD`` and ``DD`` operands absorb floats
 and complexes.  All functions accept either kind and return the same kind
 they were given.  This is the one module that dispatches on the kind: the
-primitives :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos` and
-:func:`complex_of` let an integrand be written once for both kinds, reading
-complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
+primitives :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos`,
+:func:`complex_of`, :func:`constant` and :func:`select` let an integrand be
+written once for both kinds, reading complex parts as ``.real`` / ``.imag``
+(which ``CDD`` provides too); :func:`leading`, :func:`replace_first` and
+:func:`compensated_sum` do the same for ``quadrature.assemble``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -127,6 +131,52 @@ def complex_of(re, im):
     return re + 1j * im
 
 
+def constant(pair, like):
+    """A (hi, lo) constant such as ddmath.PI in the kind of like."""
+    return DD.from_pair(pair) if is_extended(like) else pair[0]
+
+
+def _is_complex(x) -> bool:
+    return isinstance(x, CDD) or (not isinstance(x, DD) and np.iscomplexobj(x))
+
+
+def select(mask, a, b):
+    """a where mask holds, else b, elementwise, in the wider kind of the two
+    (extended over standard, complex over real)."""
+    if not (is_extended(a) or is_extended(b)):
+        return np.where(mask, a, b)
+    if _is_complex(a) or _is_complex(b):
+        a, b = to_extended(a), to_extended(b)
+        return CDD(ddmath.where(mask, a.re, b.re), ddmath.where(mask, a.im, b.im))
+    return ddmath.where(mask, a, b)
+
+
+def replace_first(x, value):
+    """A copy of the array x with x[0] = value, widened as by select."""
+    first = np.zeros(np.shape(leading(x)), dtype=bool)
+    first[0] = True
+    return select(first, value, x)
+
+
+def leading(x):
+    """The leading doubles of x: a DD's high words, a CDD's high words as
+    complex128, and x itself (as an array) in the standard kind."""
+    if isinstance(x, CDD):
+        return x.re.hi + 1j * x.im.hi
+    return x.hi if isinstance(x, DD) else np.asarray(x)
+
+
+def compensated_sum(x):
+    """Sum of the elements of x, compensated in x's kind (math.fsum, or
+    ddmath.dd_sum's fixed pairwise tree) and rounded to a double; a complex
+    sum adds its real and imaginary parts separately."""
+    if isinstance(x, DD):
+        return float(ddmath.dd_sum(x).to_float())
+    if _is_complex(x):
+        return complex(compensated_sum(x.real), compensated_sum(x.imag))
+    return math.fsum(x)
+
+
 def log_gamma(z):
     """ln Gamma(z) for Re(z) > 0 by the 7-coefficient, g=5 Lanczos formula.
 
@@ -154,19 +204,11 @@ def log_gamma(z):
 
 
 def _sinpi(z):
-    """sin(pi z) reduced about the nearest integer; exact zeros at integers."""
-    if isinstance(z, (DD, CDD)):
-        zc = z if isinstance(z, CDD) else CDD(z)
-        n = np.round(zc.re.hi)
-        w = CDD(zc.re - DD(n), zc.im)
-        pw = CDD(w.re * DD.from_pair(ddmath.PI), w.im * DD.from_pair(ddmath.PI))
-        s = ddmath.csin(pw)
-        sign = np.where(np.mod(n, 2.0) == 0, 1.0, -1.0)
-        return CDD(s.re * DD(sign), s.im * DD(sign))
-    z = np.asarray(z, dtype=np.complex128)
-    n = np.round(z.real)
-    w = z - n
-    return np.where(np.mod(n, 2.0) == 0, 1.0, -1.0) * np.sin(np.pi * w)
+    """sin(pi z) of a complex z, reduced about the nearest integer; exact
+    zeros at integers."""
+    n = np.round(_real_part(z))
+    s = _csin((z - n) * constant(ddmath.PI, z))
+    return s * np.where(np.mod(n, 2.0) == 0, 1.0, -1.0)
 
 
 def reciprocal_gamma(z):
@@ -176,33 +218,19 @@ def reciprocal_gamma(z):
     1/Gamma(z) = Gamma(1-z) sin(pi z)/pi elsewhere, which gives exact zeros
     at z = 0, -1, -2, ...
     """
-    if isinstance(z, (DD, CDD)):
-        zc = z if isinstance(z, CDD) else CDD(z)
-        neg = zc.re.hi <= 0.0
-        if not np.any(neg):
-            out = exp(-log_gamma(zc))
-        else:
-            safe_right = CDD(ddmath.where(neg, DD(1.0), zc.re), zc.im)
-            direct = exp(-log_gamma(safe_right))
-            one_minus = CDD(ddmath.where(neg, DD(1.0) - zc.re, DD(1.0)), -zc.im)
-            refl = exp(log_gamma(one_minus)) * _sinpi(zc) * (1.0 / np.pi)
-            out = CDD(ddmath.where(neg, refl.re, direct.re),
-                      ddmath.where(neg, refl.im, direct.im))
-        if not (np.all(np.isfinite(out.re.hi)) and np.all(np.isfinite(out.im.hi))):
-            raise OverflowError("reciprocal_gamma overflowed; argument too large")
-        return out
     scalar_in = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = np.empty_like(zz)
-    neg = zz.real <= 0.0
-    if (~neg).any():
-        out[~neg] = np.exp(-log_gamma(zz[~neg]))
-    if neg.any():
-        zn = zz[neg]
-        out[neg] = np.exp(log_gamma(1.0 - zn)) * _sinpi(zn) / np.pi
-    if not np.all(np.isfinite(out)):
+    z = to_extended(z) if is_extended(z) else np.atleast_1d(
+        np.asarray(z, dtype=np.complex128))
+    neg = _real_part(z) <= 0.0
+    # each lane's unused branch sees a harmless argument
+    out = exp(-log_gamma(select(neg, 1.0, z)))
+    if np.any(neg):
+        refl = exp(log_gamma(select(neg, 1.0 - z, 1.0))) * \
+            _sinpi(select(neg, z, 0.0)) / constant(ddmath.PI, z)
+        out = select(neg, refl, out)
+    if not np.all(np.isfinite(leading(out))):
         raise OverflowError("reciprocal_gamma overflowed; argument too large")
-    return out[0] if scalar_in else out.reshape(np.shape(z))
+    return out[0] if scalar_in else out
 
 
 def principal_sqrt(z):
@@ -229,9 +257,11 @@ def complex_cos(z):
     return np.cos(z)
 
 
+def _csin(z):
+    return ddmath.csin(to_extended(z)) if is_extended(z) else np.sin(z)
+
+
 def complex_sin(z):
     """sin(z) by analytic continuation; signals instead of overflowing."""
     _check_im_range(z)
-    if isinstance(z, (DD, CDD)):
-        return ddmath.csin(z if isinstance(z, CDD) else CDD(z))
-    return np.sin(z)
+    return _csin(z)

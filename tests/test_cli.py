@@ -322,6 +322,25 @@ def test_check_passes_on_defaults(capsys):
     assert out.count("PASS") >= 8
 
 
+def test_check_runs_in_the_kind_of_precision(monkeypatch):
+    specs = []
+
+    def recorder(canned):
+        def record(*args, **kwargs):
+            specs.extend(a for a in (*args, *kwargs.values())
+                         if isinstance(a, jc.QuadratureSpec))
+            return canned
+        return record
+
+    monkeypatch.setattr(jc.jcm, "abel_plana_identity", recorder((1.0, 1.0)))
+    monkeypatch.setattr(jc.jcm, "resonant_profile",
+                        recorder({"J1": np.zeros(201)}))
+    monkeypatch.setattr(jc.jcm, "q_g", recorder(0.0))
+    main(["check", "--precision", "extended"])
+    assert len(specs) == 2 * (4 + 1 + 1)
+    assert all(s.precision_kind == "extended" for s in specs)
+
+
 def test_check_fails_on_coarse_grid(capsys):
     rc = main(["check", "--dx", "0.5", "--dy", "0.5"])
     out = capsys.readouterr().out

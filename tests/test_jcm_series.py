@@ -131,14 +131,3 @@ def test_thermal_config_validation():
         jc.ThermalConfig(theta=1.0, gamma_tilde=0.0)
     tc = jc.ThermalConfig.from_beta_epsilon(8.0, 1.0)
     assert tc.theta == pytest.approx(math.atanh(math.exp(-4.0)))
-
-
-def test_time_series_validation(cfg4):
-    t = np.array([0.0, 1.0, 2.0])
-    jc.TimeSeries(t=t, columns={"v": np.zeros(3)}, provenance="series", config={})
-    with pytest.raises(ValueError):
-        jc.TimeSeries(t=t[::-1].copy(), columns={"v": np.zeros(3)},
-                      provenance="series", config={})
-    with pytest.raises(ValueError):
-        jc.TimeSeries(t=t, columns={"v": np.array([0.0, np.nan, 1.0])},
-                      provenance="series", config={})

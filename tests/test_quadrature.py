@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcrevival.ddmath as dd
+from jcrevival import special
 from jcrevival.errors import ConvergenceError, IntegrandError
 from jcrevival.quadrature import (QuadratureSpec, integrate, integrate_romberg,
                                   integrate_semi_infinite)
@@ -93,11 +94,17 @@ def test_cancellation_magnitude_at_least_one():
 
 def test_non_finite_sample_reports_abscissa():
     def f(x):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / x
-    with pytest.raises(IntegrandError) as err:
-        integrate(f, 0.0, 1.0, QuadratureSpec("simpson", step=0.25))
-    assert err.value.abscissa == 0.0
+    for run in (
+            lambda: integrate(f, 0.0, 1.0, QuadratureSpec("simpson", step=0.25)),
+            lambda: integrate(f, 0.0, 1.0, QuadratureSpec(
+                "simpson", step=0.25, precision_kind="extended")),
+            lambda: integrate_romberg(f, 0.0, 1.0)):
+        with pytest.raises(IntegrandError) as err:
+            run()
+        assert err.value.abscissa == 0.0
+        assert str(err.value).endswith("x = 0.0")
 
 
 def test_origin_value_replaces_removable_singularity():
@@ -128,11 +135,22 @@ def test_reversed_bounds_rejected():
 def test_extended_kind_agrees_with_standard():
     spec_s = QuadratureSpec("bode", step=1e-3)
     spec_e = QuadratureSpec("bode", step=1e-3, precision_kind="extended")
-    f_s = lambda x: np.exp(-x) * np.cos(3.0 * x)
-    f_e = lambda x: dd.exp(-x) * dd.cos(x * 3.0)
-    a = integrate(f_s, 0.0, 10.0, spec_s).value
-    b = integrate(f_e, 0.0, 10.0, spec_e).value
-    assert abs(a - b) < 1e-14
+    cases = [
+        (lambda x: np.exp(-x) * np.cos(3.0 * x),
+         lambda x: dd.exp(-x) * dd.cos(x * 3.0), None),
+        # complex with a removable 0/0 at the origin, as in abel_plana's
+        # extended transforms: e^{-x} (e^{3ix} - 1) / x -> 3i
+        (lambda x: np.exp(-x) * np.expm1(3j * x) / x,
+         lambda x: special.exp(-x) * (special.exp(special.complex_of(
+             0.0 * x, x * 3.0)) - 1.0) / x, 3j),
+    ]
+    for f_s, f_e, origin in cases:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = integrate(f_s, 0.0, 10.0, spec_s, origin_value=origin)
+            b = integrate(f_e, 0.0, 10.0, spec_e, origin_value=origin)
+        assert abs(a.value - b.value) < 1e-14
+        assert b.cancellation_magnitude == pytest.approx(
+            a.cancellation_magnitude, rel=1e-12)
 
 
 def test_romberg_sin_and_constant():
@@ -154,4 +172,8 @@ def test_romberg_nonconvergence_carries_diagonals():
 def test_complex_integrand():
     spec = QuadratureSpec("simpson", step=1e-3)
     r = integrate(lambda x: np.exp(1j * x), 0.0, np.pi, spec)
+    assert abs(r.value - 2j) < 1e-12
+    # plain complex samples on an extended grid keep their imaginary part
+    spec = QuadratureSpec("simpson", step=1e-3, precision_kind="extended")
+    r = integrate(lambda x: np.exp(1j * x.hi), 0.0, np.pi, spec)
     assert abs(r.value - 2j) < 1e-12

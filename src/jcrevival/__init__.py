@@ -8,7 +8,7 @@ population inversion, cross-validated against each other, with standard
 from .abel_plana import (TransformResult, factorial_weighted_transform,
                          finite_transform, semi_infinite_transform)
 from .ddmath import CDD, DD
-from .errors import ConvergenceError, IntegrandError, PrecisionLossError
+from .errors import IntegrandError, PrecisionLossError
 from .jcm import (DEFAULT_X_SPEC, DEFAULT_Y_SPEC, JcmConfig,
                   PerturbativeRegimeWarning, SeriesSpec, ThermalConfig,
                   ThetaResult, abel_plana_identity,
@@ -21,14 +21,13 @@ from .jcm import (DEFAULT_X_SPEC, DEFAULT_Y_SPEC, JcmConfig,
                   sigma_z_resonant_integral, sigma_z_series,
                   sigma_z_series_resonant, theta_of_beta)
 from .quadrature import (IntegralResult, QuadratureSpec, integrate,
-                         integrate_romberg, integrate_semi_infinite)
-from .special import (complex_cos, complex_sin, log_gamma, principal_sqrt,
-                      reciprocal_gamma)
+                         integrate_semi_infinite)
+from .special import log_gamma, principal_sqrt, reciprocal_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CDD", "DD", "ConvergenceError", "IntegrandError", "PrecisionLossError",
+    "CDD", "DD", "IntegrandError", "PrecisionLossError",
     "TransformResult", "factorial_weighted_transform", "finite_transform",
     "semi_infinite_transform", "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",
     "JcmConfig", "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
@@ -39,7 +38,7 @@ __all__ = [
     "perturbative_strength", "pg_series", "pg_thermal", "q_g",
     "resonant_profile", "sigma_z_integral", "sigma_z_resonant_integral",
     "sigma_z_series", "sigma_z_series_resonant", "theta_of_beta",
-    "IntegralResult", "QuadratureSpec", "integrate", "integrate_romberg",
-    "integrate_semi_infinite", "complex_cos", "complex_sin", "log_gamma",
-    "principal_sqrt", "reciprocal_gamma",
+    "IntegralResult", "QuadratureSpec", "integrate",
+    "integrate_semi_infinite", "log_gamma", "principal_sqrt",
+    "reciprocal_gamma",
 ]

@@ -98,6 +98,9 @@ class RunConfig:
     def time_grid(self) -> np.ndarray:
         if self.t_steps < 1:
             raise ValueError("t_steps must be >= 1")
+        for name in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.t_start > self.t_end:
             raise ValueError("t_start must not exceed t_end")
         if self.t_start == self.t_end:

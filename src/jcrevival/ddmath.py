@@ -22,11 +22,7 @@ PI = (3.141592653589793, 1.2246467991473532e-16)
 TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
 PI_OVER_2 = (1.5707963267948966, 6.123233995736766e-17)
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)
-EULER_GAMMA = (0.5772156649015329, -4.942915152430645e-18)
 LN_SQRT_2PI = (0.9189385332046728, -3.8782941580672414e-17)
-
-# Unit roundoff of the pair format, 2**-106.
-DD_EPS = 1.232595164407831e-32
 
 
 def _two_sum(a, b):
@@ -68,10 +64,6 @@ class DD:
     @classmethod
     def from_pair(cls, pair):
         return cls(pair[0], pair[1])
-
-    @property
-    def shape(self):
-        return np.broadcast_shapes(self.hi.shape, self.lo.shape)
 
     def to_float(self):
         """Round to nearest double."""
@@ -150,26 +142,6 @@ class DD:
         """Multiply by 2**k (exact)."""
         return DD(np.ldexp(self.hi, k), np.ldexp(self.lo, k))
 
-    # -- comparisons (on the pair, not just hi) ------------------------------
-
-    def __lt__(self, other):
-        if not isinstance(other, DD):
-            other = DD(other)
-        return (self.hi < other.hi) | ((self.hi == other.hi) & (self.lo < other.lo))
-
-    def __gt__(self, other):
-        if not isinstance(other, DD):
-            other = DD(other)
-        return (self.hi > other.hi) | ((self.hi == other.hi) & (self.lo > other.lo))
-
-    def __eq__(self, other):  # noqa: D105
-        if not isinstance(other, DD):
-            other = DD(other)
-        return (self.hi == other.hi) & (self.lo == other.lo)
-
-    def __hash__(self):
-        return object.__hash__(self)
-
 
 class CDD:
     """A complex double-double number (vectorized)."""
@@ -188,9 +160,6 @@ class CDD:
     @property
     def imag(self) -> DD:
         return self.im
-
-    def conj(self):
-        return CDD(self.re, -self.im)
 
     def to_complex(self):
         return self.re.to_float() + 1j * self.im.to_float()
@@ -290,9 +259,9 @@ def sqrt(a: DD) -> DD:
     return where(a.hi < 0, DD(np.full_like(a.hi, np.nan)), out)
 
 
-# dd-accurate 1/k for the Taylor loops; a bare float 1/k would cap the
+# dd-accurate 1/k for exp's Taylor loop; a bare float 1/k would cap the
 # series accuracy at double precision
-_RECIP = [None, None] + [DD(1.0) / DD(float(k)) for k in range(2, 32)]
+_RECIP = [None, None] + [DD(1.0) / DD(float(k)) for k in range(2, 12)]
 
 
 def exp(a: DD) -> DD:
@@ -316,18 +285,6 @@ def exp(a: DD) -> DD:
     out = where(a.hi < -745.0, DD(np.zeros_like(a.hi)), out)
     out = where(a.hi > 709.8, DD(np.full_like(a.hi, np.inf)), out)
     return out
-
-
-def expm1(a: DD) -> DD:
-    """exp(a) - 1 without cancellation for small |a|."""
-    small = np.abs(a.hi) < 0.5
-    asafe = where(small, a, DD(np.zeros_like(a.hi)))
-    term = asafe
-    s = asafe
-    for k in range(2, 28):
-        term = term * asafe * _RECIP[k]
-        s = s + term
-    return where(small, s, exp(a) - 1.0)
 
 
 def log(a: DD) -> DD:
@@ -367,10 +324,6 @@ def sincos(a: DD):
     sin_out = where(q == 0, s0, where(q == 1, c0, where(q == 2, -s0, -c0)))
     cos_out = where(q == 0, c0, where(q == 1, -s0, where(q == 2, -c0, s0)))
     return sin_out, cos_out
-
-
-def sin(a: DD) -> DD:
-    return sincos(a)[0]
 
 
 def cos(a: DD) -> DD:
@@ -439,11 +392,6 @@ def csqrt(z: CDD) -> CDD:
     zero = (r.hi == 0)
     return CDD(where(zero, DD(np.zeros_like(r.hi)), out_re),
                where(zero, DD(np.zeros_like(r.hi)), out_im))
-
-
-def ccos(z: CDD) -> CDD:
-    s, c = sincos(z.re)
-    return CDD(c * cosh(z.im), -(s * sinh(z.im)))
 
 
 def csin(z: CDD) -> CDD:

@@ -26,13 +26,3 @@ class PrecisionLossError(ArithmeticError):
         super().__init__(message)
         self.cancellation_magnitude = cancellation_magnitude
 
-
-class ConvergenceError(RuntimeError):
-    """Romberg refinement did not settle within the allowed levels.
-
-    Carries the last two diagonal estimates for diagnosis.
-    """
-
-    def __init__(self, message: str, last_estimates: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.last_estimates = last_estimates

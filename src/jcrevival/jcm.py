@@ -84,18 +84,18 @@ class ThermalConfig:
 
     theta: float
     gamma_tilde: float
-    beta_epsilon: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("theta must lie in [0, 1)")
+        if not math.isfinite(self.gamma_tilde):
+            raise ValueError("gamma_tilde must be finite")
 
     @classmethod
-    def from_beta_epsilon(cls, beta_epsilon: float, gamma_tilde: float,
-                          exact: bool = True) -> "ThermalConfig":
-        th = theta_of_beta(beta_epsilon)
-        return cls(theta=th.exact if exact else th.approximate,
-                   gamma_tilde=gamma_tilde, beta_epsilon=beta_epsilon)
+    def from_beta_epsilon(cls, beta_epsilon: float,
+                          gamma_tilde: float) -> "ThermalConfig":
+        return cls(theta=theta_of_beta(beta_epsilon).exact,
+                   gamma_tilde=gamma_tilde)
 
 
 def perturbative_strength(cfg: JcmConfig, thermal: ThermalConfig) -> float:
@@ -109,7 +109,6 @@ class SeriesSpec:
     """Truncation of the photon-number sums."""
 
     n_max: int = 100
-    override_tail_guard: bool = False
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -159,11 +158,10 @@ def _tail_need(cfg: JcmConfig) -> float:
 
 def _check_series_spec(cfg: JcmConfig, spec: SeriesSpec):
     need = _tail_need(cfg)
-    if spec.n_max < need and not spec.override_tail_guard:
+    if spec.n_max < need:
         raise ValueError(
             f"n_max = {spec.n_max} does not cover the Poisson tail for "
-            f"alpha = {cfg.alpha} (need >= {need:.1f}); raise n_max or set "
-            "override_tail_guard")
+            f"alpha = {cfg.alpha} (need >= {need:.1f}); raise n_max")
 
 
 def pg_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
@@ -767,22 +765,15 @@ def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
                   series_spec: SeriesSpec = DEFAULT_SERIES_SPEC,
                   x_spec: QuadratureSpec = DEFAULT_X_SPEC,
                   y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
-                  escalation: Escalation = "raise",
-                  keep_inner_theta_factor: bool = False):
+                  escalation: Escalation = "raise"):
     """Second-order thermal correction.
 
     2 (2 a^2 g~^2 - g~^2 - 1) P_g - 2 a^2 (4 g~^2 + 1) Q^(1) + 4 a^2 g~^2 Q^(2),
     defined so that P_g(beta;t) = P_g + theta P1 + (theta^2/2) P2 holds with
-    the weights applied once, at assembly.  keep_inner_theta_factor=True
-    additionally multiplies by theta^2/2 here, for comparison with the
-    reading in which that factor is part of the correction itself (assembly
-    would then effectively carry theta^4).
+    the weights applied once, at assembly.
     """
-    val = _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
-                         escalation)[1]
-    if keep_inner_theta_factor:
-        val = 0.5 * thermal.theta ** 2 * val
-    return val
+    return _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
+                          escalation)[1]
 
 
 def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,

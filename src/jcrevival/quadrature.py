@@ -1,12 +1,12 @@
 """Composite Newton-Cotes quadrature on fixed grids.
 
-Simpson and Bode (Boole) rules over finite intervals, a truncated
-semi-infinite wrapper, and Romberg extrapolation.  Accumulation is
-compensated and runs in a fixed order, so two runs with the same spec are
-bit-identical.  Integrands are called once with the whole abscissa grid:
-an ndarray for the standard kind, a ``ddmath.DD`` array for the extended
-kind; they may return real, complex, DD or CDD samples of the same length.
-One :func:`assemble` sums them all through ``special``'s kind primitives.
+Simpson and Bode (Boole) rules over finite intervals and a truncated
+semi-infinite wrapper.  Accumulation is compensated and runs in a fixed
+order, so two runs with the same spec are bit-identical.  Integrands are
+called once with the whole abscissa grid: an ndarray for the standard
+kind, a ``ddmath.DD`` array for the extended kind; they may return real,
+complex, DD or CDD samples of the same length.  One :func:`assemble` sums
+them all through ``special``'s kind primitives.
 
 Every result carries a cancellation diagnostic (largest intermediate
 partial sum over the final value); callers that integrate violently
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import special
 from .ddmath import CDD, DD
-from .errors import ConvergenceError, IntegrandError
+from .errors import IntegrandError
 
 PrecisionKind = Literal["standard", "extended"]
 
@@ -46,10 +46,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.rule not in _RULE_DIVISOR:
             raise ValueError(f"unknown rule {self.rule!r}")
-        if not (self.step > 0.0):
-            raise ValueError("step must be positive")
-        if not (self.upper_limit > 0.0):
-            raise ValueError("upper_limit must be positive")
+        for name in ("step", "upper_limit"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.precision_kind not in ("standard", "extended"):
             raise ValueError(f"unknown precision kind {self.precision_kind!r}")
 
@@ -61,7 +60,6 @@ class IntegralResult:
     cancellation_magnitude: float
     step_used: float
     tail_estimate: float | None = None
-    converged: bool = True
 
 
 def _interval_count(a: float, b: float, step: float, divisor: int) -> int:
@@ -135,19 +133,6 @@ def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
                 precision_kind=spec.precision_kind)
 
 
-def _checked_samples(samples, x, origin_value):
-    """samples with the first one replaced by origin_value (if given);
-    raises IntegrandError at the first non-finite sample."""
-    if origin_value is not None:
-        samples = special.replace_first(samples, origin_value)
-    finite = np.isfinite(special.leading(samples))
-    if not finite.all():
-        bad = float(special.leading(x)[int(np.argmin(finite))])
-        raise IntegrandError(f"integrand is not finite at x = {bad!r}",
-                             abscissa=bad)
-    return samples
-
-
 def assemble(samples, grid: Grid, origin_value=None) -> IntegralResult:
     """Turn integrand samples on a grid into a weighted, compensated sum.
 
@@ -159,7 +144,13 @@ def assemble(samples, grid: Grid, origin_value=None) -> IntegralResult:
     if grid.precision_kind == "extended" and not special.is_extended(samples):
         samples = special.to_extended(samples) if np.iscomplexobj(samples) \
             else DD(np.asarray(samples, dtype=np.float64))
-    samples = _checked_samples(samples, grid.x, origin_value)
+    if origin_value is not None:
+        samples = special.replace_first(samples, origin_value)
+    finite = np.isfinite(special.leading(samples))
+    if not finite.all():
+        bad = float(special.leading(grid.x)[int(np.argmin(finite))])
+        raise IntegrandError(f"integrand is not finite at x = {bad!r}",
+                             abscissa=bad)
     terms = samples * grid.pattern * grid.h
     total = special.compensated_sum(terms)
     cancel = _cancellation(np.abs(np.cumsum(special.leading(terms))), abs(total))
@@ -215,45 +206,3 @@ def integrate_semi_infinite(f: Callable, spec: QuadratureSpec,
     result.tail_estimate = float(np.max(np.abs(tail)))
     return result
 
-
-def integrate_romberg(f: Callable, a: float, b: float, max_levels: int = 20,
-                      tol: float = 1e-8, origin_value=None) -> IntegralResult:
-    """Romberg integration: trapezoid refinement with Richardson extrapolation.
-
-    Converges when successive diagonal entries agree within tol (absolute);
-    otherwise raises ConvergenceError carrying the last two diagonal values.
-    Standard precision only.
-    """
-    if not b > a:
-        raise ValueError("integration requires a < b")
-    diag_prev = None
-    rows: list[list] = []
-    evaluations = 0
-    for level in range(max_levels):
-        n = 2 ** level
-        x = np.linspace(a, b, n + 1)
-        samples = _checked_samples(np.asarray(f(x)), x,
-                                   origin_value if a == 0.0 else None)
-        evaluations += n + 1
-        h = (b - a) / n
-        weights = np.full(n + 1, h)
-        weights[0] = weights[-1] = h / 2.0
-        terms = weights * samples
-        row = [special.compensated_sum(terms)]
-        if rows:
-            prev_row = rows[-1]
-            for k in range(1, level + 1):
-                factor = 4.0 ** k
-                row.append((factor * row[k - 1] - prev_row[k - 1]) / (factor - 1.0))
-        rows.append(row)
-        diag = row[-1]
-        if diag_prev is not None and abs(diag - diag_prev) < tol:
-            cancel = _cancellation(np.abs(np.cumsum(terms)), abs(diag))
-            return IntegralResult(value=diag, evaluations=evaluations,
-                                  cancellation_magnitude=cancel,
-                                  step_used=h, converged=True)
-        diag_prev = diag
-    raise ConvergenceError(
-        f"Romberg did not converge within {max_levels} levels "
-        f"(last diagonals {rows[-2][-1]!r}, {rows[-1][-1]!r})",
-        last_estimates=(rows[-2][-1], rows[-1][-1]))

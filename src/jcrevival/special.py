@@ -52,11 +52,6 @@ _LANCZOS_DD = (
 )
 
 EULER_GAMMA = 0.5772156649015329
-PI = np.pi
-
-# Im(z) ceiling for complex cos/sin in either kind: cosh(700) is still
-# representable, anything larger is treated as overflow rather than inf.
-COS_OVERFLOW_IM = 700.0
 
 
 def is_extended(x) -> bool:
@@ -80,14 +75,6 @@ def _real_part(z):
     if isinstance(z, DD):
         return z.hi
     return np.asarray(z).real
-
-
-def _imag_part(z):
-    if isinstance(z, CDD):
-        return z.im.hi
-    if isinstance(z, DD):
-        return np.zeros_like(z.hi)
-    return np.asarray(z).imag
 
 
 def _log(z):
@@ -203,6 +190,10 @@ def log_gamma(z):
     return (z + 0.5) * _log(y) - y + ln_sqrt_2pi + _log(series) - _log(z)
 
 
+def _csin(z):
+    return ddmath.csin(to_extended(z)) if is_extended(z) else np.sin(z)
+
+
 def _sinpi(z):
     """sin(pi z) of a complex z, reduced about the nearest integer; exact
     zeros at integers."""
@@ -239,29 +230,3 @@ def principal_sqrt(z):
         return ddmath.csqrt(z if isinstance(z, CDD) else CDD(z))
     out = np.sqrt(np.asarray(z, dtype=np.complex128))
     return complex(out) if out.ndim == 0 else out
-
-
-def _check_im_range(z):
-    im = np.abs(_imag_part(z))
-    if np.any(im > COS_OVERFLOW_IM):
-        raise OverflowError(
-            f"|Im z| = {float(np.max(im)):.3g} exceeds {COS_OVERFLOW_IM:g}; "
-            "cosh would overflow the scalar range")
-
-
-def complex_cos(z):
-    """cos(z) by analytic continuation; signals instead of overflowing."""
-    _check_im_range(z)
-    if isinstance(z, (DD, CDD)):
-        return ddmath.ccos(z if isinstance(z, CDD) else CDD(z))
-    return np.cos(z)
-
-
-def _csin(z):
-    return ddmath.csin(to_extended(z)) if is_extended(z) else np.sin(z)
-
-
-def complex_sin(z):
-    """sin(z) by analytic continuation; signals instead of overflowing."""
-    _check_im_range(z)
-    return _csin(z)

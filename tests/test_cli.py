@@ -1,6 +1,7 @@
 """The command-line surface: columns, exit codes, config handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,37 @@ def test_invalid_params_exit2():
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--x-max", "--y-max"])
+def test_non_finite_upper_limit_is_usage_error(capsys, flag):
+    assert main(["integrals", flag, "inf", "--t-steps", "1", "--t-end", "0",
+                 "--jobs", "1"]) == 2
+    assert "upper_limit must be positive and finite" in capsys.readouterr().err
+
+
+def _main_recording_runtime_warnings(argv):
+    """main's exit code and the RuntimeWarnings raised while it ran."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_gamma_tilde_is_usage_error(capsys, value):
+    rc, warned = _main_recording_runtime_warnings(
+        ["thermal", "--gamma-tilde", value, "--t-steps", "2", "--jobs", "1"])
+    assert (rc, warned) == (2, [])
+    assert "error: gamma_tilde must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name", [("--t-end=inf", "t_end"),
+                                        ("--t-start=-inf", "t_start")])
+def test_non_finite_time_bound_is_usage_error(capsys, flag, name):
+    rc, warned = _main_recording_runtime_warnings(["series", flag, "--t-steps", "2"])
+    assert (rc, warned) == (2, [])
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+
+
 def test_check_passes_on_defaults(capsys):
     rc = main(["check", "--alpha", "4", "--t-steps", "200"])
     out = capsys.readouterr().out
@@ -346,3 +378,10 @@ def test_check_fails_on_coarse_grid(capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its object is deleted breaks only
+    # `from jcrevival import *`
+    assert len(jc.__all__) == len(set(jc.__all__))
+    assert [name for name in jc.__all__ if not hasattr(jc, name)] == []

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import jcrevival as jc
-from jcrevival.errors import ConvergenceError, PrecisionLossError
-from jcrevival.quadrature import integrate_romberg
+from jcrevival.errors import PrecisionLossError
 
 X = jc.DEFAULT_X_SPEC
 Y = jc.DEFAULT_Y_SPEC
@@ -253,21 +252,6 @@ def test_escalating_q_sweep_builds_one_extended_family(cfg4, monkeypatch):
     assert np.array_equal(swept, rows)
 
 
-def test_romberg_fails_on_revival_integrand(cfg4):
-    t = 9.0 * math.pi
-    origin = jc.correction_origin(cfg4, 0, t, j_form=True)
-
-    def raw(y):
-        with np.errstate(all="ignore"):
-            out = np.array([jc.correction_integrand_probe(cfg4, 0, t, yi, True)
-                            if yi > 0 else np.nan for yi in np.atleast_1d(y)])
-        return out
-
-    with pytest.raises(ConvergenceError):
-        integrate_romberg(raw, 0.0, 60.0, max_levels=12, tol=1e-8,
-                          origin_value=origin)
-
-
 def test_peak_aware_truncation_extends_grid(cfg4):
     spec = jc.jcm._peak_aware(Y, 12.0 * math.pi)
     need = 8.0 * (12.0 * math.pi) ** 2 / (9.0 * math.pi ** 2)
@@ -436,13 +420,6 @@ def test_theta_linear_slope_matches_p1(cfg4, series200):
     p1 = jc.p1_correction(t, cfg4, jc.ThermalConfig(theta=1e-4, gamma_tilde=g),
                           "series", series200)
     assert abs(slope - p1) < 1e-6
-
-
-def test_inner_theta_factor_compat_flag(cfg4, thermal, series200):
-    base = jc.p2_correction(1.0, cfg4, thermal, "series", series200)
-    compat = jc.p2_correction(1.0, cfg4, thermal, "series", series200,
-                              keep_inner_theta_factor=True)
-    assert compat == pytest.approx(0.5 * thermal.theta ** 2 * base, rel=1e-14)
 
 
 def test_perturbative_regime_warning(series200):

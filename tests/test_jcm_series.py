@@ -75,8 +75,6 @@ def test_tail_guard(series200):
     cfg = jc.JcmConfig(alpha=8.0)
     with pytest.raises(ValueError):
         jc.pg_series(1.0, cfg, jc.SeriesSpec(n_max=80))
-    # override lets a short sum through on request
-    jc.pg_series(1.0, cfg, jc.SeriesSpec(n_max=80, override_tail_guard=True))
 
 
 def test_envelope_at_zero(cfg4):

@@ -1,4 +1,4 @@
-"""Composite Newton-Cotes rules, Romberg, and their failure modes."""
+"""Composite Newton-Cotes rules in both scalar kinds, and their failure modes."""
 
 import math
 
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import jcrevival.ddmath as dd
 from jcrevival import special
-from jcrevival.errors import ConvergenceError, IntegrandError
-from jcrevival.quadrature import (QuadratureSpec, integrate, integrate_romberg,
+from jcrevival.errors import IntegrandError
+from jcrevival.quadrature import (QuadratureSpec, integrate,
                                   integrate_semi_infinite)
 
 
@@ -99,8 +99,7 @@ def test_non_finite_sample_reports_abscissa():
     for run in (
             lambda: integrate(f, 0.0, 1.0, QuadratureSpec("simpson", step=0.25)),
             lambda: integrate(f, 0.0, 1.0, QuadratureSpec(
-                "simpson", step=0.25, precision_kind="extended")),
-            lambda: integrate_romberg(f, 0.0, 1.0)):
+                "simpson", step=0.25, precision_kind="extended"))):
         with pytest.raises(IntegrandError) as err:
             run()
         assert err.value.abscissa == 0.0
@@ -151,22 +150,6 @@ def test_extended_kind_agrees_with_standard():
         assert abs(a.value - b.value) < 1e-14
         assert b.cancellation_magnitude == pytest.approx(
             a.cancellation_magnitude, rel=1e-12)
-
-
-def test_romberg_sin_and_constant():
-    r = integrate_romberg(np.sin, 0.0, math.pi, tol=1e-10)
-    assert abs(r.value - 2.0) < 1e-10
-    assert r.converged
-    r = integrate_romberg(lambda x: np.ones_like(x), 0.0, 1.0, tol=1e-12)
-    assert r.value == pytest.approx(1.0)
-
-
-def test_romberg_nonconvergence_carries_diagonals():
-    # high-frequency oscillation starves the trapezoid refinements
-    f = lambda x: np.sin(5e4 * x * x)
-    with pytest.raises(ConvergenceError) as err:
-        integrate_romberg(f, 0.0, 3.0, max_levels=8, tol=1e-12)
-    assert len(err.value.last_estimates) == 2
 
 
 def test_complex_integrand():

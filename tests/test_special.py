@@ -85,23 +85,6 @@ def test_principal_sqrt_roundtrip(rng):
     assert np.max(np.abs(r * r - z) / np.abs(z)) < 4 * np.finfo(float).eps
 
 
-def test_complex_trig_values():
-    assert special.complex_cos(0.0 + 0j) == pytest.approx(1.0)
-    assert special.complex_sin(0.0 + 0j) == pytest.approx(0.0)
-    assert special.complex_cos(1j * np.pi) == pytest.approx(math.cosh(math.pi))
-    got = special.complex_sin(np.pi / 2 + 1j)
-    assert got == pytest.approx(math.cosh(1.0))
-
-
-def test_complex_trig_overflow_signal():
-    with pytest.raises(OverflowError):
-        special.complex_cos(1.0 + 701j)
-    with pytest.raises(OverflowError):
-        special.complex_sin(CDD(DD(0.0), DD(705.0)))
-    # 700 itself is inside the contract
-    special.complex_cos(1.0 + 699.9j)
-
-
 @pytest.mark.parametrize("extended", [False, True], ids=["standard", "extended"])
 def test_kind_primitives_keep_the_kind_and_agree_with_numpy(extended):
     x = np.array([0.0, 0.3, 1.7, 12.5, 40.0])

@@ -73,14 +73,16 @@ class RunConfig:
     out: str | None = None
     jobs: int = 0  # 0 means all available cores
 
+    def __post_init__(self):
+        # beta_epsilon, when given, sets the theta the header records
+        if self.beta_epsilon is not None:
+            self.theta = jcm.theta_of_beta(self.beta_epsilon).exact
+
     def jcm_config(self) -> jcm.JcmConfig:
         return jcm.JcmConfig(alpha=self.alpha, kappa=self.kappa,
                              delta_omega=self.delta_omega)
 
     def thermal_config(self) -> jcm.ThermalConfig:
-        if self.beta_epsilon is not None:
-            return jcm.ThermalConfig.from_beta_epsilon(
-                self.beta_epsilon, self.gamma_tilde)
         return jcm.ThermalConfig(theta=self.theta, gamma_tilde=self.gamma_tilde)
 
     def series_spec(self) -> jcm.SeriesSpec:
@@ -207,10 +209,13 @@ def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
 
 def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
     """Run worker on contiguous slices of t, one per job (in a process pool
-    when there are several), and join its columns in time order."""
+    when there are several), and join its columns in time order.  The y
+    truncation is widened for the latest t of the whole grid, not per chunk."""
     jobs = _effective_jobs(cfg, t.size)
     bounds = np.linspace(0, t.size, jobs + 1).astype(int)
-    payloads = [{"cfg": cfg, "t": t[a:b].tolist()}
+    y_spec = jcm._peak_aware(cfg.y_spec("standard"), abs(cfg.kappa) * float(t.max()))
+    run = dataclasses.replace(cfg, y_max=y_spec.upper_limit)
+    payloads = [{"cfg": run, "t": t[a:b].tolist()}
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if jobs == 1:
         chunks = [worker(p) for p in payloads]
@@ -340,9 +345,7 @@ def cmd_check(cfg: RunConfig) -> int:
     report("correction integrand y->0 limits vs Richardson", worst, 1e-6)
 
     t_probe = 1.3
-    q0 = jcm.q_g(0, t_probe, jcfg, "series", cfg.series_spec())
     pg = jcm.pg_series(t_probe, jcfg, cfg.series_spec())
-    report("Q^(0) equals P_g (series)", abs(q0 - pg), 1e-12)
     if jcfg.alpha != 0.0:
         q0i = jcm.q_g(0, t_probe, jcfg, "integral", cfg.series_spec(),
                       x_spec, y_spec, escalation=escalation)

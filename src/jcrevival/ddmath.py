@@ -171,7 +171,8 @@ class CDD:
         return CDD(-self.re, -self.im)
 
     @staticmethod
-    def _coerce(z):
+    def coerce(z) -> "CDD":
+        """z as a CDD; a DD or real value gains a zero imaginary part."""
         if isinstance(z, CDD):
             return z
         if isinstance(z, DD):
@@ -182,33 +183,33 @@ class CDD:
         return CDD(DD(z))
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         return CDD(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         return CDD(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         return CDD(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         d = other.re * other.re + other.im * other.im
         return CDD((self.re * other.re + self.im * other.im) / d,
                    (self.im * other.re - self.re * other.im) / d)
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        return self.coerce(other).__truediv__(self)
 
 
 def where(mask, a, b):

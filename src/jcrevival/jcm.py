@@ -164,30 +164,36 @@ def _check_series_spec(cfg: JcmConfig, spec: SeriesSpec):
             f"alpha = {cfg.alpha} (need >= {need:.1f}); raise n_max")
 
 
+def _bracket(s, big_t, c):
+    """The Abel-Plana summand f(s) = cos^2(sqrt(s) T) + (c/s) sin^2(sqrt(s) T),
+    with f(0) = 1; s and big_t broadcast against each other."""
+    ratio = np.divide(c, s, out=np.zeros_like(s), where=s > 0.0)
+    s2 = np.sin(np.sqrt(s) * big_t) ** 2
+    return (1.0 - s2) + ratio * s2
+
+
+def _bracket_sum(l: int, t, cfg: JcmConfig, spec: SeriesSpec):
+    """Q^(l)(t) = sum_n e^{-a^2} a^{2n}/n! f(c + n + l) by direct summation,
+    as an array over t."""
+    t_arr, _ = _time_grid(t)
+    _check_series_spec(cfg, spec)
+    w = _poisson_weights(cfg.alpha, spec.n_max)
+    s = cfg.c + np.arange(spec.n_max + 1) + float(l)
+    return _bracket(s[None, :], abs(cfg.kappa) * t_arr[:, None], cfg.c) @ w
+
+
 def pg_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
-    """Ground-state probability P_g(t) by direct Fock-space summation.
+    """Ground-state probability P_g = Q^(0) by direct Fock-space summation.
 
     Vectorized over t; scalar in, scalar out.  Values are confined to
     [0, 1] up to roundoff; a violation beyond 1e-9 raises.
     """
     _require_nonnegative_time(t)
-    t_arr, scalar = _time_grid(t)
-    _check_series_spec(cfg, spec)
-    w = _poisson_weights(cfg.alpha, spec.n_max)
-    n = np.arange(spec.n_max + 1)
-    half = 0.5 * cfg.delta_omega
-    disc = half * half + n * cfg.kappa ** 2
-    ratio = np.divide(half * half, disc, out=np.zeros_like(disc),
-                      where=disc > 0.0)
-    root = np.sqrt(disc)
-    phase = root[None, :] * t_arr[:, None]
-    s2 = np.sin(phase) ** 2
-    bracket = (1.0 - s2) + ratio[None, :] * s2   # cos^2 + ratio sin^2
-    vals = bracket @ w
+    vals = _bracket_sum(0, t, cfg, spec)
     if np.any(_outside_unit_interval(vals)):
         raise FloatingPointError("P_g left [0, 1] beyond roundoff tolerance")
     vals = np.clip(vals, 0.0, 1.0 + 1e-12)
-    return float(vals[0]) if scalar else vals
+    return float(vals[0]) if np.ndim(t) == 0 else vals
 
 
 def sigma_z_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
@@ -259,6 +265,16 @@ def _require_nonnegative_time(t):
 # integrand families
 # ---------------------------------------------------------------------------
 
+def _double_angle(s, c: float, j_form: bool):
+    """(b0, b1) with f(s) = b0 + b1 cos(2 sqrt(s) T) for the summand of
+    _bracket, at real or complex s of either kind; (0, 1) for the J form's
+    plain cosine."""
+    if j_form:
+        return 0.0, 1.0
+    ratio = c / s if c > 0.0 else 0.0
+    return (1.0 + ratio) * 0.5, (1.0 - ratio) * 0.5
+
+
 def _require_positive_alpha(cfg: JcmConfig):
     if cfg.alpha == 0.0:
         raise ValueError(
@@ -277,7 +293,7 @@ class _LineFamily:
     """
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
-                 j_form: bool = False, time_average: bool = False):
+                 j_form: bool = False):
         _require_positive_alpha(cfg)
         need = _tail_need(cfg)
         if spec.upper_limit < need:
@@ -291,19 +307,10 @@ class _LineFamily:
         # is smooth and shared by every representation being compared
         ln_alpha = math.log(abs(cfg.alpha))
         w = special.exp(x * (2.0 * ln_alpha) - special.log_gamma(x + 1.0))
-        s0 = cfg.c + float(l)
-        self.sqrt_arg = special.sqrt(x + s0)
-        ratio = cfg.c / (x + s0) if cfg.c > 0.0 else 0.0
-        if j_form:
-            self.a0 = w * 0.0
-            self.a1 = w
-        elif time_average:
-            # cos^2 and sin^2 replaced by their mean 1/2
-            self.a0 = w * (1.0 + ratio) * 0.5
-            self.a1 = w * 0.0
-        else:
-            self.a0 = w * (1.0 + ratio) * 0.5
-            self.a1 = w * (1.0 - ratio) * 0.5
+        s = x + (cfg.c + float(l))
+        self.sqrt_arg = special.sqrt(s)
+        b0, b1 = _double_angle(s, cfg.c, j_form)
+        self.a0, self.a1 = w * b0, w * b1
 
     def integral(self, big_t: float) -> IntegralResult:
         if big_t == 0.0:
@@ -350,12 +357,7 @@ class _CorrectionFamily:
             s0 = special.complex_of(cfg.c + float(l), y)
             root = special.principal_sqrt(s0)
             self.p, self.q = root.real, root.imag
-            if j_form:
-                self.b0, self.b1 = 0.0, 1.0
-            else:
-                ratio = cfg.c / s0 if cfg.c > 0.0 else 0.0
-                self.b0 = (1.0 + ratio) * 0.5
-                self.b1 = (1.0 - ratio) * 0.5
+            self.b0, self.b1 = _double_angle(s0, cfg.c, j_form)
 
     def origin_value(self, big_t: float) -> float:
         return correction_origin(self.cfg, self.l, big_t, j_form=self.j_form)
@@ -593,10 +595,12 @@ def const_plateau(cfg: JcmConfig,
     """Long-time plateau of the detuned collapse.
 
     Replaces the squared trigonometric functions in I1^(0) by their time
-    average 1/2: Const = 1 - e^{-a^2} integral of w(x) (1 + c/(c+x)) dx.
+    average 1/2, which leaves the line family's constant part a0:
+    Const = 1 - e^{-a^2} integral of w(x) (1 + c/(c+x)) dx.
     """
-    fam = _LineFamily(cfg, 0, spec, time_average=True)
-    return 1.0 - 2.0 * math.exp(-cfg.alpha ** 2) * fam.integral(0.0).value
+    fam = _LineFamily(cfg, 0, spec)
+    return 1.0 - 2.0 * math.exp(-cfg.alpha ** 2) * \
+        quadrature.assemble(fam.a0, fam.grid).value
 
 
 def abel_plana_identity(alpha: float,
@@ -668,37 +672,20 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
         escalation: Escalation = "raise"):
     """Shifted-index ground-state weight Q_g^(l)(t); Q^(0) is P_g itself.
 
-    series mode sums e^{-a^2} w_n [cos^2 + c/(c+n+l) sin^2] at index n+l;
-    integral mode assembles e^{-a^2} [boundary/2 + I1^(l) - 2 I2^(l)].
+    series mode sums the summand f(c + n + l) of _bracket with Poisson
+    weights; integral mode assembles e^{-a^2} [f(c + l)/2 + I1^(l) - 2 I2^(l)].
     """
     _require_nonnegative_time(t)
     if mode == "series":
-        t_arr, scalar = _time_grid(t)
-        _check_series_spec(cfg, series_spec)
-        w = _poisson_weights(cfg.alpha, series_spec.n_max)
-        n = np.arange(series_spec.n_max + 1)
-        s = cfg.c + n + float(l)
-        ratio = np.divide(cfg.c, s, out=np.zeros_like(s), where=s > 0.0)
-        phase = np.sqrt(s)[None, :] * (abs(cfg.kappa) * t_arr[:, None])
-        s2 = np.sin(phase) ** 2
-        vals = ((1.0 - s2) + ratio[None, :] * s2) @ w
-        return float(vals[0]) if scalar else vals
-    if mode != "integral":
+        vals = _bracket_sum(l, t, cfg, series_spec)
+    elif mode == "integral":
+        t_arr, _ = _time_grid(t)
+        i1, i2 = _sweep(t_arr, cfg, l, x_spec, y_spec, escalation, refuse=True)[:2]
+        boundary = _bracket(cfg.c + float(l), abs(cfg.kappa) * t_arr, cfg.c)
+        vals = math.exp(-cfg.alpha ** 2) * (0.5 * boundary + i1 - 2.0 * i2)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    t_arr, scalar = _time_grid(t)
-    pref = math.exp(-cfg.alpha ** 2)
-    s0 = cfg.c + float(l)
-    out = np.empty_like(t_arr)
-    i1, i2 = _sweep(t_arr, cfg, l, x_spec, y_spec, escalation, refuse=True)[:2]
-    for i, t_i in enumerate(t_arr):
-        big_t = abs(cfg.kappa) * float(t_i)
-        if s0 > 0.0:
-            boundary = (math.cos(big_t * math.sqrt(s0)) ** 2
-                        + (cfg.c / s0) * math.sin(big_t * math.sqrt(s0)) ** 2)
-        else:
-            boundary = 1.0
-        out[i] = pref * (0.5 * boundary + i1[i] - 2.0 * i2[i])
-    return float(out[0]) if scalar else out
+    return float(vals[0]) if np.ndim(t) == 0 else vals
 
 
 def _thermal_terms(t, cfg: JcmConfig, thermal: ThermalConfig, mode: Mode,

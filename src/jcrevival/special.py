@@ -59,14 +59,8 @@ def is_extended(x) -> bool:
     return isinstance(x, (DD, CDD))
 
 
-def to_extended(z) -> CDD:
-    """Promote a standard complex value to the extended kind."""
-    if isinstance(z, CDD):
-        return z
-    if isinstance(z, DD):
-        return CDD(z)
-    z = np.asarray(z, dtype=np.complex128)
-    return CDD(DD(z.real.copy()), DD(z.imag.copy()))
+# promote a value of either kind to the extended complex kind
+to_extended = CDD.coerce
 
 
 def _real_part(z):

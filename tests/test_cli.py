@@ -221,11 +221,14 @@ def test_thermal_beta_epsilon_sets_theta(tmp_path):
     theta = math.atanh(math.exp(-4.0))
     common = ["thermal", "--alpha", "4", "--gamma-tilde", "1",
               "--t-end", "3.0", "--t-steps", "5", "--jobs", "1"]
-    assert main(common + ["--beta-epsilon", "8", "--out", str(a)]) == 0
+    # beta_epsilon wins over theta, and the header records the theta used
+    assert main(common + ["--beta-epsilon", "8", "--theta", "0.3",
+                          "--out", str(a)]) == 0
     assert main(common + ["--theta", repr(theta), "--out", str(b)]) == 0
-    _, _, ca = _read_csv(a)
-    _, _, cb = _read_csv(b)
+    ma, _, ca = _read_csv(a)
+    mb, _, cb = _read_csv(b)
     assert np.array_equal(ca["pg_thermal"], cb["pg_thermal"])
+    assert ma["theta"] == mb["theta"] == repr(theta)
 
 
 def test_thermal_gamma_zero_p1_column(tmp_path):
@@ -248,10 +251,14 @@ def test_deterministic_output(tmp_path):
 
 def test_jobs_parallelism_matches_serial(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["integrals", "--alpha", "2", "--t-end", "6.0", "--t-steps", "12"]
-    assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
-    assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # the second run's last rows need a y grid wider than --y-max, and
+    # every chunk must integrate on that same grid
+    for args in (["integrals", "--alpha", "2", "--t-end", "6.0", "--t-steps", "12"],
+                 ["integrals", "--alpha", "4", "--y-max", "20",
+                  "--t-end", "18.85", "--t-steps", "8"]):
+        assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
+        assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):
@@ -313,6 +320,8 @@ def test_invalid_params_exit2():
     assert main(["integrals", "--alpha", "8", "--t-steps", "1",
                  "--jobs", "1"]) == 2
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
+    # beta_epsilon is checked for every subcommand, not only thermal
+    assert main(["series", "--beta-epsilon", "0", "--t-steps", "1"]) == 2
 
 
 @pytest.mark.parametrize("flag", ["--x-max", "--y-max"])

@@ -36,9 +36,13 @@ def test_sigma_starts_at_ground_state(cfg4, series200):
 
 def test_two_series_forms_agree_to_1e12(cfg4, series200):
     ts = np.linspace(0.0, 8.0 * math.pi, 300)
-    a = jc.sigma_z_series(ts, cfg4, series200)
-    b = jc.sigma_z_series_resonant(ts, cfg4, series200)
-    assert np.abs(a - b).max() < 1e-12
+    # kappa != 1 scales the phase by |kappa| instead of folding kappa^2
+    # into the square root
+    for cfg in (cfg4, jc.JcmConfig(alpha=4.0, kappa=0.7),
+                jc.JcmConfig(alpha=4.0, kappa=-1.9)):
+        a = jc.sigma_z_series(ts, cfg, series200)
+        b = jc.sigma_z_series_resonant(ts, cfg, series200)
+        assert np.abs(a - b).max() < 1e-12
 
 
 def test_collapsed_quiet_zone(cfg4, series200):

@@ -61,9 +61,9 @@ class RunConfig:
     beta_epsilon: float | None = None
     n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max
     x_max: float = jcm.DEFAULT_X_SPEC.upper_limit
-    dx: float = jcm.DEFAULT_X_SPEC.step
+    dx: float = jcm.DEFAULT_X_SPEC.step  # a step in sqrt(x)
     y_max: float = jcm.DEFAULT_Y_SPEC.upper_limit
-    dy: float = jcm.DEFAULT_Y_SPEC.step
+    dy: float = jcm.DEFAULT_Y_SPEC.step  # a step in sqrt(y)
     rule: _Rule = jcm.DEFAULT_X_SPEC.rule
     precision: _Precision = "auto"
     t_start: float = 0.0

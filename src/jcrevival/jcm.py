@@ -18,7 +18,7 @@ Times are measured in units of 1/|kappa|.  The correction integrands
 oscillate with an envelope that grows like exp(t^2/(3 pi)); every integral
 therefore reports a cancellation diagnostic, and operations escalate to the
 extended (double-double) scalar kind or signal once the standard budget of
-~1e12 is exhausted.  The revival window t in [4 pi, 8 pi] at alpha = 4 needs
+~1e10 is exhausted.  The revival window t in [4 pi, 8 pi] at alpha = 4 needs
 the extended kind; beyond roughly 8 pi even that is insufficient and the
 computation refuses rather than returning noise.
 """
@@ -43,13 +43,14 @@ EULER_GAMMA = special.EULER_GAMMA
 
 # prefix-sum growth beyond which a kind's digits are exhausted (value rounds
 # to noise); standard doubles hold ~16 digits, double-double ~32
-CANCELLATION_BUDGET = {"standard": 1e12, "extended": 1e25}
+CANCELLATION_BUDGET = {"standard": 1e10, "extended": 1e25}
 
 Mode = Literal["series", "integral"]
 Escalation = Literal["raise", "escalate", "ignore"]
 
-DEFAULT_X_SPEC = QuadratureSpec(rule="simpson", upper_limit=100.0, step=1e-3)
-DEFAULT_Y_SPEC = QuadratureSpec(rule="bode", upper_limit=100.0, step=1e-3)
+# upper_limit is in x (or y); step is in v = sqrt(x), see _sqrt_grid
+DEFAULT_X_SPEC = QuadratureSpec(rule="simpson", upper_limit=100.0, step=0.0025)
+DEFAULT_Y_SPEC = QuadratureSpec(rule="bode", upper_limit=100.0, step=0.0025)
 
 
 class PerturbativeRegimeWarning(UserWarning):
@@ -90,12 +91,6 @@ class ThermalConfig:
             raise ValueError("theta must lie in [0, 1)")
         if not math.isfinite(self.gamma_tilde):
             raise ValueError("gamma_tilde must be finite")
-
-    @classmethod
-    def from_beta_epsilon(cls, beta_epsilon: float,
-                          gamma_tilde: float) -> "ThermalConfig":
-        return cls(theta=theta_of_beta(beta_epsilon).exact,
-                   gamma_tilde=gamma_tilde)
 
 
 def perturbative_strength(cfg: JcmConfig, thermal: ThermalConfig) -> float:
@@ -275,6 +270,16 @@ def _double_angle(s, c: float, j_form: bool):
     return (1.0 + ratio) * 0.5, (1.0 - ratio) * 0.5
 
 
+def _sqrt_grid(spec: QuadratureSpec):
+    """(grid, 2v): spec's grid in v = sqrt(x) on [0, sqrt(upper_limit)],
+    holding x = v^2 as its abscissae, and the Jacobian dx/dv, in its kind.
+    In v, cos(2 sqrt(x) T) has the uniform wavelength pi/T and the weights
+    decay like a Gaussian (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
+    grid = quadrature.build_grid(0.0, math.sqrt(spec.upper_limit), spec)
+    v = grid.x
+    return dataclasses.replace(grid, x=v * v), v * 2.0
+
+
 def _require_positive_alpha(cfg: JcmConfig):
     if cfg.alpha == 0.0:
         raise ValueError(
@@ -289,7 +294,7 @@ class _LineFamily:
     family instance amortizes them over a whole time sweep.  j_form selects
     the plain cos(2 sqrt(x) T) bracket of the resonant decomposition;
     otherwise the bracket is cos^2 + (c/(x+c+l)) sin^2 at shifted index l.
-    The scalar kind is the grid's, set by spec.precision_kind.
+    The kind is the grid's (spec.precision_kind); a0, a1 carry its Jacobian.
     """
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
@@ -301,12 +306,12 @@ class _LineFamily:
                 f"x_max = {spec.upper_limit:g} does not cover the Poisson tail "
                 f"for alpha = {cfg.alpha} (need >= {need:.1f}); raise x_max "
                 "(--x-max)")
-        self.grid = quadrature.build_grid(0.0, spec.upper_limit, spec)
+        self.grid, jac = _sqrt_grid(spec)
         x = self.grid.x
         # 2*ln_alpha as a double, in either kind, is exact enough: the weight
         # is smooth and shared by every representation being compared
         ln_alpha = math.log(abs(cfg.alpha))
-        w = special.exp(x * (2.0 * ln_alpha) - special.log_gamma(x + 1.0))
+        w = special.exp(x * (2.0 * ln_alpha) - special.log_gamma(x + 1.0)) * jac
         s = x + (cfg.c + float(l))
         self.sqrt_arg = special.sqrt(s)
         b0, b1 = _double_angle(s, cfg.c, j_form)
@@ -329,17 +334,14 @@ class _CorrectionFamily:
     cosine's exponentials, keeping every intermediate below
     ~exp(T^2/(3 pi)) instead of cosh's exp(T sqrt(2 y)); that is what makes
     the revival window reachable at all.  j_form selects B = cos(2 sqrt(iy) T),
-    otherwise B = cos^2(sqrt(c+l+iy) T) + c/(c+l+iy) sin^2(...).  The scalar
-    kind is the grid's, set by spec.precision_kind.
+    otherwise B = cos^2(sqrt(c+l+iy) T) + c/(c+l+iy) sin^2(...).  The kind
+    is the grid's (spec.precision_kind); a_re, a_im carry its Jacobian.
     """
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False):
         _require_positive_alpha(cfg)
-        self.cfg = cfg
-        self.l = int(l)
-        self.j_form = j_form
-        self.grid = quadrature.build_grid(0.0, spec.upper_limit, spec)
+        self.grid, jac = _sqrt_grid(spec)
         y = self.grid.x
         # the extended kind needs both constants to its own ~32 digits
         if special.is_extended(y):
@@ -350,17 +352,16 @@ class _CorrectionFamily:
         with np.errstate(all="ignore"):
             arg = special.complex_of(0.0, y * (2.0 * ln_alpha))
             a_fac = special.exp(arg - special.log_gamma(special.complex_of(1.0, y)))
-            self.a_re, self.a_im = a_fac.real, a_fac.imag
+            self.a_re, self.a_im = a_fac.real * jac, a_fac.imag * jac
             self.two_pi_y = y * two_pi
             self.em2piy = special.exp(-self.two_pi_y)
-            self.inv1m = 1.0 / (1.0 - self.em2piy)
+            # 2v = 0 meets the Bose pole at v = 0, where the integrand in v
+            # is 0: zeroing the pole there makes that sample exactly 0.0
+            self.inv1m = special.replace_first(1.0 / (1.0 - self.em2piy), 0.0)
             s0 = special.complex_of(cfg.c + float(l), y)
             root = special.principal_sqrt(s0)
             self.p, self.q = root.real, root.imag
             self.b0, self.b1 = _double_angle(s0, cfg.c, j_form)
-
-    def origin_value(self, big_t: float) -> float:
-        return correction_origin(self.cfg, self.l, big_t, j_form=self.j_form)
 
     def integral(self, big_t: float) -> IntegralResult:
         with np.errstate(all="ignore"):
@@ -369,8 +370,7 @@ class _CorrectionFamily:
                 bt = self.b0 + self.b1
                 samples = (self.a_re * bt.imag + self.a_im * bt.real) * \
                     (self.em2piy * self.inv1m)
-                return quadrature.assemble(samples, self.grid,
-                                           origin_value=self.origin_value(0.0))
+                return quadrature.assemble(samples, self.grid)
             two_t = 2.0 * big_t
             su, cu = special.sincos(self.p * two_t)
             qt = self.q * two_t
@@ -385,8 +385,7 @@ class _CorrectionFamily:
             b_re = b0.real * self.em2piy + b1.real * ct_re - b1.imag * ct_im
             b_im = b0.imag * self.em2piy + b1.real * ct_im + b1.imag * ct_re
             samples = (self.a_re * b_im + self.a_im * b_re) * self.inv1m
-        return quadrature.assemble(samples, self.grid,
-                                   origin_value=self.origin_value(big_t))
+        return quadrature.assemble(samples, self.grid)
 
 
 def correction_integrand_probe(cfg: JcmConfig, l: int, t: float, y: float,
@@ -420,7 +419,7 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
     where B is the trigonometric bracket continued in iy; the three shapes
     below cover the resonant cos form, the degenerate c = l = 0 bracket and
     the general shifted bracket.  Cross-validated against Richardson
-    extrapolation of the sampled integrand in the tests.
+    extrapolation of the sampled integrand in the tests and in `check`.
     """
     base = 2.0 * math.log(abs(cfg.alpha)) + EULER_GAMMA
     if j_form:
@@ -502,13 +501,13 @@ def _peak_aware(spec: QuadratureSpec, big_t: float) -> QuadratureSpec:
     """Widen the y-truncation to cover the integrand's exponential peak.
 
     The folded envelope exp(2 T q - (3/2) pi y) peaks near y* = 2 T^2/(9 pi^2);
-    four times that keeps the truncated tail negligible.
+    four times that, widened to a whole v-step, keeps the tail negligible.
     """
     need = 4.0 * 2.0 * big_t * big_t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
-    n_steps = math.ceil(need / spec.step)
-    return dataclasses.replace(spec, upper_limit=n_steps * spec.step)
+    v_max = math.ceil(math.sqrt(need) / spec.step) * spec.step
+    return dataclasses.replace(spec, upper_limit=v_max * v_max)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,8 @@ def _cancellation(prefix_abs: np.ndarray, total_abs: float) -> float:
 
 @dataclass
 class Grid:
-    """A realized quadrature grid: abscissae plus composite weights."""
+    """A realized quadrature grid: abscissae plus composite weights.  x may
+    hold a mapped variable's physical abscissae, which assemble reports."""
 
     x: object            # ndarray (standard) or DD array (extended)
     pattern: np.ndarray  # rule weights, step factor excluded
@@ -133,19 +134,15 @@ def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
                 precision_kind=spec.precision_kind)
 
 
-def assemble(samples, grid: Grid, origin_value=None) -> IntegralResult:
+def assemble(samples, grid: Grid) -> IntegralResult:
     """Turn integrand samples on a grid into a weighted, compensated sum.
 
-    Both kinds, real or complex samples.  origin_value, when given,
-    replaces the sample at the left endpoint (used where the integrand is a
-    removable 0/0 whose limit is known analytically).  Raises
-    IntegrandError if any retained sample is non-finite.
+    Both kinds, real or complex samples.  Raises IntegrandError if any
+    sample is non-finite.
     """
     if grid.precision_kind == "extended" and not special.is_extended(samples):
         samples = special.to_extended(samples) if np.iscomplexobj(samples) \
             else DD(np.asarray(samples, dtype=np.float64))
-    if origin_value is not None:
-        samples = special.replace_first(samples, origin_value)
     finite = np.isfinite(special.leading(samples))
     if not finite.all():
         bad = float(special.leading(grid.x)[int(np.argmin(finite))])
@@ -191,7 +188,10 @@ def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
         If any sample (other than a replaced origin) is non-finite.
     """
     grid = build_grid(a, b, spec)
-    return assemble(f(grid.x), grid, origin_value=origin_value)
+    samples = f(grid.x)
+    if origin_value is not None:
+        samples = special.replace_first(samples, origin_value)
+    return assemble(samples, grid)
 
 
 def integrate_semi_infinite(f: Callable, spec: QuadratureSpec,

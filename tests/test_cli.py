@@ -127,7 +127,22 @@ def test_non_finite_integrand_exit3(tmp_path, capsys):
                "--out", str(tmp_path / "nan.csv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith(
-        "numerical failure: integrand is not finite at x = 41.17")
+        "numerical failure: integrand is not finite at x = 40.905")
+
+
+def test_integrals_escalates_the_row_at_6_56pi(tmp_path):
+    # past a cancellation of 1e10 the standard kind's rounding noise reaches
+    # 1e-4 in sigma_z at this row; it must escalate and match the series
+    t = repr(41.0 / 50.0 * 8.0 * math.pi)
+    out = tmp_path / "noise.csv"
+    rc = main(["integrals", "--alpha", "4", "--t-start", t, "--t-end", t,
+               "--t-steps", "1", "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    _, _, cols = _read_csv(out)
+    assert cols["status"][0] == 1
+    want = jc.sigma_z_series(cols["t"][0], jc.JcmConfig(alpha=4.0),
+                             jc.SeriesSpec(200))
+    assert abs(cols["sigma_z"][0] - want) <= 1e-9
 
 
 def test_integrals_auto_escalates(tmp_path):

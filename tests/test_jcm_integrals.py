@@ -354,6 +354,21 @@ def test_q_cross_mode_agreement(series200):
     assert abs(a - b) < 1e-6
 
 
+@pytest.mark.parametrize("delta_omega", [0.0, 4.0])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_q_integral_agrees_with_series_over_the_revival_window(
+        delta_omega, l, series200):
+    # the shifted brackets of the thermal corrections, escalating where the
+    # standard kind runs out, against the Fock series on [0, 8pi]
+    cfg = jc.JcmConfig(alpha=4.0, delta_omega=delta_omega)
+    ts = np.linspace(0.0, 8.0 * math.pi, 41)
+    got = jc.q_g(l, ts, cfg, "integral", escalation="escalate")
+    want = jc.q_g(l, ts, cfg, "series", series200)
+    err = np.abs(got - want)
+    assert err.max() <= 2e-5
+    assert err[ts <= 4.0 * math.pi].max() <= 1e-11
+
+
 def test_p1_zero_when_gamma_zero(cfg4, series200):
     th = jc.ThermalConfig(theta=0.025, gamma_tilde=0.0)
     ts = np.linspace(0.0, 10.0, 50)

@@ -131,5 +131,5 @@ def test_theta_of_beta_limits():
 def test_thermal_config_validation():
     with pytest.raises(ValueError):
         jc.ThermalConfig(theta=1.0, gamma_tilde=0.0)
-    tc = jc.ThermalConfig.from_beta_epsilon(8.0, 1.0)
-    assert tc.theta == pytest.approx(math.atanh(math.exp(-4.0)))
+    assert jc.theta_of_beta(8.0).exact == pytest.approx(
+        math.atanh(math.exp(-4.0)))

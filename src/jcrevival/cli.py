@@ -208,21 +208,21 @@ def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
 
 
 def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
-    """Run worker on contiguous slices of t, one per job (in a process pool
-    when there are several), and join its columns in time order.  The y
-    truncation is widened for the latest t of the whole grid, not per chunk."""
+    """Deal t[i::jobs] to worker i (a process pool when there are several),
+    sharing the costly late rows, and scatter the columns back into time
+    order.  The y truncation is widened once, for the latest t of all."""
     jobs = _effective_jobs(cfg, t.size)
-    bounds = np.linspace(0, t.size, jobs + 1).astype(int)
     y_spec = jcm._peak_aware(cfg.y_spec("standard"), abs(cfg.kappa) * float(t.max()))
     run = dataclasses.replace(cfg, y_max=y_spec.upper_limit)
-    payloads = [{"cfg": run, "t": t[a:b].tolist()}
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    deals = [np.arange(t.size)[i::jobs] for i in range(jobs)]
+    payloads = [{"cfg": run, "t": t[rows].tolist()} for rows in deals]
     if jobs == 1:
         chunks = [worker(p) for p in payloads]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(worker, payloads))
-    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+    order = np.argsort(np.concatenate(deals))
+    return {key: np.concatenate([c[key] for c in chunks])[order] for key in chunks[0]}
 
 
 def _integrals_chunk(payload: dict) -> dict:

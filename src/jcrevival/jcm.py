@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import ddmath, quadrature, special
 from .ddmath import DD
@@ -141,9 +140,9 @@ def _poisson_weights(alpha: float, n_max: int) -> np.ndarray:
         w = np.zeros(n_max + 1)
         w[0] = 1.0
         return w
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
     # 2 n log|alpha| rather than n log(alpha^2): alpha^2 can underflow
-    return np.exp(2.0 * n * math.log(abs(alpha)) - gammaln(n + 1.0)
-                  - alpha * alpha)
+    return np.exp(2.0 * n * math.log(abs(alpha)) - log_factorial - alpha * alpha)
 
 
 def _tail_need(cfg: JcmConfig) -> float:

@@ -1,7 +1,11 @@
 """The command-line surface: columns, exit codes, config handling."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,13 +271,29 @@ def test_deterministic_output(tmp_path):
 def test_jobs_parallelism_matches_serial(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     # the second run's last rows need a y grid wider than --y-max, and
-    # every chunk must integrate on that same grid
+    # every chunk must integrate on that same grid; the third run's late
+    # rows escalate, so its status column is dealt and scattered too
     for args in (["integrals", "--alpha", "2", "--t-end", "6.0", "--t-steps", "12"],
                  ["integrals", "--alpha", "4", "--y-max", "20",
-                  "--t-end", "18.85", "--t-steps", "8"]):
+                  "--t-end", "18.85", "--t-steps", "8"],
+                 ["integrals", "--alpha", "4", "--t-start", "18.0",
+                  "--t-end", "21.0", "--t-steps", "9"]):
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+    status = _read_csv(b)[2]["status"]
+    assert 0 in status and 1 in status
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    src = str(Path(jc.__file__).resolve().parents[1])
+    code = ("import sys, jcrevival.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):

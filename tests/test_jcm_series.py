@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,20 @@ def test_truncation_stability_at_alpha_4():
     a = jc.pg_series(0.5, cfg, jc.SeriesSpec(100))
     b = jc.pg_series(0.5, cfg, jc.SeriesSpec(200))
     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, n_max", [(0.5, 100), (4.0, 100), (-3.0, 100),
+                                          (11.0, 400)])
+def test_poisson_weights_match_mpmath(alpha, n_max):
+    w = jc.jcm._poisson_weights(alpha, n_max)
+    with mp.workdps(40):
+        exact = [mp.exp(-mp.mpf(alpha) ** 2) * mp.mpf(alpha) ** (2 * n)
+                 / mp.factorial(n) for n in range(n_max + 1)]
+    worst = 0.0
+    for got, want in zip(w, exact):
+        if want > 1e-300:
+            worst = max(worst, float(abs((got - want) / want)))
+    assert worst <= 1e-12, f"worst relative error {worst:.3g}"
 
 
 def test_sigma_starts_at_ground_state(cfg4, series200):

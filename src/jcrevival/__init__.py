@@ -5,8 +5,6 @@ population inversion, cross-validated against each other, with standard
 (float64) and extended (double-double) scalar kinds.
 """
 
-from .abel_plana import (TransformResult, factorial_weighted_transform,
-                         finite_transform, semi_infinite_transform)
 from .ddmath import CDD, DD
 from .errors import IntegrandError, PrecisionLossError
 from .jcm import (DEFAULT_X_SPEC, DEFAULT_Y_SPEC, JcmConfig,
@@ -20,16 +18,14 @@ from .jcm import (DEFAULT_X_SPEC, DEFAULT_Y_SPEC, JcmConfig,
                   pg_thermal, q_g, resonant_profile, sigma_z_integral,
                   sigma_z_resonant_integral, sigma_z_series,
                   sigma_z_series_resonant, theta_of_beta)
-from .quadrature import (IntegralResult, QuadratureSpec, integrate,
-                         integrate_semi_infinite)
+from .quadrature import IntegralResult, QuadratureSpec, integrate
 from .special import log_gamma, principal_sqrt, reciprocal_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CDD", "DD", "IntegrandError", "PrecisionLossError",
-    "TransformResult", "factorial_weighted_transform", "finite_transform",
-    "semi_infinite_transform", "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",
+    "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",
     "JcmConfig", "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
     "ThetaResult", "abel_plana_identity", "const_plateau",
     "correction_integrand_probe", "correction_origin", "detuned_profile", "envelope_approximation",
@@ -38,7 +34,6 @@ __all__ = [
     "perturbative_strength", "pg_series", "pg_thermal", "q_g",
     "resonant_profile", "sigma_z_integral", "sigma_z_resonant_integral",
     "sigma_z_series", "sigma_z_series_resonant", "theta_of_beta",
-    "IntegralResult", "QuadratureSpec", "integrate",
-    "integrate_semi_infinite", "log_gamma", "principal_sqrt",
-    "reciprocal_gamma",
+    "IntegralResult", "QuadratureSpec", "integrate", "log_gamma",
+    "principal_sqrt", "reciprocal_gamma",
 ]

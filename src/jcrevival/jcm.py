@@ -70,6 +70,13 @@ class JcmConfig:
         for name in ("alpha", "kappa", "delta_omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # alpha^2 and c enter every weight and bracket as plain doubles
+        half_detuning = self.delta_omega / (2.0 * self.kappa)
+        for name, root in (("alpha", self.alpha),
+                           ("c = (delta_omega / 2 kappa)^2", half_detuning)):
+            if not math.isfinite(root * root):
+                raise ValueError(f"{name} is out of range: {root!r} squared "
+                                 "overflows")
 
     @property
     def c(self) -> float:
@@ -127,6 +134,9 @@ def theta_of_beta(beta_epsilon: float) -> ThetaResult:
     if not beta_epsilon > 0.0:
         raise ValueError("beta_epsilon must be positive (low-temperature regime)")
     x = math.exp(-beta_epsilon / 2.0)
+    if x == 1.0:
+        raise ValueError(f"beta_epsilon = {beta_epsilon!r} is too small: "
+                         "e^{-beta_epsilon / 2} rounds to 1, where theta is infinite")
     return ThetaResult(exact=math.atanh(x), approximate=x)
 
 

@@ -1,12 +1,11 @@
 """Composite Newton-Cotes quadrature on fixed grids.
 
-Simpson and Bode (Boole) rules over finite intervals and a truncated
-semi-infinite wrapper.  Accumulation is compensated and runs in a fixed
-order, so two runs with the same spec are bit-identical.  Integrands are
-called once with the whole abscissa grid: an ndarray for the standard
-kind, a ``ddmath.DD`` array for the extended kind; they may return real,
-complex, DD or CDD samples of the same length.  One :func:`assemble` sums
-them all through ``special``'s kind primitives.
+Simpson and Bode (Boole) rules over finite intervals.  Accumulation is
+compensated and runs in a fixed order, so two runs with the same spec are
+bit-identical.  Integrands are called once with the whole abscissa grid:
+an ndarray for the standard kind, a ``ddmath.DD`` array for the extended
+kind; they may return real, complex, DD or CDD samples of the same length.
+One :func:`assemble` sums them all through ``special``'s kind primitives.
 
 Every result carries a cancellation diagnostic (largest intermediate
 partial sum over the final value); callers that integrate violently
@@ -23,7 +22,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from . import special
-from .ddmath import CDD, DD
+from .ddmath import DD
 from .errors import IntegrandError
 
 PrecisionKind = Literal["standard", "extended"]
@@ -59,7 +58,6 @@ class IntegralResult:
     evaluations: int
     cancellation_magnitude: float
     step_used: float
-    tail_estimate: float | None = None
 
 
 def _interval_count(a: float, b: float, step: float, divisor: int) -> int:
@@ -155,16 +153,6 @@ def assemble(samples, grid: Grid) -> IntegralResult:
                           cancellation_magnitude=cancel, step_used=grid.step_used)
 
 
-def sample(f: Callable, points, kind: PrecisionKind) -> np.ndarray:
-    """f at a few abscissae, evaluated in the given kind and rounded to
-    doubles (real or complex)."""
-    points = np.asarray(points, dtype=np.float64)
-    if kind == "standard":
-        return np.asarray(f(points))
-    vals = f(DD(points))
-    return vals.to_complex() if isinstance(vals, CDD) else vals.to_float()
-
-
 def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
               origin_value=None) -> IntegralResult:
     """Integrate f over [a, b] with the composite rule given by spec.
@@ -192,17 +180,3 @@ def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
     if origin_value is not None:
         samples = special.replace_first(samples, origin_value)
     return assemble(samples, grid)
-
-
-def integrate_semi_infinite(f: Callable, spec: QuadratureSpec,
-                            origin_value=None) -> IntegralResult:
-    """Integrate f over [0, inf), truncated at spec.upper_limit.
-
-    The caller asserts decay beyond the truncation point; |f(upper_limit)|
-    is reported as the tail diagnostic.
-    """
-    result = integrate(f, 0.0, spec.upper_limit, spec, origin_value=origin_value)
-    tail = sample(f, [spec.upper_limit], spec.precision_kind)
-    result.tail_estimate = float(np.max(np.abs(tail)))
-    return result
-

@@ -357,6 +357,24 @@ def test_invalid_params_exit2():
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
     # beta_epsilon is checked for every subcommand, not only thermal
     assert main(["series", "--beta-epsilon", "0", "--t-steps", "1"]) == 2
+    assert main(["thermal", "--beta-epsilon", "1e-20", "--t-steps", "1",
+                 "--jobs", "1"]) == 2
+    # alpha^2 and c = (delta_omega / 2 kappa)^2 overflow a double
+    for command in ("series", "integrals"):
+        for flag in ("--alpha", "--delta-omega"):
+            assert main([command, flag, "1e200", "--t-steps", "1",
+                         "--jobs", "1"]) == 2
+
+
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    # a grid too fine to allocate is the user's input, not a failed check (1)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(jc.jcm, "resonant_profile", out_of_memory)
+    assert main(["integrals", "--t-steps", "2", "--t-end", "1",
+                 "--jobs", "1"]) == 2
+    assert "error: Unable to allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--x-max", "--y-max"])

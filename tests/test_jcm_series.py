@@ -129,6 +129,14 @@ def test_config_validation():
         jc.JcmConfig(alpha=1.0, kappa=0.0)
     cfg = jc.JcmConfig(alpha=1.0, kappa=2.0, delta_omega=4.0)
     assert cfg.c == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        jc.JcmConfig(alpha=1e200)
+    with pytest.raises(ValueError, match="delta_omega"):
+        jc.JcmConfig(alpha=1.0, delta_omega=1e200)
+    with pytest.raises(ValueError, match="delta_omega"):
+        jc.JcmConfig(alpha=1.0, kappa=1e-200, delta_omega=1e200)
+    # squares up to the largest double are accepted
+    assert math.isfinite(jc.JcmConfig(alpha=1e154, delta_omega=1e154).c)
 
 
 def test_theta_of_beta_limits():
@@ -141,6 +149,9 @@ def test_theta_of_beta_limits():
         jc.theta_of_beta(0.0)
     with pytest.raises(ValueError):
         jc.theta_of_beta(-1.0)
+    # e^{-beta_epsilon / 2} rounds to 1, where atanh is undefined
+    with pytest.raises(ValueError, match="beta_epsilon"):
+        jc.theta_of_beta(1e-20)
 
 
 def test_thermal_config_validation():

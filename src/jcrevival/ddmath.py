@@ -4,14 +4,25 @@ A value is a pair of floats (hi, lo) with hi = fl(hi + lo), giving roughly
 32 significant decimal digits.  All operations are vectorized and work on
 scalars or ndarrays alike.  The algorithms are the classical error-free
 transformations (Dekker splitting, two-sum/two-prod) plus the elementary
-function schemes of the QD library: argument reduction to a small interval
-followed by a fixed-length Taylor tail.
+function schemes of the QD library (Hida, Li & Bailey, ARITH-15, 2001):
+
+* exp and sin/cos reduce the argument to a small interval and sum a
+  fixed-length Taylor polynomial in Horner form, as does sinh near 0; only the terms large
+  enough to reach the pair roundoff are carried as pairs, the rest of the
+  tail is a plain double polynomial;
+* log and atan2 take one Newton step from the double seed: the seed is
+  good to ~1e-16 and convergence is at least quadratic, so one step
+  reaches the pair roundoff;
+* sums run through one fixed pairwise tree of two-sums whose rounding
+  errors are accumulated alongside (:func:`dd_sum`).
 
 Nothing here is adaptive: a given input shape and value always executes the
 same sequence of floating-point operations, so results are bit-reproducible.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,6 +71,9 @@ class DD:
     def __init__(self, hi, lo=0.0):
         self.hi = np.asarray(hi, dtype=np.float64)
         self.lo = np.asarray(lo, dtype=np.float64)
+        if self.lo.shape != self.hi.shape:
+            # the default scalar lo spreads over an array of high words
+            self.lo = np.full(self.hi.shape, self.lo)
 
     @classmethod
     def from_pair(cls, pair):
@@ -222,28 +236,31 @@ def where(mask, a, b):
 
 
 def dd_sum(x):
-    """Sum of all elements, via a fixed-shape pairwise tree.
+    """Sum of all elements of a DD array, by a fixed pairwise tree.
 
-    The tree shape depends only on the input length, so summation order is
-    deterministic and results are bit-identical between runs.
+    The pairs are padded with zeros to a power of two and each level adds
+    the first half to the second: an error-free two-sum of the high words,
+    whose rounding error joins the low words' sum before the pair is
+    renormalized (the QD library's sloppy add).  The error stays of order
+    log2(n) eps^2 sum|x| (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
+    2005), and the tree's shape depends only on the length, so results are
+    bit-identical between runs.
     """
-    hi = np.atleast_1d(x.hi).ravel().copy()
-    lo = np.atleast_1d(x.lo).ravel().copy()
-    n = hi.size
-    if n == 0:
-        return DD(0.0)
-    acc = DD(hi, lo)
-    while acc.hi.size > 1:
-        m = acc.hi.size
-        half = m // 2
-        head = DD(acc.hi[:half], acc.lo[:half]) + DD(acc.hi[half:2 * half], acc.lo[half:2 * half])
-        if m % 2:
-            tail_hi = np.concatenate([head.hi, acc.hi[-1:]])
-            tail_lo = np.concatenate([head.lo, acc.lo[-1:]])
-            acc = DD(tail_hi, tail_lo)
-        else:
-            acc = head
-    return DD(acc.hi[0], acc.lo[0])
+    n = np.size(x.hi)
+    size = 1 << max(n - 1, 0).bit_length()
+    hi = np.zeros(size)
+    lo = np.zeros(size)
+    hi[:n] = np.ravel(x.hi)
+    lo[:n] = np.ravel(x.lo)
+    while size > 1:
+        size //= 2
+        a, b = hi[:size], hi[size:]
+        s = a + b
+        bb = s - a
+        e = ((a - (s - bb)) + (b - bb)) + (lo[:size] + lo[size:])
+        hi = s + e
+        lo = e - (hi - s)
+    return DD(hi[0], lo[0])
 
 
 def sqrt(a: DD) -> DD:
@@ -260,21 +277,35 @@ def sqrt(a: DD) -> DD:
     return where(a.hi < 0, DD(np.full_like(a.hi, np.nan)), out)
 
 
-# dd-accurate 1/k for exp's Taylor loop; a bare float 1/k would cap the
-# series accuracy at double precision
-_RECIP = [None, None] + [DD(1.0) / DD(float(k)) for k in range(2, 12)]
+# Taylor coefficients 1/k! of e^r - 1 past the linear term.  After the 9
+# squarings of exp, which amplify the error of e^r by 512, only the terms
+# through r^5 (|r| <= 6.8e-4) still reach the pair roundoff: those are
+# pairs, 1/2 .. 1/120, and r^6 .. r^11 are summed as plain doubles.
+_EXP_DD = [DD(1.0) / DD(float(math.factorial(k))) for k in range(2, 6)]
+_EXP_TAIL = [1 / math.factorial(k) for k in range(6, 12)]
+
+
+def _dd_horner(x: DD, coeffs, tail):
+    """coeffs[0] + coeffs[1] x + ... + x^K tail(x), K = len(coeffs).
+
+    The pair coefficients run in pair arithmetic; the higher coefficients
+    in tail run in doubles on x's leading word, then join as one pair term.
+    """
+    t = tail[-1]
+    for c in reversed(tail[:-1]):
+        t = t * x.hi + c
+    u = coeffs[-1] + x.hi * t
+    for c in reversed(coeffs[:-1]):
+        u = c + x * u
+    return u
 
 
 def exp(a: DD) -> DD:
     """Exponential: reduce by ln 2, Taylor on r/512, then square out."""
     m = np.clip(np.round(a.hi / LN2[0]), -1100.0, 1100.0)
     r = (a - DD(m) * DD.from_pair(LN2)).scale_pow2(-9)
-    # |r| <= ln2/1024 ~ 6.8e-4; 11 terms reach the pair roundoff
-    term = r
-    s = r
-    for k in range(2, 12):
-        term = term * r * _RECIP[k]
-        s = s + term
+    # e^r - 1 = r + r^2 (1/2 + r/6 + ...)
+    s = r + (r * r) * _dd_horner(r, _EXP_DD, _EXP_TAIL)
     # (1+s)^512 - 1, tracked without the leading 1
     for _ in range(9):
         s = s * s + s.scale_pow2(1)
@@ -289,30 +320,42 @@ def exp(a: DD) -> DD:
 
 
 def log(a: DD) -> DD:
-    """Natural log by Newton iteration on exp, seeded from the double log."""
-    y = DD(np.log(a.hi))
-    for _ in range(2):
-        y = y + a * exp(-y) - 1.0
-    return y
+    """Natural log: a = 2^e f with f in [1/sqrt 2, sqrt 2), then one Newton
+    step on exp from the double log of f, and e ln 2 added back.
+
+    Matches np.log at the edges: -inf at zero, NaN below zero or at NaN,
+    +inf at +inf, with no floating-point warnings.
+    """
+    ok = (a.hi > 0.0) & (a.hi < np.inf)
+    hi = np.where(ok, a.hi, 1.0)
+    mant, e = np.frexp(hi)
+    e = e - (mant < math.sqrt(0.5))
+    f = DD(np.ldexp(hi, -e), np.ldexp(np.where(ok, a.lo, 0.0), -e))
+    y = DD(np.log(f.hi))
+    y = y + (f * exp(-y) - 1.0)
+    out = y + DD(e.astype(np.float64)) * DD.from_pair(LN2)
+    if not ok.all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = where(ok, out, DD(np.log(a.hi)))
+    return out
 
 
-_SIN_COEF = [-(DD(1.0) / DD(float((2 * k) * (2 * k + 1)))) for k in range(1, 16)]
-_COS_COEF = [-(DD(1.0) / DD(float((2 * k - 1) * (2 * k)))) for k in range(1, 16)]
+# Taylor coefficients (-1)^k/(2k+1)! of sin and (-1)^k/(2k)! of cos past
+# the leading term, through r^31 and r^30.  On |r| <= pi/4 the terms
+# through r^16 reach the pair roundoff and are pairs; the rest are doubles.
+_SIN_DD = [DD(float((-1) ** k)) / DD(float(math.factorial(2 * k + 1)))
+           for k in range(1, 8)]
+_SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 1) for k in range(8, 16)]
+_COS_DD = [DD(float((-1) ** k)) / DD(float(math.factorial(2 * k)))
+           for k in range(1, 9)]
+_COS_TAIL = [(-1) ** k / math.factorial(2 * k) for k in range(9, 16)]
 
 
 def _sincos_taylor(r: DD):
-    # |r| <= pi/4; fixed 15-term odd/even tails
+    # |r| <= pi/4; fixed-length odd/even polynomials in r^2
     r2 = r * r
-    s = r
-    term = r
-    for coef in _SIN_COEF:
-        term = term * r2 * coef
-        s = s + term
-    c = DD(np.ones_like(r.hi))
-    term = DD(np.ones_like(r.hi))
-    for coef in _COS_COEF:
-        term = term * r2 * coef
-        c = c + term
+    s = r + (r * r2) * _dd_horner(r2, _SIN_DD, _SIN_TAIL)
+    c = r2 * _dd_horner(r2, _COS_DD, _COS_TAIL) + 1.0
     return s, c
 
 
@@ -331,7 +374,10 @@ def cos(a: DD) -> DD:
     return sincos(a)[1]
 
 
-_SINH_COEF = [DD(1.0) / DD(float((2 * k) * (2 * k + 1))) for k in range(1, 10)]
+# sinh's Taylor coefficients 1/(2k+1)! past the linear term; on |a| < 0.1
+# the terms through a^9 reach the pair roundoff, a^11 .. a^19 are doubles
+_SINH_DD = [DD(1.0) / DD(float(math.factorial(2 * k + 1))) for k in range(1, 5)]
+_SINH_TAIL = [1 / math.factorial(2 * k + 1) for k in range(5, 10)]
 
 
 def sinh(a: DD) -> DD:
@@ -339,11 +385,7 @@ def sinh(a: DD) -> DD:
     small = np.abs(a.hi) < 0.1
     asafe = where(small, a, DD(np.zeros_like(a.hi)))
     a2 = asafe * asafe
-    s = asafe
-    term = asafe
-    for coef in _SINH_COEF:
-        term = term * a2 * coef
-        s = s + term
+    s = asafe + (asafe * a2) * _dd_horner(a2, _SINH_DD, _SINH_TAIL)
     e = exp(a)
     return where(small, s, (e - 1.0 / e).scale_pow2(-1))
 
@@ -354,14 +396,18 @@ def cosh(a: DD) -> DD:
 
 
 def atan2(y: DD, x: DD) -> DD:
-    """Two-argument arctangent, Newton-refined from the double seed."""
+    """Two-argument arctangent: one Newton step from the double seed th.
+
+    With theta the true angle, y cos th - x sin th = r sin(theta - th) and
+    x cos th + y sin th = r cos(theta - th); adding their ratio to th
+    leaves an error of order (theta - th)^3.
+    """
     th = DD(np.arctan2(y.hi, x.hi))
-    r = sqrt(x * x + y * y)
-    r = where(r.hi > 0, r, DD(np.ones_like(r.hi)))
-    for _ in range(2):
-        s, c = sincos(th)
-        th = th + (y * c - x * s) / r
-    return th
+    s, c = sincos(th)
+    den = x * c + y * s
+    # den > 0 unless x = y = 0, where th = 0 and the numerator is 0
+    den = where(den.hi > 0.0, den, DD(1.0))
+    return th + (y * c - x * s) / den
 
 
 def hypot(x: DD, y: DD) -> DD:

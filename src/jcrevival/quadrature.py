@@ -1,8 +1,9 @@
 """Composite Newton-Cotes quadrature on fixed grids.
 
-Simpson and Bode (Boole) rules over finite intervals.  Accumulation is
-compensated and runs in a fixed order, so two runs with the same spec are
-bit-identical.  Integrands are called once with the whole abscissa grid:
+Simpson and Bode (Boole) rules over finite intervals.  Accumulation runs
+through one fixed pairwise tree of error-free two-sums in either kind
+(``special.compensated_sum``): it is double-double accurate before its one
+rounding to a double, and two runs with the same spec are bit-identical.  Integrands are called once with the whole abscissa grid:
 an ndarray for the standard kind, a ``ddmath.DD`` array for the extended
 kind; they may return real, complex, DD or CDD samples of the same length.
 One :func:`assemble` sums them all through ``special``'s kind primitives.

@@ -15,12 +15,12 @@ primitives :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos`,
 :func:`complex_of`, :func:`constant` and :func:`select` let an integrand be
 written once for both kinds, reading complex parts as ``.real`` / ``.imag``
 (which ``CDD`` provides too); :func:`leading`, :func:`replace_first` and
-:func:`compensated_sum` do the same for ``quadrature.assemble``.
+:func:`compensated_sum` do the same for ``quadrature.assemble``.  The sum
+needs no dispatch on the kind: both kinds run ddmath's fixed pairwise
+two-sum tree.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -148,14 +148,16 @@ def leading(x):
 
 
 def compensated_sum(x):
-    """Sum of the elements of x, compensated in x's kind (math.fsum, or
-    ddmath.dd_sum's fixed pairwise tree) and rounded to a double; a complex
-    sum adds its real and imaginary parts separately."""
-    if isinstance(x, DD):
-        return float(ddmath.dd_sum(x).to_float())
+    """Sum of the elements of x to double-double accuracy, rounded to a
+    double.  Both kinds run ddmath's fixed pairwise tree of two-sums, so the
+    result is bit-identical between runs; a complex sum adds its real and
+    imaginary parts separately.  The terms must be finite, as
+    quadrature.assemble checks: a non-finite term gives NaN."""
     if _is_complex(x):
         return complex(compensated_sum(x.real), compensated_sum(x.imag))
-    return math.fsum(x)
+    if not isinstance(x, DD):
+        x = DD(np.ravel(x))
+    return float(ddmath.dd_sum(x).to_float())
 
 
 def log_gamma(z):

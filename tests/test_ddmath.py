@@ -1,6 +1,7 @@
 """Double-double arithmetic against mpmath and exactness properties."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcrevival import ddmath
+from jcrevival import ddmath, special
 from jcrevival.ddmath import CDD, DD
 
 mp.mp.dps = 50
@@ -82,6 +83,84 @@ def test_atan2_quadrants(rng):
         x, y = rng.uniform(-5, 5, 2)
         got = as_mp(ddmath.atan2(DD(float(y)), DD(float(x))))
         assert abs(got - mp.atan2(mp.mpf(float(y)), mp.mpf(float(x)))) < 1e-31
+
+
+# The checks below cover the arguments the integral families pass: phases
+# of a few hundred radians and more, exponents across the double range, and
+# log/atan2 of the Lanczos terms.  Each keeps the tolerance of its narrower
+# check above.
+
+def _pairs(x: DD):
+    return [DD(h, l) for h, l in zip(np.ravel(x.hi), np.ravel(x.lo))]
+
+
+def test_sincos_vs_mpmath_up_to_2e3(rng):
+    xs = np.concatenate([rng.uniform(-2e3, 2e3, 150), [2e3, -2e3],
+                         rng.choice([-1.0, 1.0], 50) * 10 ** rng.uniform(-9, 3.3, 50)])
+    s, c = ddmath.sincos(DD(xs))
+    for x, si, ci in zip(xs, _pairs(s), _pairs(c)):
+        assert abs(as_mp(si) - mp.sin(mp.mpf(x))) < 3e-29, x
+        assert abs(as_mp(ci) - mp.cos(mp.mpf(x))) < 3e-29, x
+
+
+def test_exp_vs_mpmath_over_the_double_range(rng):
+    # below about -678 the low word is subnormal; 2^-1074 is its spacing
+    xs = np.concatenate([rng.uniform(-745.0, 709.0, 200),
+                         [-745.0, -700.0, -1e-12, 1e-12, 709.0]])
+    for x, got in zip(xs, _pairs(ddmath.exp(DD(xs)))):
+        want = mp.exp(mp.mpf(x))
+        assert abs(as_mp(got) - want) <= abs(want) * 1e-29 + 2.0 ** -1074, x
+
+
+def test_log_vs_mpmath_from_1e_minus_300_to_1e300(rng):
+    xs = np.concatenate([10 ** rng.uniform(-300.0, 300.0, 200),
+                         [1e-300, 1e300, 0.75, 1.25]])
+    for x, got in zip(xs, _pairs(ddmath.log(DD(xs)))):
+        want = mp.log(mp.mpf(x))
+        assert abs(as_mp(got) - want) <= abs(want) * 1e-29, x
+
+
+def test_atan2_all_quadrants_at_magnitudes_1e_minus_8_to_1e8(rng):
+    n = 200
+    x = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-8.0, 8.0, n)
+    y = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-8.0, 8.0, n)
+    for xi, yi, got in zip(x, y, _pairs(ddmath.atan2(DD(y), DD(x)))):
+        assert abs(as_mp(got) - mp.atan2(mp.mpf(yi), mp.mpf(xi))) < 1e-31, (xi, yi)
+
+
+def test_complex_exp_log_roundtrip_across_the_plane(rng):
+    # |e^z|^2 must not overflow, so Re z stays within +-300; the real part
+    # comes back as ln(e^{2 Re z})/2, good to 1e-30 of max(|Re z|, 1)
+    re = rng.uniform(-300.0, 300.0, 100)
+    im = rng.uniform(-3.1, 3.1, 100)
+    back = ddmath.clog(ddmath.cexp(CDD(DD(re), DD(im))))
+    for x, y, got_re, got_im in zip(re, im, _pairs(back.re), _pairs(back.im)):
+        assert abs(as_mp(got_re) - mp.mpf(x)) < 1e-30 * max(abs(x), 1.0), x
+        assert abs(as_mp(got_im) - mp.mpf(y)) < 1e-30, y
+
+
+def test_dd_of_an_array_spreads_its_low_word():
+    # odd and even lengths: the default lo is 0-d until spread to hi's shape
+    for n in (3, 4):
+        x = DD(np.arange(float(n)))
+        assert x.lo.shape == x.hi.shape == (n,)
+        total = ddmath.dd_sum(x)
+        assert float(total.hi) == n * (n - 1) / 2 and float(total.lo) == 0.0
+        assert special.compensated_sum(x) == n * (n - 1) / 2
+
+
+def test_log_edges_match_numpy_without_warnings():
+    xs = np.array([0.0, -0.0, -1.0, -np.inf, np.inf, np.nan, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = ddmath.log(DD(xs))
+            zero = ddmath.log(DD(0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.log(xs)
+    np.testing.assert_array_equal(got.hi[:-1], want[:-1])
+    assert abs(as_mp(DD(got.hi[-1], got.lo[-1])) - mp.log(2)) < 1e-31
+    assert float(zero.hi) == -math.inf
 
 
 def test_vectorized_matches_scalar():

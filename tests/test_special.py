@@ -1,7 +1,9 @@
 """The Lanczos gamma kit and branch-safe complex helpers."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,3 +144,75 @@ def test_lanczos_coefficients_are_the_published_set():
 
 def test_euler_gamma_value():
     assert special.EULER_GAMMA == pytest.approx(0.577215664901532860, abs=1e-15)
+
+
+def test_extended_log_gamma_on_the_imaginary_line_is_the_lanczos_sum():
+    # the same Lanczos sum in mpmath at 50 digits: what is left is the
+    # extended kind's roundoff, relative to max(|ln Gamma|, 1) since
+    # ln Gamma(1) is only the series error
+    y = np.linspace(0.0, 400.0, 201)
+    got = special.log_gamma(special.complex_of(1.0, DD(y)))
+    with mp.workdps(50):
+        coeffs = [mp.mpf(hi) + mp.mpf(lo) for hi, lo in special._LANCZOS_DD]
+        for i, yi in enumerate(y):
+            z = mp.mpc(1.0, yi)
+            series, den = coeffs[0], z
+            for c in coeffs[1:]:
+                den += 1
+                series += c / den
+            shifted = z + special.LANCZOS_G + 0.5
+            want = ((z + 0.5) * mp.log(shifted) - shifted
+                    + mp.log(mp.sqrt(2 * mp.pi)) + mp.log(series) - mp.log(z))
+            have = mp.mpc(mp.mpf(got.re.hi[i]) + mp.mpf(got.re.lo[i]),
+                          mp.mpf(got.im.hi[i]) + mp.mpf(got.im.lo[i]))
+            assert abs(have - want) <= 1e-28 * max(abs(want), 1), yi
+
+
+@st.composite
+def cancelling_terms(draw):
+    """Terms in [0.5, 1] shuffled among planted pairs +-p that cancel
+    exactly; the pairs' magnitudes put sum|x| / |sum x| anywhere in
+    [1, 1e15]."""
+    small = draw(st.lists(st.floats(0.5, 1.0), min_size=1, max_size=15))
+    shape = draw(st.lists(st.floats(0.01, 1.0), min_size=0, max_size=15))
+    ratio = 10.0 ** draw(st.floats(0.0, 15.0))
+    if shape:
+        scale = (ratio - 1.0) * math.fsum(small) / (2.0 * math.fsum(shape))
+        big = [s * scale for s in shape]
+        small = small + big + [-b for b in big]
+    return draw(st.permutations(small))
+
+
+def _within_one_ulp(got: float, want) -> bool:
+    return abs(Fraction(got) - Fraction(want)) <= Fraction(math.ulp(float(want)))
+
+
+@given(cancelling_terms())
+@settings(max_examples=200, deadline=None)
+def test_compensated_sum_holds_planted_cancellation(terms):
+    x = np.array(terms)
+    total = special.compensated_sum(x)
+    assert _within_one_ulp(total, sum(map(Fraction, terms)))
+    assert _within_one_ulp(total, math.fsum(terms))
+    # one fixed tree: bit-identical on repeat and in either kind
+    assert special.compensated_sum(x.copy()).hex() == total.hex()
+    assert special.compensated_sum(DD(x)).hex() == total.hex()
+
+
+@given(cancelling_terms(), cancelling_terms())
+@settings(max_examples=50, deadline=None)
+def test_compensated_sum_adds_complex_parts_separately(re, im):
+    n = min(len(re), len(im))
+    re, im = np.array(re[:n]), np.array(im[:n])
+    got = special.compensated_sum(re + 1j * im)
+    assert got == complex(special.compensated_sum(re), special.compensated_sum(im))
+    ext = special.compensated_sum(CDD(DD(re), DD(im)))
+    assert ext == got
+
+
+def test_compensated_sum_of_no_one_and_an_odd_count_of_terms():
+    assert special.compensated_sum(np.array([])) == 0.0
+    assert special.compensated_sum(DD(np.array([]))) == 0.0
+    assert special.compensated_sum(np.array([2.5])) == 2.5
+    assert special.compensated_sum(np.array([1e16, 1.0, -1e16])) == 1.0
+    assert special.compensated_sum(np.array([1e16, 1.0, -1e16, 3j, 0.5])) == 1.5 + 3j

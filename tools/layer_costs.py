@@ -1,0 +1,119 @@
+"""In-process cost of each layer that one integral row passes through.
+
+Usage (from the root of a checkout):
+
+    PYTHONPATH=src python3 tools/layer_costs.py [--repeats N]
+
+Prints one JSON line of seconds, each the minimum over N repeats (default
+20) in this process, so start-up, imports and the pool are excluded:
+
+* ``line.*`` and ``correction.*``: building the resonant (J form) line and
+  correction families on the default grids at alpha = 4, and one row of
+  each at t = 6 pi (inside the window where rows escalate), in the
+  standard and the extended kind;
+* ``assemble.*``: one ``quadrature.assemble`` of the line family's row
+  samples, and ``compensated_sum.*`` the sum inside it, in each kind;
+* ``special.log_gamma.*``: ``ln Gamma(1 + iy)`` on the correction grid's
+  4,001 nodes in each kind;
+* ``ddmath.*``: each double-double kernel on 4,001 arguments drawn from the
+  range the families use.
+
+The end-to-end yardstick stays ``bench/run.py``; these figures break a row
+down for a change that targets one of its layers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import math
+import sys
+import time
+
+import numpy as np
+
+from jcrevival import ddmath, jcm, quadrature, special
+from jcrevival.ddmath import CDD, DD
+
+NODES = 4001
+# the time of the one row costed per family: inside the escalation window
+BIG_T = 6.0 * math.pi
+
+
+def best_of(repeats: int, fn) -> float:
+    """The least wall time of `repeats` calls of fn()."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def family_costs(repeats: int) -> dict:
+    cfg = jcm.JcmConfig(alpha=4.0)
+    out = {}
+    for name, cls, spec in (("line", jcm._LineFamily, jcm.DEFAULT_X_SPEC),
+                            ("correction", jcm._CorrectionFamily,
+                             jcm.DEFAULT_Y_SPEC)):
+        for kind in ("standard", "extended"):
+            kspec = dataclasses.replace(spec, precision_kind=kind)
+            out[f"{name}.build.{kind}"] = best_of(
+                repeats, lambda: cls(cfg, 0, kspec, j_form=True))
+            fam = cls(cfg, 0, kspec, j_form=True)
+            out[f"{name}.row.{kind}"] = best_of(
+                repeats, lambda: fam.integral(BIG_T))
+            if name == "line":
+                samples = fam.a0 + fam.a1 * special.cos(fam.sqrt_arg * (2.0 * BIG_T))
+                out[f"assemble.{kind}"] = best_of(
+                    repeats, lambda: quadrature.assemble(samples, fam.grid))
+                terms = samples * fam.grid.pattern * fam.grid.h
+                out[f"compensated_sum.{kind}"] = best_of(
+                    repeats, lambda: special.compensated_sum(terms))
+    return out
+
+
+def kernel_costs(repeats: int) -> dict:
+    rng = np.random.default_rng(5)
+    y = np.linspace(0.0, 100.0, NODES)
+    out = {
+        "special.log_gamma.standard": best_of(
+            repeats, lambda: special.log_gamma(1.0 + 1j * y)),
+        "special.log_gamma.extended": best_of(
+            repeats, lambda: special.log_gamma(special.complex_of(1.0, DD(y)))),
+    }
+    wide = DD(rng.uniform(-60.0, 60.0, NODES))
+    positive = DD(np.exp(rng.uniform(-30.0, 30.0, NODES)))
+    a = DD(rng.uniform(-5.0, 5.0, NODES))
+    b = DD(rng.uniform(-5.0, 5.0, NODES))
+    z = CDD(a, b)
+    for name, fn in (("exp", lambda: ddmath.exp(wide)),
+                     ("log", lambda: ddmath.log(positive)),
+                     ("sincos", lambda: ddmath.sincos(wide)),
+                     ("atan2", lambda: ddmath.atan2(a, b)),
+                     ("sqrt", lambda: ddmath.sqrt(positive)),
+                     ("cexp", lambda: ddmath.cexp(z)),
+                     ("clog", lambda: ddmath.clog(z)),
+                     ("mul", lambda: a * b),
+                     ("div", lambda: a / b),
+                     ("dd_sum", lambda: ddmath.dd_sum(wide))):
+        out[f"ddmath.{name}"] = best_of(repeats, fn)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=20)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    with np.errstate(all="ignore"):
+        costs = family_costs(args.repeats)
+        costs.update(kernel_costs(args.repeats))
+    print(json.dumps({k: float(f"{v:.3g}") for k, v in costs.items()}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,6 @@ Exit codes: 0 ok, 1 check failure, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -27,6 +26,9 @@ import sys
 import typing
 from dataclasses import dataclass
 from typing import Literal
+
+# one OpenBLAS thread, set before numpy loads: no command needs a BLAS pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -219,6 +221,7 @@ def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarra
     if jobs == 1:
         chunks = [worker(p) for p in payloads]
     else:
+        import concurrent.futures  # only a pooled run pays for the import
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(worker, payloads))
     order = np.argsort(np.concatenate(deals))

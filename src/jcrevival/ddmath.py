@@ -27,6 +27,10 @@ import math
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+# Leading words in this range have squares that neither overflow nor lose
+# their low word to the subnormals, and a square that underflows beside one
+# of them lies below the pair roundoff of the sum.
+_SQUARE_SAFE = (2.0 ** -450, 2.0 ** 450)
 
 # (hi, lo) pairs; lo is the exact double-rounding residual of the constant.
 PI = (3.141592653589793, 1.2246467991473532e-16)
@@ -217,10 +221,14 @@ class CDD:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # z / w = z conj(w') / |w'|^2 2^-k with w' = w 2^-k
         other = self.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        return CDD((self.re * other.re + self.im * other.im) / d,
-                   (self.im * other.re - self.re * other.im) / d)
+        re, im, d, k = _square_sum(other.re, other.im)
+        q = CDD((self.re * re + self.im * im) / d, (self.im * re - self.re * im) / d)
+        if k is None:
+            return q
+        with np.errstate(under="ignore"):
+            return CDD(q.re.scale_pow2(-k), q.im.scale_pow2(-k))
 
     def __rtruediv__(self, other):
         return self.coerce(other).__truediv__(self)
@@ -266,15 +274,23 @@ def dd_sum(x):
 def sqrt(a: DD) -> DD:
     """Square root (Karp-Markstein refinement of the double seed).
 
-    Zero maps to zero; negative input yields NaN, as for floats.
+    Matches np.sqrt at the edges, with no floating-point warnings: zero maps
+    to zero, +inf to +inf, and NaN or negative input to NaN.
     """
-    r = 1.0 / np.sqrt(np.where(a.hi > 0, a.hi, 1.0))
-    y = a.hi * r
-    ydd = DD(y)
-    err = (a - ydd * ydd).hi
+    ok = (a.hi > 0.0) & (a.hi < np.inf)
+    hi = np.where(ok, a.hi, 1.0)
+    if np.min(hi) < _SQUARE_SAFE[0] ** 2:
+        # the refinement squares the root: lift tiny lanes by 4^-k first
+        k = np.where(hi < _SQUARE_SAFE[0] ** 2, np.frexp(hi)[1] // 2, 0)
+        return sqrt(a.scale_pow2(-2 * k)).scale_pow2(k)
+    r = 1.0 / np.sqrt(hi)
+    ydd = DD(hi * r)
+    err = (DD(hi, np.where(ok, a.lo, 0.0)) - ydd * ydd).hi
     out = ydd + DD(err * (r * 0.5))
-    out = where(a.hi > 0, out, DD(np.zeros_like(a.hi)))
-    return where(a.hi < 0, DD(np.full_like(a.hi, np.nan)), out)
+    if not ok.all():
+        edge = np.where(a.hi == 0.0, 0.0, np.where(a.hi == np.inf, np.inf, np.nan))
+        out = where(ok, out, DD(edge))
+    return out
 
 
 # Taylor coefficients 1/k! of e^r - 1 past the linear term.  After the 9
@@ -400,18 +416,39 @@ def atan2(y: DD, x: DD) -> DD:
 
     With theta the true angle, y cos th - x sin th = r sin(theta - th) and
     x cos th + y sin th = r cos(theta - th); adding their ratio to th
-    leaves an error of order (theta - th)^3.
+    leaves an error of order (theta - th)^3.  A term that underflows is
+    below what the pair can hold at the magnitude of its inputs.
     """
-    th = DD(np.arctan2(y.hi, x.hi))
-    s, c = sincos(th)
-    den = x * c + y * s
-    # den > 0 unless x = y = 0, where th = 0 and the numerator is 0
-    den = where(den.hi > 0.0, den, DD(1.0))
-    return th + (y * c - x * s) / den
+    with np.errstate(under="ignore"):
+        th = DD(np.arctan2(y.hi, x.hi))
+        s, c = sincos(th)
+        den = x * c + y * s
+        # den > 0 unless x = y = 0, where th = 0 and the numerator is 0
+        den = where(den.hi > 0.0, den, DD(1.0))
+        return th + (y * c - x * s) / den
+
+
+def _square_sum(x: DD, y: DD):
+    """(x 2^-k, y 2^-k, the sum of their squares, k).  In lanes whose
+    leading words lie outside _SQUARE_SAFE, k brings max(|x|, |y|) 2^-k
+    into [1/2, 1); elsewhere k is 0.  When no lane needs it, k is None and
+    x and y come back as they are, so in-range calls keep their exact
+    operation sequence."""
+    m = np.maximum(np.abs(x.hi), np.abs(y.hi))
+    far = (m > _SQUARE_SAFE[1]) | ((m < _SQUARE_SAFE[0]) & (m > 0.0))
+    k = np.where(far, np.frexp(m)[1], 0) if np.any(far) else None
+    with np.errstate(under="ignore"):
+        if k is not None:
+            x, y = x.scale_pow2(-k), y.scale_pow2(-k)
+        return x, y, x * x + y * y, k
 
 
 def hypot(x: DD, y: DD) -> DD:
-    return sqrt(x * x + y * y)
+    *_, s, k = _square_sum(x, y)
+    if k is None:
+        return sqrt(s)
+    with np.errstate(under="ignore"):  # a tiny result's low word may be subnormal
+        return sqrt(s).scale_pow2(k)
 
 
 def cexp(z: CDD) -> CDD:
@@ -421,16 +458,22 @@ def cexp(z: CDD) -> CDD:
 
 
 def clog(z: CDD) -> CDD:
-    return CDD(log(z.re * z.re + z.im * z.im).scale_pow2(-1), atan2(z.im, z.re))
+    *_, s, k = _square_sum(z.re, z.im)
+    log_r = log(s).scale_pow2(-1)
+    if k is not None:
+        log_r = log_r + DD(k.astype(np.float64)) * DD.from_pair(LN2)
+    return CDD(log_r, atan2(z.im, z.re))
 
 
 def csqrt(z: CDD) -> CDD:
-    """Principal square root: branch cut on the negative real axis."""
-    r = hypot(z.re, z.im)
-    u = sqrt((r + abs(z.re)).scale_pow2(-1))
-    # u > 0 except at z = 0; guard the division
-    u_safe = where(u.hi > 0, u, DD(np.ones_like(u.hi)))
-    v = abs(z.im).scale_pow2(-1) / u_safe
+    """Principal square root: branch cut on the negative real axis.  As in
+    atan2, a term that underflows is below what the pair can hold."""
+    with np.errstate(under="ignore"):
+        r = hypot(z.re, z.im)
+        u = sqrt((r + abs(z.re)).scale_pow2(-1))
+        # u > 0 except at z = 0; guard the division
+        u_safe = where(u.hi > 0, u, DD(np.ones_like(u.hi)))
+        v = abs(z.im).scale_pow2(-1) / u_safe
     re_neg = z.re.hi < 0
     out_re = where(re_neg, v, u)
     out_im = where(re_neg, u, v)

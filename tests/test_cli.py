@@ -285,15 +285,60 @@ def test_jobs_parallelism_matches_serial(tmp_path):
     assert 0 in status and 1 in status
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, so no other test's imports count
+def _fresh_python(code: str, **env) -> str:
+    """Stripped stdout of code run in a new interpreter, so no other test's
+    imports count; OPENBLAS_NUM_THREADS is unset unless env gives it."""
     src = str(Path(jc.__file__).resolve().parents[1])
-    code = ("import sys, jcrevival.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**base, "PYTHONPATH": src, **env},
+                         capture_output=True, text=True, check=True, timeout=60)
+    return run.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_python(
+        "import sys, jcrevival.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])") == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux's per-thread /proc entries")
+def test_cli_import_starts_one_thread():
+    # numpy's OpenBLAS would start one thread per core at import
+    assert _fresh_python(
+        "import os, jcrevival.cli; print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_package_import_loads_no_numpy_and_sets_no_environment():
+    assert _fresh_python(
+        "import os, sys, jcrevival; "
+        "print('numpy' in sys.modules, "
+        "[m for m in sys.modules if m.startswith('jcrevival.')], "
+        "'OPENBLAS_NUM_THREADS' in os.environ)") == "False [] False"
+
+
+def test_cli_keeps_a_user_blas_thread_setting():
+    assert _fresh_python(
+        "import os, jcrevival.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+        OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_serial_run_imports_no_process_pool(tmp_path):
+    out = tmp_path / "one.csv"
+    assert _fresh_python(
+        "import sys; from jcrevival.cli import main; "
+        "rc = main(['integrals', '--t-start', '0', '--t-end', '0', "
+        f"'--t-steps', '1', '--jobs', '1', '--out', {str(out)!r}]); "
+        "print(rc, 'concurrent.futures' in sys.modules)") == "0 False"
+    assert out.is_file()
+
+
+def test_star_import_binds_every_public_name():
+    assert _fresh_python(
+        "import jcrevival; missing = set(jcrevival.__all__) - set(dir(jcrevival)); "
+        "ns = {}; exec('from jcrevival import *', ns); "
+        "print(sorted(missing | (set(jcrevival.__all__) - set(ns))))") == "[]"
 
 
 def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):

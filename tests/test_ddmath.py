@@ -163,6 +163,61 @@ def test_log_edges_match_numpy_without_warnings():
     assert float(zero.hi) == -math.inf
 
 
+def _quietly(fn):
+    """fn() with every floating-point flag and warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            return fn()
+
+
+def test_sqrt_edges_match_numpy_without_warnings():
+    xs = np.array([0.0, -0.0, -1.0, -np.inf, np.inf, np.nan, 4.0])
+    got = _quietly(lambda: ddmath.sqrt(DD(xs)))
+    with np.errstate(invalid="ignore"):
+        want = np.sqrt(xs)
+    np.testing.assert_array_equal(got.hi, want)
+
+
+def test_sqrt_vs_mpmath_from_1e_minus_320_to_1e300(rng):
+    # the refinement squares the root, so the tiny ones are lifted first
+    xs = np.concatenate([10 ** rng.uniform(-320.0, 300.0, 100),
+                         [5e-324, 1e-300, 1e-200, 1e200, 1e300]])
+    for x, got in zip(xs, _pairs(_quietly(lambda: ddmath.sqrt(DD(xs))))):
+        want = mp.sqrt(mp.mpf(x))
+        assert abs(as_mp(got) - want) <= want * 1e-30, x
+
+
+@pytest.mark.parametrize("v", [1e200, -1e200, 1e-200, 1e300, -1e300, 1e-300])
+def test_kernels_that_square_where_squares_leave_the_double_range(v):
+    # no pair holds a value to better than 2^-1074 absolute: the relative
+    # tolerance gains 2^-1074 / |z| for a tiny input, the absolute one a few
+    # 2^-1074 for a tiny result
+    def as_mpc(z):
+        return mp.mpc(as_mp(z.re), as_mp(z.im))
+
+    def close(got, want, rel):
+        return abs(got - want) <= rel * abs(want) + 2.0 ** -1072
+
+    for re, im in ((v, 0.0), (0.0, v), (v, 1.0), (1.0, v), (v, -0.5 * v),
+                   (0.6 * v, 0.8 * v)):
+        z = CDD(DD(re), DD(im))
+        h, lg, sq, inv = _quietly(lambda: (
+            ddmath.hypot(z.re, z.im), ddmath.clog(z), ddmath.csqrt(z),
+            CDD(DD(2.0), DD(-1.0)) / z))
+        w = mp.mpc(re, im)
+        rel = 1e-30 + 2.0 ** -1074 / abs(w)
+        assert close(as_mp(h), abs(w), rel), (re, im)
+        # ln|z| moves by the relative error of |z|, so the log's scale is 1
+        assert abs(as_mpc(lg) - mp.log(w)) <= rel * max(abs(mp.log(w)), 1), (re, im)
+        assert close(as_mpc(sq), mp.sqrt(w), rel), (re, im)
+        assert close(as_mpc(inv), (2 - 1j) / w, rel), (re, im)
+    # the values the squares lost before: 0.0, NaN and -inf
+    np.testing.assert_allclose(
+        _quietly(lambda: ddmath.clog(CDD(DD(v), DD(0.0))).to_complex()),
+        np.log(complex(v)), rtol=1e-15)
+
+
 def test_vectorized_matches_scalar():
     xs = np.array([0.3, 1.7, -2.5])
     vec = ddmath.exp(DD(xs))

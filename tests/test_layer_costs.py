@@ -21,7 +21,10 @@ def test_layer_costs_prints_every_layer_once():
         for kind in ("standard", "extended"):
             assert f"{layer}.build.{kind}" in costs
             assert f"{layer}.row.{kind}" in costs
-    for key in ("assemble.standard", "assemble.extended",
+    startup = ["startup.import_cli_s", "startup.cpu_s"]
+    if os.path.isdir("/proc/self/task"):
+        startup.append("startup.threads")
+    for key in (*startup, "assemble.standard", "assemble.extended",
                 "special.log_gamma.extended", "ddmath.exp", "ddmath.log",
                 "ddmath.sincos", "ddmath.atan2", "ddmath.dd_sum"):
         assert key in costs

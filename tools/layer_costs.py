@@ -4,9 +4,15 @@ Usage (from the root of a checkout):
 
     PYTHONPATH=src python3 tools/layer_costs.py [--repeats N]
 
-Prints one JSON line of seconds, each the minimum over N repeats (default
-20) in this process, so start-up, imports and the pool are excluded:
+Prints one JSON line of costs, each the minimum over N repeats (default
+20).  All but ``startup.*`` are seconds measured in this process, so they
+leave out start-up, imports and the pool:
 
+* ``startup.import_cli_s`` and ``startup.cpu_s``: the wall and CPU time of
+  a fresh interpreter that runs ``import jcrevival.cli`` and exits, what
+  every CLI process pays before its first row; ``startup.threads``: the
+  threads it runs after that import (where ``/proc/self/task`` lists
+  them);
 * ``line.*`` and ``correction.*``: building the resonant (J form) line and
   correction families on the default grids at alpha = 4, and one row of
   each at t = 6 pi (inside the window where rows escalate), in the
@@ -28,6 +34,8 @@ import argparse
 import dataclasses
 import json
 import math
+import resource
+import subprocess
 import sys
 import time
 
@@ -49,6 +57,28 @@ def best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def startup_costs(repeats: int) -> dict:
+    """Least wall and CPU time of a fresh `import jcrevival.cli`, and the
+    number of threads that import leaves running."""
+    code = ("import os, jcrevival.cli; task = '/proc/self/task'; "
+            "print(len(os.listdir(task)) if os.path.isdir(task) else '')")
+    wall, cpu = math.inf, math.inf
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        wall = min(wall, time.perf_counter() - start)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = min(cpu, (after.ru_utime + after.ru_stime)
+                  - (before.ru_utime + before.ru_stime))
+    threads = run.stdout.strip()
+    out = {"startup.import_cli_s": wall, "startup.cpu_s": cpu}
+    if threads:
+        out["startup.threads"] = int(threads)
+    return out
 
 
 def family_costs(repeats: int) -> dict:
@@ -108,10 +138,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    costs = startup_costs(args.repeats)
     with np.errstate(all="ignore"):
-        costs = family_costs(args.repeats)
+        costs.update(family_costs(args.repeats))
         costs.update(kernel_costs(args.repeats))
-    print(json.dumps({k: float(f"{v:.3g}") for k, v in costs.items()}))
+    print(json.dumps({k: v if isinstance(v, int) else float(f"{v:.3g}")
+                      for k, v in costs.items()}))
     return 0
 
 

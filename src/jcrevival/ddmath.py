@@ -7,7 +7,7 @@ transformations (Dekker splitting, two-sum/two-prod) plus the elementary
 function schemes of the QD library (Hida, Li & Bailey, ARITH-15, 2001):
 
 * exp and sin/cos reduce the argument to a small interval and sum a
-  fixed-length Taylor polynomial in Horner form, as does sinh near 0; only the terms large
+  fixed-length Taylor polynomial in Horner form; only the terms large
   enough to reach the pair roundoff are carried as pairs, the rest of the
   tail is a plain double polynomial;
 * log and atan2 take one Newton step from the double seed: the seed is
@@ -27,13 +27,14 @@ import math
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+# past this, _SPLITTER * a can overflow (the QD library's split threshold)
+_SPLIT_MAX = 2.0 ** 996
 # Leading words in this range have squares that neither overflow nor lose
 # their low word to the subnormals, and a square that underflows beside one
 # of them lies below the pair roundoff of the sum.
 _SQUARE_SAFE = (2.0 ** -450, 2.0 ** 450)
 
 # (hi, lo) pairs; lo is the exact double-rounding residual of the constant.
-PI = (3.141592653589793, 1.2246467991473532e-16)
 TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
 PI_OVER_2 = (1.5707963267948966, 6.123233995736766e-17)
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)
@@ -65,6 +66,23 @@ def _two_prod(a, b):
     bhi, blo = _split(b)
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, err
+
+
+def _past_split(a) -> bool:
+    # fmax passes over NaN lanes, which max would return
+    return np.fmax.reduce(np.abs(a), axis=None, initial=0.0) > _SPLIT_MAX
+
+
+def _mul_wide(x: DD, y: DD) -> DD:
+    """x * y where a leading word lies past _SPLIT_MAX: such a factor is
+    split after an exact scaling by 2^-28, as in the QD library.  A lane
+    whose leading product is not finite returns it, as np.multiply would."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x.hi * y.hi
+    ok = np.isfinite(p)
+    kx, ky = (np.where(ok & (np.abs(v.hi) > _SPLIT_MAX), 28, 0) for v in (x, y))
+    q = where(ok, x, 0.0).scale_pow2(-kx) * where(ok, y, 0.0).scale_pow2(-ky)
+    return where(ok, q.scale_pow2(kx + ky), DD(p))
 
 
 class DD:
@@ -129,6 +147,8 @@ class DD:
             return NotImplemented
         if not isinstance(other, DD):
             other = DD(other)
+        if _past_split(self.hi) or _past_split(other.hi):
+            return _mul_wide(self, other)
         p, e = _two_prod(self.hi, other.hi)
         e = e + (self.hi * other.lo + self.lo * other.hi)
         hi, lo = _quick_two_sum(p, e)
@@ -390,27 +410,6 @@ def cos(a: DD) -> DD:
     return sincos(a)[1]
 
 
-# sinh's Taylor coefficients 1/(2k+1)! past the linear term; on |a| < 0.1
-# the terms through a^9 reach the pair roundoff, a^11 .. a^19 are doubles
-_SINH_DD = [DD(1.0) / DD(float(math.factorial(2 * k + 1))) for k in range(1, 5)]
-_SINH_TAIL = [1 / math.factorial(2 * k + 1) for k in range(5, 10)]
-
-
-def sinh(a: DD) -> DD:
-    """Hyperbolic sine; Taylor below 0.1 to avoid cancellation."""
-    small = np.abs(a.hi) < 0.1
-    asafe = where(small, a, DD(np.zeros_like(a.hi)))
-    a2 = asafe * asafe
-    s = asafe + (asafe * a2) * _dd_horner(a2, _SINH_DD, _SINH_TAIL)
-    e = exp(a)
-    return where(small, s, (e - 1.0 / e).scale_pow2(-1))
-
-
-def cosh(a: DD) -> DD:
-    e = exp(a)
-    return (e + 1.0 / e).scale_pow2(-1)
-
-
 def atan2(y: DD, x: DD) -> DD:
     """Two-argument arctangent: one Newton step from the double seed th.
 
@@ -431,24 +430,28 @@ def atan2(y: DD, x: DD) -> DD:
 def _square_sum(x: DD, y: DD):
     """(x 2^-k, y 2^-k, the sum of their squares, k).  In lanes whose
     leading words lie outside _SQUARE_SAFE, k brings max(|x|, |y|) 2^-k
-    into [1/2, 1); elsewhere k is 0.  When no lane needs it, k is None and
-    x and y come back as they are, so in-range calls keep their exact
-    operation sequence."""
-    m = np.maximum(np.abs(x.hi), np.abs(y.hi))
+    into [1/2, 1); elsewhere k is 0.  Lanes with an infinite part come
+    back as zeros, so that no square forms inf - inf.  When no lane needs
+    either, k is None and x and y come back as they are, so in-range calls
+    keep their exact operation sequence."""
+    m = np.fmax(np.abs(x.hi), np.abs(y.hi))  # an infinite part outranks a NaN
     far = (m > _SQUARE_SAFE[1]) | ((m < _SQUARE_SAFE[0]) & (m > 0.0))
     k = np.where(far, np.frexp(m)[1], 0) if np.any(far) else None
     with np.errstate(under="ignore"):
         if k is not None:
-            x, y = x.scale_pow2(-k), y.scale_pow2(-k)
+            inf = np.isinf(m)
+            x, y = where(inf, 0.0, x.scale_pow2(-k)), where(inf, 0.0, y.scale_pow2(-k))
         return x, y, x * x + y * y, k
 
 
 def hypot(x: DD, y: DD) -> DD:
+    """sqrt(x^2 + y^2); inf where a part is infinite, as np.hypot gives."""
     *_, s, k = _square_sum(x, y)
     if k is None:
         return sqrt(s)
     with np.errstate(under="ignore"):  # a tiny result's low word may be subnormal
-        return sqrt(s).scale_pow2(k)
+        out = sqrt(s).scale_pow2(k)
+    return where(np.isinf(x.hi) | np.isinf(y.hi), np.inf, out)
 
 
 def cexp(z: CDD) -> CDD:
@@ -483,7 +486,3 @@ def csqrt(z: CDD) -> CDD:
     return CDD(where(zero, DD(np.zeros_like(r.hi)), out_re),
                where(zero, DD(np.zeros_like(r.hi)), out_im))
 
-
-def csin(z: CDD) -> CDD:
-    s, c = sincos(z.re)
-    return CDD(s * cosh(z.im), c * sinh(z.im))

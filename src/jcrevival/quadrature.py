@@ -3,10 +3,11 @@
 Simpson and Bode (Boole) rules over finite intervals.  Accumulation runs
 through one fixed pairwise tree of error-free two-sums in either kind
 (``special.compensated_sum``): it is double-double accurate before its one
-rounding to a double, and two runs with the same spec are bit-identical.  Integrands are called once with the whole abscissa grid:
-an ndarray for the standard kind, a ``ddmath.DD`` array for the extended
-kind; they may return real, complex, DD or CDD samples of the same length.
-One :func:`assemble` sums them all through ``special``'s kind primitives.
+rounding to a double, and two runs with the same spec are bit-identical.
+Integrands are called once with the whole abscissa grid: an ndarray for
+the standard kind, a ``ddmath.DD`` array for the extended kind; they return
+real samples of the same length, which one :func:`assemble` sums in either
+kind through ``special``'s kind primitives.
 
 Every result carries a cancellation diagnostic (largest intermediate
 partial sum over the final value); callers that integrate violently
@@ -23,7 +24,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from . import special
-from .ddmath import DD
+from .ddmath import CDD, DD
 from .errors import IntegrandError
 
 PrecisionKind = Literal["standard", "extended"]
@@ -55,7 +56,7 @@ class QuadratureSpec:
 
 @dataclass
 class IntegralResult:
-    value: float | complex
+    value: float
     evaluations: int
     cancellation_magnitude: float
     step_used: float
@@ -134,14 +135,16 @@ def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
 
 
 def assemble(samples, grid: Grid) -> IntegralResult:
-    """Turn integrand samples on a grid into a weighted, compensated sum.
+    """Turn real integrand samples on a grid into a weighted, compensated sum.
 
-    Both kinds, real or complex samples.  Raises IntegrandError if any
-    sample is non-finite.
+    Raises TypeError on complex samples, whose imaginary part the sum would
+    drop, and IntegrandError if any sample is non-finite.
     """
-    if grid.precision_kind == "extended" and not special.is_extended(samples):
-        samples = special.to_extended(samples) if np.iscomplexobj(samples) \
-            else DD(np.asarray(samples, dtype=np.float64))
+    if isinstance(samples, CDD) or np.iscomplexobj(samples):
+        raise TypeError("assemble sums real samples; integrate the real and "
+                        "imaginary parts of a complex integrand separately")
+    if grid.precision_kind == "extended" and not isinstance(samples, DD):
+        samples = DD(np.asarray(samples, dtype=np.float64))
     finite = np.isfinite(special.leading(samples))
     if not finite.all():
         bad = float(special.leading(grid.x)[int(np.argmin(finite))])
@@ -154,30 +157,13 @@ def assemble(samples, grid: Grid) -> IntegralResult:
                           cancellation_magnitude=cancel, step_used=grid.step_used)
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
-              origin_value=None) -> IntegralResult:
-    """Integrate f over [a, b] with the composite rule given by spec.
+def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
+    """Integrate f over [a, b], a < b, with the rule, step and kind of spec.
 
-    Parameters
-    ----------
-    f : callable
-        Receives the full abscissa grid (ndarray, or DD array for the
-        extended kind) and returns samples of matching length.
-    a, b : float
-        Integration bounds, a < b.
-    spec : QuadratureSpec
-        Rule, step and scalar kind.
-    origin_value : optional
-        Analytic replacement for the sample at x = a.  Used where the
-        integrand is a removable 0/0 at the origin and its limit is known.
-
-    Raises
-    ------
-    IntegrandError
-        If any sample (other than a replaced origin) is non-finite.
+    f is called once with the whole abscissa grid (an ndarray, or a DD array
+    in the extended kind) and returns real samples of the same length.
+    Complex samples raise TypeError and non-finite ones IntegrandError, as
+    in :func:`assemble`.
     """
     grid = build_grid(a, b, spec)
-    samples = f(grid.x)
-    if origin_value is not None:
-        samples = special.replace_first(samples, origin_value)
-    return assemble(samples, grid)
+    return assemble(f(grid.x), grid)

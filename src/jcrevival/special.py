@@ -1,23 +1,22 @@
 """Complex special functions: the Lanczos gamma kit and branch-safe helpers.
 
 Every integrand in this package is built from ``1/Gamma(z)``, principal
-square roots and trigonometric functions of complex arguments.  Two scalar
-kinds are supported throughout:
+square roots and trigonometric functions of complex arguments, in one of
+two scalar kinds:
 
 * standard - float64 / complex128 (plain numbers or numpy arrays),
 * extended - double-double pairs (`ddmath.DD` real, `ddmath.CDD` complex),
   roughly 32 significant digits.
 
-Mixing kinds promotes to extended: ``CDD`` and ``DD`` operands absorb floats
-and complexes.  All functions accept either kind and return the same kind
-they were given.  This is the one module that dispatches on the kind: the
-primitives :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos`,
-:func:`complex_of`, :func:`constant` and :func:`select` let an integrand be
-written once for both kinds, reading complex parts as ``.real`` / ``.imag``
-(which ``CDD`` provides too); :func:`leading`, :func:`replace_first` and
-:func:`compensated_sum` do the same for ``quadrature.assemble``.  The sum
-needs no dispatch on the kind: both kinds run ddmath's fixed pairwise
-two-sum tree.
+Mixing kinds promotes to extended.  This is the one module that dispatches
+on the kind: :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos`,
+:func:`complex_of`, :func:`log_gamma` and :func:`principal_sqrt` return the
+kind they are given, so an integrand is written once for both kinds and
+reads complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
+:func:`leading`, :func:`replace_first` and :func:`compensated_sum` serve
+the real samples of ``quadrature.assemble``, whose sum runs ddmath's fixed
+pairwise two-sum tree in both kinds.  :func:`reciprocal_gamma` is
+standard-kind only.
 """
 
 from __future__ import annotations
@@ -57,18 +56,6 @@ EULER_GAMMA = 0.5772156649015329
 def is_extended(x) -> bool:
     """True if x carries the extended (double-double) kind."""
     return isinstance(x, (DD, CDD))
-
-
-# promote a value of either kind to the extended complex kind
-to_extended = CDD.coerce
-
-
-def _real_part(z):
-    if isinstance(z, CDD):
-        return z.re.hi
-    if isinstance(z, DD):
-        return z.hi
-    return np.asarray(z).real
 
 
 def _log(z):
@@ -112,49 +99,26 @@ def complex_of(re, im):
     return re + 1j * im
 
 
-def constant(pair, like):
-    """A (hi, lo) constant such as ddmath.PI in the kind of like."""
-    return DD.from_pair(pair) if is_extended(like) else pair[0]
-
-
-def _is_complex(x) -> bool:
-    return isinstance(x, CDD) or (not isinstance(x, DD) and np.iscomplexobj(x))
-
-
-def select(mask, a, b):
-    """a where mask holds, else b, elementwise, in the wider kind of the two
-    (extended over standard, complex over real)."""
-    if not (is_extended(a) or is_extended(b)):
-        return np.where(mask, a, b)
-    if _is_complex(a) or _is_complex(b):
-        a, b = to_extended(a), to_extended(b)
-        return CDD(ddmath.where(mask, a.re, b.re), ddmath.where(mask, a.im, b.im))
-    return ddmath.where(mask, a, b)
-
-
 def replace_first(x, value):
-    """A copy of the array x with x[0] = value, widened as by select."""
+    """A copy of the real array x with x[0] = value, in x's kind."""
     first = np.zeros(np.shape(leading(x)), dtype=bool)
     first[0] = True
-    return select(first, value, x)
+    if isinstance(x, DD):
+        return ddmath.where(first, value, x)
+    return np.where(first, value, x)
 
 
 def leading(x):
-    """The leading doubles of x: a DD's high words, a CDD's high words as
-    complex128, and x itself (as an array) in the standard kind."""
-    if isinstance(x, CDD):
-        return x.re.hi + 1j * x.im.hi
+    """The leading doubles of x: a DD's high words, and x itself (as an
+    array) in the standard kind."""
     return x.hi if isinstance(x, DD) else np.asarray(x)
 
 
 def compensated_sum(x):
-    """Sum of the elements of x to double-double accuracy, rounded to a
-    double.  Both kinds run ddmath's fixed pairwise tree of two-sums, so the
-    result is bit-identical between runs; a complex sum adds its real and
-    imaginary parts separately.  The terms must be finite, as
-    quadrature.assemble checks: a non-finite term gives NaN."""
-    if _is_complex(x):
-        return complex(compensated_sum(x.real), compensated_sum(x.imag))
+    """Sum of the elements of the real x to double-double accuracy, rounded
+    to a double.  Both kinds run ddmath's fixed pairwise tree of two-sums,
+    so the result is bit-identical between runs.  The terms must be finite,
+    as quadrature.assemble checks: a non-finite term gives NaN."""
     if not isinstance(x, DD):
         x = DD(np.ravel(x))
     return float(ddmath.dd_sum(x).to_float())
@@ -167,8 +131,7 @@ def log_gamma(z):
     and returns the matching kind.  Raises ValueError off the right
     half-plane; use :func:`reciprocal_gamma` there instead.
     """
-    re = _real_part(z)
-    if not np.all(re > 0.0):
+    if not np.all(leading(z.re if isinstance(z, CDD) else z).real > 0.0):
         raise ValueError("log_gamma requires Re(z) > 0; use reciprocal_gamma "
                          "for the rest of the plane")
     if isinstance(z, (DD, CDD)):
@@ -186,43 +149,38 @@ def log_gamma(z):
     return (z + 0.5) * _log(y) - y + ln_sqrt_2pi + _log(series) - _log(z)
 
 
-def _csin(z):
-    return ddmath.csin(to_extended(z)) if is_extended(z) else np.sin(z)
-
-
 def _sinpi(z):
     """sin(pi z) of a complex z, reduced about the nearest integer; exact
     zeros at integers."""
-    n = np.round(_real_part(z))
-    s = _csin((z - n) * constant(ddmath.PI, z))
-    return s * np.where(np.mod(n, 2.0) == 0, 1.0, -1.0)
+    n = np.round(z.real)
+    return np.sin((z - n) * np.pi) * np.where(np.mod(n, 2.0) == 0, 1.0, -1.0)
 
 
 def reciprocal_gamma(z):
-    """1/Gamma(z), entire in z.
+    """1/Gamma(z), entire in z, for float or complex input (standard kind).
 
     Uses exp(-log_gamma) on the right half-plane and the reflection
     1/Gamma(z) = Gamma(1-z) sin(pi z)/pi elsewhere, which gives exact zeros
-    at z = 0, -1, -2, ...
+    at z = 0, -1, -2, ...  A DD or CDD argument raises TypeError, as numpy
+    does for any object it cannot read as a complex number.
     """
     scalar_in = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    z = to_extended(z) if is_extended(z) else np.atleast_1d(
-        np.asarray(z, dtype=np.complex128))
-    neg = _real_part(z) <= 0.0
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    neg = z.real <= 0.0
     # each lane's unused branch sees a harmless argument
-    out = exp(-log_gamma(select(neg, 1.0, z)))
+    out = np.exp(-log_gamma(np.where(neg, 1.0, z)))
     if np.any(neg):
-        refl = exp(log_gamma(select(neg, 1.0 - z, 1.0))) * \
-            _sinpi(select(neg, z, 0.0)) / constant(ddmath.PI, z)
-        out = select(neg, refl, out)
-    if not np.all(np.isfinite(leading(out))):
+        refl = np.exp(log_gamma(np.where(neg, 1.0 - z, 1.0))) * \
+            _sinpi(np.where(neg, z, 0.0)) / np.pi
+        out = np.where(neg, refl, out)
+    if not np.all(np.isfinite(out)):
         raise OverflowError("reciprocal_gamma overflowed; argument too large")
     return out[0] if scalar_in else out
 
 
 def principal_sqrt(z):
     """Principal square root: branch cut on the negative real axis, Re >= 0."""
-    if isinstance(z, (DD, CDD)):
-        return ddmath.csqrt(z if isinstance(z, CDD) else CDD(z))
+    if is_extended(z):
+        return ddmath.csqrt(CDD.coerce(z))
     out = np.sqrt(np.asarray(z, dtype=np.complex128))
     return complex(out) if out.ndim == 0 else out

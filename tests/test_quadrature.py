@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcrevival.ddmath as dd
-from jcrevival import special
+from jcrevival.ddmath import CDD, DD
 from jcrevival.errors import IntegrandError
-from jcrevival.quadrature import QuadratureSpec, integrate
+from jcrevival.quadrature import QuadratureSpec, assemble, build_grid, integrate
 
 
 def test_simpson_exact_through_cubics():
@@ -97,14 +97,6 @@ def test_non_finite_sample_reports_abscissa():
         assert str(err.value).endswith("x = 0.0")
 
 
-def test_origin_value_replaces_removable_singularity():
-    spec = QuadratureSpec("simpson", step=1e-3)
-    with np.errstate(invalid="ignore"):
-        r = integrate(lambda x: np.sin(x) / x, 0.0, 1.0, spec, origin_value=1.0)
-    want = 0.946083070367183  # Si(1)
-    assert abs(r.value - want) < 1e-12
-
-
 def test_incompatible_step_is_an_error():
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, 1.0, QuadratureSpec("simpson", step=5.0))
@@ -125,29 +117,21 @@ def test_reversed_bounds_rejected():
 def test_extended_kind_agrees_with_standard():
     spec_s = QuadratureSpec("bode", step=1e-3)
     spec_e = QuadratureSpec("bode", step=1e-3, precision_kind="extended")
-    cases = [
-        (lambda x: np.exp(-x) * np.cos(3.0 * x),
-         lambda x: dd.exp(-x) * dd.cos(x * 3.0), None),
-        # complex with a removable 0/0 at the origin, replaced by its
-        # known limit: e^{-x} (e^{3ix} - 1) / x -> 3i
-        (lambda x: np.exp(-x) * np.expm1(3j * x) / x,
-         lambda x: special.exp(-x) * (special.exp(special.complex_of(
-             0.0 * x, x * 3.0)) - 1.0) / x, 3j),
-    ]
-    for f_s, f_e, origin in cases:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = integrate(f_s, 0.0, 10.0, spec_s, origin_value=origin)
-            b = integrate(f_e, 0.0, 10.0, spec_e, origin_value=origin)
-        assert abs(a.value - b.value) < 1e-14
-        assert b.cancellation_magnitude == pytest.approx(
-            a.cancellation_magnitude, rel=1e-12)
+    a = integrate(lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 10.0, spec_s)
+    b = integrate(lambda x: dd.exp(-x) * dd.cos(x * 3.0), 0.0, 10.0, spec_e)
+    assert abs(a.value - b.value) < 1e-14
+    assert b.cancellation_magnitude == pytest.approx(
+        a.cancellation_magnitude, rel=1e-12)
 
 
-def test_complex_integrand():
-    spec = QuadratureSpec("simpson", step=1e-3)
-    r = integrate(lambda x: np.exp(1j * x), 0.0, np.pi, spec)
-    assert abs(r.value - 2j) < 1e-12
-    # plain complex samples on an extended grid keep their imaginary part
-    spec = QuadratureSpec("simpson", step=1e-3, precision_kind="extended")
-    r = integrate(lambda x: np.exp(1j * x.hi), 0.0, np.pi, spec)
-    assert abs(r.value - 2j) < 1e-12
+@pytest.mark.parametrize("kind", ["standard", "extended"])
+def test_complex_samples_are_refused(kind):
+    # a real sum of complex samples would drop their imaginary part
+    spec = QuadratureSpec("simpson", step=0.25, precision_kind=kind)
+    grid = build_grid(0.0, 1.0, spec)
+    x = grid.x.hi if kind == "extended" else grid.x
+    for samples in (np.exp(1j * x), CDD(DD(x), DD(x))):
+        with pytest.raises(TypeError):
+            assemble(samples, grid)
+        with pytest.raises(TypeError):
+            integrate(lambda _: samples, 0.0, 1.0, spec)

@@ -120,18 +120,29 @@ def test_kind_primitives_keep_the_kind_and_agree_with_numpy(extended):
 def test_extended_matches_standard_to_15_digits():
     for z in (1 + 1j, 2.5 - 3j, 0.3 + 0.1j, 7.0 + 0j):
         std = special.log_gamma(z)
-        ext = special.log_gamma(special.to_extended(z)).to_complex()
+        ext = special.log_gamma(CDD.coerce(z)).to_complex()
         assert abs(std - ext) <= 5e-15 * max(abs(std), 1.0)
-        std_r = special.reciprocal_gamma(np.array([z]))[0]
-        ext_r = special.reciprocal_gamma(special.to_extended(z)).to_complex()
-        assert abs(std_r - ext_r) <= 5e-14 * abs(std_r)
 
 
-def test_extended_reflection_and_poles():
-    got = special.reciprocal_gamma(CDD(DD(-0.5), DD(0.0))).to_complex()
-    assert got.real == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-9)
-    pole = special.reciprocal_gamma(CDD(DD(-3.0), DD(0.0))).to_complex()
-    assert pole == 0.0
+def test_reciprocal_gamma_refuses_the_extended_kind():
+    for z in (DD(0.5), DD(np.array([-0.5, 2.0])), CDD(DD(-0.5), DD(1.0))):
+        with pytest.raises(TypeError):
+            special.reciprocal_gamma(z)
+
+
+def test_reciprocal_gamma_reflection_vs_mpmath(rng):
+    # Re z <= 0 takes the reflection; the poles come out as exact zeros.
+    # What is left is the Lanczos series error of ln Gamma(1 - z).
+    re = np.concatenate([rng.uniform(-10.0, 0.0, 200), np.arange(-10.0, 0.5),
+                         np.arange(-9.5, 0.0)])
+    im = np.concatenate([rng.uniform(-3.0, 3.0, 200), np.zeros(21)])
+    got = special.reciprocal_gamma(re + 1j * im)
+    for zr, zi, g in zip(re, im, got):
+        if zi == 0.0 and zr == round(zr):
+            assert g == 0.0, zr
+            continue
+        want = mp.rgamma(mp.mpc(zr, zi))
+        assert abs(complex(want) - g) <= 1e-10 * abs(want), (zr, zi)
 
 
 def test_lanczos_coefficients_are_the_published_set():
@@ -199,20 +210,9 @@ def test_compensated_sum_holds_planted_cancellation(terms):
     assert special.compensated_sum(DD(x)).hex() == total.hex()
 
 
-@given(cancelling_terms(), cancelling_terms())
-@settings(max_examples=50, deadline=None)
-def test_compensated_sum_adds_complex_parts_separately(re, im):
-    n = min(len(re), len(im))
-    re, im = np.array(re[:n]), np.array(im[:n])
-    got = special.compensated_sum(re + 1j * im)
-    assert got == complex(special.compensated_sum(re), special.compensated_sum(im))
-    ext = special.compensated_sum(CDD(DD(re), DD(im)))
-    assert ext == got
-
-
 def test_compensated_sum_of_no_one_and_an_odd_count_of_terms():
     assert special.compensated_sum(np.array([])) == 0.0
     assert special.compensated_sum(DD(np.array([]))) == 0.0
     assert special.compensated_sum(np.array([2.5])) == 2.5
     assert special.compensated_sum(np.array([1e16, 1.0, -1e16])) == 1.0
-    assert special.compensated_sum(np.array([1e16, 1.0, -1e16, 3j, 0.5])) == 1.5 + 3j
+    assert special.compensated_sum(np.array([1e16, 1.0, -1e16, 3.0, 0.5])) == 4.5

@@ -22,12 +22,10 @@ _EXPORTS = {
         "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
         "ThetaResult", "abel_plana_identity", "const_plateau",
         "correction_integrand_probe", "correction_origin", "detuned_profile",
-        "envelope_approximation", "envelope_factor", "i1_integral",
-        "i2_integral", "j1_integral", "j2_integral", "p1_correction",
-        "p2_correction", "perturbative_strength", "pg_series", "pg_thermal",
-        "q_g", "resonant_profile", "sigma_z_integral",
-        "sigma_z_resonant_integral", "sigma_z_series",
-        "sigma_z_series_resonant", "theta_of_beta"), "jcm"),
+        "envelope_approximation", "envelope_factor", "j2_integral",
+        "p1_correction", "p2_correction", "perturbative_strength",
+        "pg_series", "pg_thermal", "q_g", "resonant_profile",
+        "sigma_z_series", "sigma_z_series_resonant", "theta_of_beta"), "jcm"),
     **dict.fromkeys(("IntegralResult", "QuadratureSpec", "integrate"),
                     "quadrature"),
     **dict.fromkeys(("log_gamma", "principal_sqrt", "reciprocal_gamma"),

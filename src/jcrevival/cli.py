@@ -245,9 +245,6 @@ def _thermal_chunk(payload: dict) -> dict:
     cfg = payload["cfg"]
     ts = np.asarray(payload["t"])
     kind, escalation = cfg.precision_plan()
-    if escalation == "ignore":
-        # no status column can mark an over-budget row, so refuse it
-        escalation = "raise"
     # the parent process reports the regime and any breakdown rows
     p1, p2, pth = jcm._thermal_terms(
         ts, cfg.jcm_config(), cfg.thermal_config(), cfg.mode,

@@ -327,11 +327,8 @@ class _LineFamily:
         self.a0, self.a1 = w * b0, w * b1
 
     def integral(self, big_t: float) -> IntegralResult:
-        if big_t == 0.0:
-            samples = self.a0 + self.a1
-        else:
-            phase = self.sqrt_arg * (2.0 * big_t)
-            samples = self.a0 + self.a1 * special.cos(phase)
+        phase = self.sqrt_arg * (2.0 * big_t)
+        samples = self.a0 + self.a1 * special.cos(phase)
         return quadrature.assemble(samples, self.grid)
 
 
@@ -457,9 +454,9 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
     One family serves every row; the extended family is built the first
     time a row exceeds the standard budget under "escalate" and reused for
     every later such row.  A row that no permitted kind can hold raises
-    PrecisionLossError under "raise", and under "escalate" too when refuse
-    is set; otherwise it is marked.  Returns the arrays (values,
-    cancellation, escalated, over_budget).
+    PrecisionLossError under "raise", and under every policy when refuse
+    is set (a caller that cannot mark the row); otherwise it is marked.
+    Returns the arrays (values, cancellation, escalated, over_budget).
     """
     eff = _peak_aware(spec, float(big_ts.max(initial=0.0)))
     fam = _CorrectionFamily(cfg, l, eff, j_form=j_form)
@@ -479,8 +476,7 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
             res, kind = fam_ext.integral(big_t), "extended"
             escalated[i] = True
         over[i] = res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
-        if over[i] and (escalation == "raise"
-                        or (refuse and escalation == "escalate")):
+        if over[i] and (refuse or escalation == "raise"):
             raise PrecisionLossError(
                 f"cancellation magnitude {res.cancellation_magnitude:.3g} "
                 f"exceeds the {kind} precision budget "
@@ -523,37 +519,6 @@ def _peak_aware(spec: QuadratureSpec, big_t: float) -> QuadratureSpec:
 # integral representations (scalar operations)
 # ---------------------------------------------------------------------------
 
-def i1_integral(l: int, t: float, cfg: JcmConfig,
-                spec: QuadratureSpec = DEFAULT_X_SPEC) -> float:
-    """Line integral I1^(l)(t) of the shifted-bracket family."""
-    _require_nonnegative_time(t)
-    fam = _LineFamily(cfg, l, spec)
-    return fam.integral(abs(cfg.kappa) * float(t)).value
-
-
-def i2_integral(l: int, t: float, cfg: JcmConfig,
-                spec: QuadratureSpec = DEFAULT_Y_SPEC,
-                escalation: Escalation = "raise") -> float:
-    """Correction integral I2^(l)(t); may escalate per the policy."""
-    _require_nonnegative_time(t)
-    big_ts = np.asarray([abs(cfg.kappa) * float(t)])
-    return float(_correction_sweep(cfg, l, big_ts, spec, escalation,
-                                   refuse=True)[0][0])
-
-
-def j1_integral(t: float, cfg: JcmConfig,
-                spec: QuadratureSpec = DEFAULT_X_SPEC) -> float:
-    """Collapse integral J1(t) = -e^{-a^2} integral of w(x) cos(2 sqrt(x) T).
-
-    Resonant only; tracks the initial collapse and stays near zero through
-    the revival window.
-    """
-    _require_resonant(cfg)
-    _require_nonnegative_time(t)
-    fam = _LineFamily(cfg, 0, spec, j_form=True)
-    return -math.exp(-cfg.alpha ** 2) * fam.integral(abs(cfg.kappa) * float(t)).value
-
-
 def j2_integral(t: float, cfg: JcmConfig,
                 spec: QuadratureSpec = DEFAULT_Y_SPEC,
                 escalation: Escalation = "raise") -> float:
@@ -575,27 +540,6 @@ def _require_resonant(cfg: JcmConfig):
     if cfg.delta_omega != 0.0:
         raise ValueError("the J decomposition is defined on resonance "
                          "(delta_omega = 0) only")
-
-
-def sigma_z_integral(t: float, cfg: JcmConfig,
-                     x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-                     y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
-                     escalation: Escalation = "raise") -> float:
-    """Inversion from the general integral representation
-    1 - e^{-a^2} [1 + 2 I1^(0) - 4 I2^(0)]."""
-    i1 = i1_integral(0, t, cfg, x_spec)
-    i2 = i2_integral(0, t, cfg, y_spec, escalation)
-    return 1.0 - math.exp(-cfg.alpha ** 2) * (1.0 + 2.0 * i1 - 4.0 * i2)
-
-
-def sigma_z_resonant_integral(t: float, cfg: JcmConfig,
-                              x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-                              y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
-                              escalation: Escalation = "raise") -> float:
-    """Resonant assembly -e^{-a^2}/2 + J1(t) + J2(t)."""
-    return (-0.5 * math.exp(-cfg.alpha ** 2)
-            + j1_integral(t, cfg, x_spec)
-            + j2_integral(t, cfg, y_spec, escalation))
 
 
 def const_plateau(cfg: JcmConfig,
@@ -681,7 +625,8 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
     """Shifted-index ground-state weight Q_g^(l)(t); Q^(0) is P_g itself.
 
     series mode sums the summand f(c + n + l) of _bracket with Poisson
-    weights; integral mode assembles e^{-a^2} [f(c + l)/2 + I1^(l) - 2 I2^(l)].
+    weights; integral mode assembles e^{-a^2} [f(c + l)/2 + I1^(l) - 2 I2^(l)]
+    and raises PrecisionLossError on a row past the budget under every policy.
     """
     _require_nonnegative_time(t)
     if mode == "series":
@@ -722,15 +667,10 @@ def _thermal_terms(t, cfg: JcmConfig, thermal: ThermalConfig, mode: Mode,
         return p1, None, None
     a2 = cfg.alpha ** 2
     g2 = g ** 2
-    if g == 0.0:
-        p2 = -2.0 * pg - 2.0 * a2 * q1
-    else:
-        q2 = q_g(2, t, *q_args)
-        p2 = (2.0 * (2.0 * a2 * g2 - g2 - 1.0) * pg
-              - 2.0 * a2 * (4.0 * g2 + 1.0) * q1
-              + 4.0 * a2 * g2 * q2)
-    if thermal.theta == 0.0:
-        return p1, p2, pg
+    q2 = q_g(2, t, *q_args) if g != 0.0 else 0.0
+    p2 = (2.0 * (2.0 * a2 * g2 - g2 - 1.0) * pg
+          - 2.0 * a2 * (4.0 * g2 + 1.0) * q1
+          + 4.0 * a2 * g2 * q2)
     return p1, p2, pg + thermal.theta * p1 + 0.5 * thermal.theta ** 2 * p2
 
 

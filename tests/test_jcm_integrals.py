@@ -53,19 +53,19 @@ def test_origin_limit_detuned_quoted_formula():
 def test_i2_at_zero_real_and_finite():
     for cfg in (jc.JcmConfig(alpha=4.0), jc.JcmConfig(alpha=2.0, delta_omega=3.0)):
         for l in (0, 1, 2):
-            val = jc.i2_integral(l, 0.0, cfg)
+            val = jc.detuned_profile([0.0], cfg, l)["I2"][0]
             assert math.isfinite(val)
 
 
 # --- identities and cross-checks --------------------------------------------
 
 def test_resonant_assembly_at_zero_is_ground_state(cfg4):
-    val = jc.sigma_z_resonant_integral(0.0, cfg4)
+    val = jc.resonant_profile([0.0], cfg4)["sigma_z"][0]
     assert abs(val + 1.0) < 1e-6
 
 
 def test_integral_assembly_at_zero_is_ground_state(cfg4_detuned):
-    val = jc.sigma_z_integral(0.0, cfg4_detuned)
+    val = jc.detuned_profile([0.0], cfg4_detuned)["sigma_z"][0]
     assert abs(val + 1.0) < 1e-6
 
 
@@ -77,14 +77,14 @@ def test_sigma_integral_matches_series_alpha2(series200):
     cfg = jc.JcmConfig(alpha=2.0)
     t = 3.0 * math.pi
     a = jc.sigma_z_series(t, cfg, series200)
-    b = jc.sigma_z_integral(t, cfg)
+    b = jc.detuned_profile([t], cfg)["sigma_z"][0]
     assert abs(a - b) < 1e-5
 
 
 def test_sigma_integral_matches_series_detuned(cfg4_detuned, series200):
     for t in (0.7, 2.0, math.pi):
         a = jc.sigma_z_series(t, cfg4_detuned, series200)
-        b = jc.sigma_z_integral(t, cfg4_detuned)
+        b = jc.detuned_profile([t], cfg4_detuned)["sigma_z"][0]
         assert abs(a - b) < 1e-6
 
 
@@ -92,8 +92,8 @@ def test_i1_at_zero_via_identity():
     # at t = 0 the bracket is 1 + c/(x+c) and for c = 0 exactly the weight,
     # whose half-line integral satisfies the closed-form identity
     cfg = jc.JcmConfig(alpha=1.0)
-    i1 = jc.i1_integral(0, 0.0, cfg)
-    i2 = jc.i2_integral(0, 0.0, cfg)
+    row = jc.detuned_profile([0.0], cfg)
+    i1, i2 = row["I1"][0], row["I2"][0]
     want = -0.25 + 0.5 * math.e  # equals i1/2 - i2 by the identity
     assert abs((0.5 * i1 - i2) - want) < 1e-6
 
@@ -106,7 +106,7 @@ def test_representation_agreement_matrix(alpha, delta_omega, series200):
     cfg = jc.JcmConfig(alpha=alpha, delta_omega=delta_omega)
     for t in (0.5, math.pi, 2.0 * math.pi):
         a = jc.sigma_z_series(t, cfg, series200)
-        b = jc.sigma_z_integral(t, cfg)
+        b = jc.detuned_profile([t], cfg)["sigma_z"][0]
         assert abs(a - b) < 1e-4
 
 
@@ -114,10 +114,10 @@ def test_representation_agreement_extended():
     cfg = jc.JcmConfig(alpha=2.0, delta_omega=2.0)
     t = math.pi
     a = jc.sigma_z_series(t, cfg, jc.SeriesSpec(200))
-    b = jc.sigma_z_integral(
-        t, cfg,
+    b = jc.detuned_profile(
+        [t], cfg, 0,
         dataclasses.replace(X, precision_kind="extended"),
-        dataclasses.replace(Y, precision_kind="extended"))
+        dataclasses.replace(Y, precision_kind="extended"))["sigma_z"][0]
     assert abs(a - b) < 1e-6
 
 
@@ -136,25 +136,25 @@ def test_identity_alpha4_value():
 def test_i1_bounded_for_large_shift(cfg4_detuned):
     # bracket <= 1 + c/(x+c+l) <= 2, so I1 is bounded by twice the weight
     # integral, uniformly in l; I1 at t = 0 on resonance IS that integral
-    bound = 2.0 * jc.i1_integral(0, 0.0, jc.JcmConfig(alpha=4.0))
+    bound = 2.0 * jc.detuned_profile([0.0], jc.JcmConfig(alpha=4.0))["I1"][0]
     for l in (0, 1, 5, 25):
-        val = jc.i1_integral(l, 2.0, cfg4_detuned)
+        val = jc.detuned_profile([2.0], cfg4_detuned, l)["I1"][0]
         assert 0.0 < val < bound
 
 
 def test_alpha_zero_integral_forms_rejected():
     cfg = jc.JcmConfig(alpha=0.0)
     with pytest.raises(ValueError):
-        jc.j1_integral(1.0, cfg)
+        jc.resonant_profile([1.0], cfg)
     with pytest.raises(ValueError):
-        jc.i2_integral(0, 1.0, cfg)
+        jc.detuned_profile([1.0], cfg)
     with pytest.raises(ValueError):
         jc.const_plateau(cfg)
 
 
 def test_j_forms_require_resonance(cfg4_detuned):
     with pytest.raises(ValueError):
-        jc.j1_integral(1.0, cfg4_detuned)
+        jc.resonant_profile([1.0], cfg4_detuned)
     with pytest.raises(ValueError):
         jc.j2_integral(1.0, cfg4_detuned)
 
@@ -228,6 +228,20 @@ def test_j2_ignore_policy_returns_marked_noise(cfg4):
     prof = jc.resonant_profile(np.asarray([8.0 * math.pi]), cfg4,
                                escalation="ignore")
     assert prof["over_budget"][0]
+
+
+def test_unmarked_entries_refuse_over_budget_rows_under_ignore(cfg4):
+    # j2_integral, q_g and the thermal corrections return bare numbers with
+    # no status marker, so "ignore" must not let an over-budget row through
+    t = 9.0 * math.pi
+    thermal = jc.ThermalConfig(theta=0.025, gamma_tilde=1.0)
+    budget = "exceeds the standard precision budget"
+    with pytest.raises(PrecisionLossError, match=budget):
+        jc.j2_integral(t, cfg4, escalation="ignore")
+    with pytest.raises(PrecisionLossError, match=budget):
+        jc.q_g(0, [t], cfg4, "integral", escalation="ignore")
+    with pytest.raises(PrecisionLossError, match=budget):
+        jc.pg_thermal([t], cfg4, thermal, "integral", escalation="ignore")
 
 
 def test_escalating_q_sweep_builds_one_extended_family(cfg4, monkeypatch):
@@ -386,6 +400,18 @@ def test_p2_at_t_zero_closed_form(cfg4, thermal, series200):
     got = jc.p2_correction(0.0, cfg4, thermal, "series", series200)
     assert got == pytest.approx(want, abs=1e-9)
     assert want == -36.0
+
+
+@pytest.mark.parametrize("mode", ["series", "integral"])
+def test_p2_at_gamma_zero_is_the_reduced_formula(cfg4, series200, mode):
+    # the one P2 formula with gamma_tilde = 0 (and Q^(2) never evaluated)
+    # is -2 P_g - 2 a^2 Q^(1), bit for bit
+    th = jc.ThermalConfig(theta=0.025, gamma_tilde=0.0)
+    ts = np.linspace(0.0, 4.0 * math.pi, 9)
+    pg = jc.q_g(0, ts, cfg4, mode, series200)
+    q1 = jc.q_g(1, ts, cfg4, mode, series200)
+    got = jc.p2_correction(ts, cfg4, th, mode, series200)
+    assert np.array_equal(got, -2.0 * pg - 2.0 * cfg4.alpha ** 2 * q1)
 
 
 def test_p2_alpha_zero_is_constant(series200, thermal):

@@ -6,10 +6,15 @@ scalars or ndarrays alike.  The algorithms are the classical error-free
 transformations (Dekker splitting, two-sum/two-prod) plus the elementary
 function schemes of the QD library (Hida, Li & Bailey, ARITH-15, 2001):
 
-* exp and sin/cos reduce the argument to a small interval and sum a
-  fixed-length Taylor polynomial in Horner form; only the terms large
-  enough to reach the pair roundoff are carried as pairs, the rest of the
-  tail is a plain double polynomial;
+* exp and sin/cos are table-driven (Tang, ACM TOMS 15, 1989): the
+  argument is reduced by n ln2/512 or n pi/512, with a three-part constant
+  whose first part times n is exact (Cody & Waite, 1980), to |r| below
+  7e-4 or 3.1e-3; a table entry at n, built once per process at first use,
+  meets a short Taylor polynomial in r.  The tables come from the slow
+  kernels they replace: 2^(j/512) from a squaring exponential, sin/cos of
+  j pi/512 from a long Taylor series on [0, pi/4] and exact symmetries.
+  Each polynomial carries as pairs only the terms that reach the pair
+  roundoff; the rest of its tail is a plain double polynomial;
 * log and atan2 take one Newton step from the double seed: the seed is
   good to ~1e-16 and convergence is at least quadratic, so one step
   reaches the pair roundoff;
@@ -22,6 +27,7 @@ same sequence of floating-point operations, so results are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,7 +42,6 @@ _SQUARE_SAFE = (2.0 ** -450, 2.0 ** 450)
 
 # (hi, lo) pairs; lo is the exact double-rounding residual of the constant.
 TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
-PI_OVER_2 = (1.5707963267948966, 6.123233995736766e-17)
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 LN_SQRT_2PI = (0.9189385332046728, -3.8782941580672414e-17)
 
@@ -66,6 +71,19 @@ def _two_prod(a, b):
     bhi, blo = _split(b)
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, err
+
+
+def _mul(x: DD, y: DD) -> DD:
+    """x * y for leading words below _SPLIT_MAX."""
+    p, e = _two_prod(x.hi, y.hi)
+    return DD(*_quick_two_sum(p, e + (x.hi * y.lo + x.lo * y.hi)))
+
+
+def _add(x: DD, y: DD) -> DD:
+    """x + y to within about eps^2 (|x| + |y|), by one two-sum of the
+    leading words (the QD library's sloppy add, as in dd_sum)."""
+    s, e = _two_sum(x.hi, y.hi)
+    return DD(*_quick_two_sum(s, e + (x.lo + y.lo)))
 
 
 def _past_split(a) -> bool:
@@ -149,10 +167,7 @@ class DD:
             other = DD(other)
         if _past_split(self.hi) or _past_split(other.hi):
             return _mul_wide(self, other)
-        p, e = _two_prod(self.hi, other.hi)
-        e = e + (self.hi * other.lo + self.lo * other.hi)
-        hi, lo = _quick_two_sum(p, e)
-        return DD(hi, lo)
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -181,6 +196,35 @@ class DD:
         return DD(np.ldexp(self.hi, k), np.ldexp(self.lo, k))
 
 
+def _complex(re, im):
+    """re + i im as a complex array, exact where re + 1j * im forms inf * 0."""
+    w = np.zeros(np.broadcast(re, im).shape, complex)
+    w.real, w.imag = re, im
+    return w
+
+
+def _numpy_at_infinity(np_fn):
+    """Decorate a complex kernel: lanes where a part of an argument is
+    infinite take np_fn of the leading words, numpy's C99 special cases and
+    all, while the kernel sees 1 there, so that no inf - inf forms.  Without
+    such a lane the kernel runs on the arguments as they are."""
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def run(*zs):
+            zs = [CDD.coerce(z) for z in zs]
+            inf = functools.reduce(np.logical_or, [
+                np.isinf(p.hi) for z in zs for p in (z.re, z.im)])
+            if not np.any(inf):
+                return kernel(*zs)
+            out = kernel(*(CDD(where(inf, 1.0, z.re), where(inf, 0.0, z.im))
+                           for z in zs))
+            with np.errstate(all="ignore"):
+                v = np_fn(*(_complex(z.re.hi, z.im.hi) for z in zs))
+            return CDD(where(inf, v.real, out.re), where(inf, v.imag, out.im))
+        return run
+    return decorate
+
+
 class CDD:
     """A complex double-double number (vectorized)."""
 
@@ -200,7 +244,7 @@ class CDD:
         return self.im
 
     def to_complex(self):
-        return self.re.to_float() + 1j * self.im.to_float()
+        return _complex(self.re.to_float(), self.im.to_float())[()]
 
     def __repr__(self):
         return f"CDD({self.re!r}, {self.im!r})"
@@ -240,9 +284,9 @@ class CDD:
 
     __rmul__ = __mul__
 
+    @_numpy_at_infinity(np.divide)
     def __truediv__(self, other):
         # z / w = z conj(w') / |w'|^2 2^-k with w' = w 2^-k
-        other = self.coerce(other)
         re, im, d, k = _square_sum(other.re, other.im)
         q = CDD((self.re * re + self.im * im) / d, (self.im * re - self.re * im) / d)
         if k is None:
@@ -313,12 +357,20 @@ def sqrt(a: DD) -> DD:
     return out
 
 
-# Taylor coefficients 1/k! of e^r - 1 past the linear term.  After the 9
-# squarings of exp, which amplify the error of e^r by 512, only the terms
-# through r^5 (|r| <= 6.8e-4) still reach the pair roundoff: those are
-# pairs, 1/2 .. 1/120, and r^6 .. r^11 are summed as plain doubles.
+# Taylor coefficients of e^r - 1 past r, and the doubles that take over
+# once a term lies below the pair roundoff: on exp's reduced |r| <= 6.8e-4,
+# pairs 1/2 .. 1/24 and doubles r^5 .. r^9; for the table, whose 9 squarings
+# amplify the error of e^r by 512, pairs through 1/120 and doubles to r^11.
 _EXP_DD = [DD(1.0) / DD(float(math.factorial(k))) for k in range(2, 6)]
 _EXP_TAIL = [1 / math.factorial(k) for k in range(6, 12)]
+_EXP_R_TAIL = [1 / math.factorial(k) for k in range(5, 10)]
+# ln2/512 and pi/512 in three parts (Cody & Waite): the first of ln 2 has
+# 32 significant bits and that of pi/2 26, so n times it is exact for
+# |n| < 2^21 and 2^27; the sum of the three is good to about 1e-42.
+_LN2_512 = tuple(c / 512 for c in (0.6931471803691238, 1.9082149292705877e-10,
+                                   1.1612227229362532e-26))
+_PI_512 = tuple(c / 256 for c in (1.5707963109016418, 1.5893254773528196e-08,
+                                  6.36831716351095e-25))
 
 
 def _dd_horner(x: DD, coeffs, tail):
@@ -330,29 +382,52 @@ def _dd_horner(x: DD, coeffs, tail):
     t = tail[-1]
     for c in reversed(tail[:-1]):
         t = t * x.hi + c
-    u = coeffs[-1] + x.hi * t
+    u = _add(coeffs[-1], DD(x.hi * t))
     for c in reversed(coeffs[:-1]):
-        u = c + x * u
+        u = _add(c, _mul(x, u))
     return u
 
 
-def exp(a: DD) -> DD:
-    """Exponential: reduce by ln 2, Taylor on r/512, then square out."""
-    m = np.clip(np.round(a.hi / LN2[0]), -1100.0, 1100.0)
-    r = (a - DD(m) * DD.from_pair(LN2)).scale_pow2(-9)
-    # e^r - 1 = r + r^2 (1/2 + r/6 + ...)
-    s = r + (r * r) * _dd_horner(r, _EXP_DD, _EXP_TAIL)
-    # (1+s)^512 - 1, tracked without the leading 1
+def _reduce(a: DD, n, c):
+    """a - n (c[0] + c[1] + c[2]) for whole n with n c[0] near a.hi: that
+    product is exact and within a factor 2 of a.hi, so the difference is
+    exact too; n c[1] enters as an exact pair.  At a = 0 it gives -n c."""
+    s, e = _two_sum(a.hi - n * c[0], a.lo)
+    p, f = _two_prod(n, c[1])
+    return _add(DD(s, e), DD(-p, -(f + n * c[2])))
+
+
+@functools.cache
+def _exp_table():
+    """(hi, lo) rows of 2^(j/512) = 2^m e^r, j = 0..511, m = 0 or 1, by the
+    squaring exponential: (1 + s)^512 - 1 at s = e^(r/512) - 1."""
+    m = np.arange(512) // 256
+    r = -_reduce(DD(np.zeros(512)), np.arange(512.0) - 512 * m, _LN2_512)
+    s = r.scale_pow2(-9)
+    s = s + (s * s) * _dd_horner(s, _EXP_DD, _EXP_TAIL)
     for _ in range(9):
         s = s * s + s.scale_pow2(1)
-    out = s + 1.0
+    t = (s + 1.0).scale_pow2(m)
+    return np.stack([t.hi, t.lo])
+
+
+def exp(a: DD) -> DD:
+    """Exponential, table-driven (Tang, ACM TOMS 15, 1989): with
+    n = round(512 a / ln 2) = 512 m + j and r = a - n ln2/512,
+    e^a = 2^m 2^(j/512) e^r.  Outside (-746, 709.8) and at NaN it is
+    np.exp's 0, inf or NaN, with no floating-point warnings."""
+    ok = (a.hi > -746.0) & (a.hi < 709.8)
+    edge = not ok.all()
+    if edge:
+        lead, a = a.hi, where(ok, a, 0.0)
+    n = np.round(a.hi * (512 / LN2[0]))
+    r = _reduce(a, n, _LN2_512)
+    s = _add(r, _mul(_mul(r, r), _dd_horner(r, _EXP_DD[:3], _EXP_R_TAIL)))
+    k = n.astype(np.int64)
+    t = DD(*np.take(_exp_table(), k & 511, axis=1))
     with np.errstate(over="ignore", under="ignore"):
-        out = DD(np.ldexp(out.hi, m.astype(np.int64)),
-                 np.ldexp(out.lo, m.astype(np.int64)))
-    # IEEE edge behaviour: underflow to 0, overflow to inf
-    out = where(a.hi < -745.0, DD(np.zeros_like(a.hi)), out)
-    out = where(a.hi > 709.8, DD(np.full_like(a.hi, np.inf)), out)
-    return out
+        out = _add(t, _mul(t, s)).scale_pow2(k >> 9)
+        return where(ok, out, DD(np.exp(lead))) if edge else out
 
 
 def log(a: DD) -> DD:
@@ -377,32 +452,55 @@ def log(a: DD) -> DD:
 
 
 # Taylor coefficients (-1)^k/(2k+1)! of sin and (-1)^k/(2k)! of cos past
-# the leading term, through r^31 and r^30.  On |r| <= pi/4 the terms
-# through r^16 reach the pair roundoff and are pairs; the rest are doubles.
+# the leading term, pairs while a term reaches the pair roundoff: on the
+# table's [0, pi/4] through r^16, with doubles to r^31; on sincos's reduced
+# |r| <= pi/1024 through 1/120 and 1/24, with doubles to r^9 and r^10.
 _SIN_DD = [DD(float((-1) ** k)) / DD(float(math.factorial(2 * k + 1)))
            for k in range(1, 8)]
 _SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 1) for k in range(8, 16)]
 _COS_DD = [DD(float((-1) ** k)) / DD(float(math.factorial(2 * k)))
            for k in range(1, 9)]
 _COS_TAIL = [(-1) ** k / math.factorial(2 * k) for k in range(9, 16)]
+_SIN_R_TAIL = [(-1) ** k / math.factorial(2 * k + 1) for k in range(3, 5)]
+_COS_R_TAIL = [(-1) ** k / math.factorial(2 * k) for k in range(3, 6)]
 
 
-def _sincos_taylor(r: DD):
-    # |r| <= pi/4; fixed-length odd/even polynomials in r^2
+@functools.cache
+def _sincos_table():
+    """(hi, lo) rows of sin and of cos at j pi/512, j = 0..1023: Taylor on
+    [0, pi/4], then sin(pi/2 - x) = cos x and the quarter turns."""
+    r = -_reduce(DD(np.zeros(129)), np.arange(129.0), _PI_512)
     r2 = r * r
     s = r + (r * r2) * _dd_horner(r2, _SIN_DD, _SIN_TAIL)
     c = r2 * _dd_horner(r2, _COS_DD, _COS_TAIL) + 1.0
-    return s, c
+    s, c = np.stack([s.hi, s.lo]), np.stack([c.hi, c.lo])
+    s, c = (np.concatenate([s, c[:, 127:0:-1]], axis=1),
+            np.concatenate([c, s[:, 127:0:-1]], axis=1))
+    return (np.concatenate([s, c, -s, -c], axis=1),
+            np.concatenate([c, -s, -c, s], axis=1))
 
 
 def sincos(a: DD):
-    """(sin a, cos a) with shared reduction modulo pi/2."""
-    k = np.round(a.hi / PI_OVER_2[0])
-    r = a - DD(k) * DD.from_pair(PI_OVER_2)
-    s0, c0 = _sincos_taylor(r)
-    q = np.mod(k, 4.0)
-    sin_out = where(q == 0, s0, where(q == 1, c0, where(q == 2, -s0, -c0)))
-    cos_out = where(q == 0, c0, where(q == 1, -s0, where(q == 2, -c0, s0)))
+    """(sin a, cos a), table-driven: with n = round(512 a / pi), r =
+    a - n pi/512 and (S, C) = (sin, cos)(n pi/512), sin a = S + (C sin r +
+    S (cos r - 1)) and cos a = C - (S sin r - C (cos r - 1)), whose small
+    corrections add almost no rounding error.  NaN, with no floating-point
+    warnings, where a is not finite or |a| >= 2^18 pi (n >= 2^27)."""
+    ok = np.abs(a.hi) < 2.0 ** 18 * math.pi
+    edge = not ok.all()
+    if edge:
+        a = where(ok, a, 0.0)
+    n = np.round(a.hi * (512 / math.pi))
+    r = _reduce(a, n, _PI_512)
+    r2 = _mul(r, r)
+    s = _add(r, _mul(_mul(r, r2), _dd_horner(r2, _SIN_DD[:2], _SIN_R_TAIL)))
+    cm1 = _mul(r2, _dd_horner(r2, _COS_DD[:2], _COS_R_TAIL))
+    j = n.astype(np.int64) & 1023
+    big_s, big_c = (DD(*np.take(table, j, axis=1)) for table in _sincos_table())
+    sin_out = _add(big_s, _add(_mul(big_c, s), _mul(big_s, cm1)))
+    cos_out = _add(big_c, _add(_mul(big_c, cm1), _mul(big_s, -s)))
+    if edge:
+        return where(ok, sin_out, np.nan), where(ok, cos_out, np.nan)
     return sin_out, cos_out
 
 
@@ -460,6 +558,7 @@ def cexp(z: CDD) -> CDD:
     return CDD(r * c, r * s)
 
 
+@_numpy_at_infinity(np.log)
 def clog(z: CDD) -> CDD:
     *_, s, k = _square_sum(z.re, z.im)
     log_r = log(s).scale_pow2(-1)
@@ -468,6 +567,7 @@ def clog(z: CDD) -> CDD:
     return CDD(log_r, atan2(z.im, z.re))
 
 
+@_numpy_at_infinity(np.sqrt)
 def csqrt(z: CDD) -> CDD:
     """Principal square root: branch cut on the negative real axis.  As in
     atan2, a term that underflows is below what the pair can hold."""

@@ -1,8 +1,12 @@
 """Double-double arithmetic against mpmath and exactness properties."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -252,12 +256,15 @@ def test_hypot_of_an_infinite_part_is_inf():
     np.testing.assert_array_equal(got.hi, np.hypot(x, y))
 
 
-def test_vectorized_matches_scalar():
-    xs = np.array([0.3, 1.7, -2.5])
-    vec = ddmath.exp(DD(xs))
-    for i, x in enumerate(xs):
-        one = ddmath.exp(DD(float(x)))
-        assert vec.hi[i] == float(one.hi) and vec.lo[i] == float(one.lo)
+def test_vectorized_matches_scalar(rng):
+    xs = np.concatenate([[0.3, 1.7, -2.5, 0.0, -0.0, 1e-300],
+                         rng.uniform(-700.0, 700.0, 30)])
+    x = DD(xs, xs * 1e-17)
+    vec = [ddmath.exp(x), *ddmath.sincos(x)]
+    for i, (h, l) in enumerate(zip(xs, xs * 1e-17)):
+        one = [ddmath.exp(DD(h, l)), *ddmath.sincos(DD(h, l))]
+        for v, scalar in zip(vec, one):
+            assert v.hi[i] == scalar.hi and v.lo[i] == scalar.lo, h
 
 
 def test_dd_sum_pairwise_deterministic_and_accurate():
@@ -297,3 +304,118 @@ def test_csqrt_branch_matches_numpy():
 def test_exp_extremes():
     assert float(ddmath.exp(DD(-800.0)).hi) == 0.0
     assert math.isinf(float(ddmath.exp(DD(710.0)).hi))
+
+
+# The table-driven exp and sincos: tables, reductions and edges.
+
+def test_exp_table_vs_mpmath():
+    table = ddmath._exp_table()
+    for j in range(512):
+        want = mp.power(2, mp.mpf(j) / 512)
+        assert abs(as_mp(DD(*table[:, j])) / want - 1) < 2.5e-32, j
+
+
+def test_sincos_table_vs_mpmath():
+    sin_t, cos_t = ddmath._sincos_table()
+    for j in range(1024):
+        x = j * mp.pi / 512
+        assert abs(as_mp(DD(*sin_t[:, j])) - mp.sin(x)) < 2e-32, j
+        assert abs(as_mp(DD(*cos_t[:, j])) - mp.cos(x)) < 2e-32, j
+
+
+def test_exp_vs_mpmath_to_4e_32_from_minus_600_to_709(rng):
+    xs = np.concatenate([rng.uniform(-600.0, 709.0, 400), [-600.0, 709.0]])
+    for x, got in zip(xs, _pairs(ddmath.exp(DD(xs)))):
+        assert abs(as_mp(got) / mp.exp(mp.mpf(x)) - 1) < 4e-32, x
+
+
+def test_sincos_vs_mpmath_to_3e_32_up_to_2e3(rng):
+    xs = np.concatenate([rng.uniform(-2e3, 2e3, 400), [2e3, -2e3, 0.0]])
+    s, c = ddmath.sincos(DD(xs))
+    for x, si, ci in zip(xs, _pairs(s), _pairs(c)):
+        assert abs(as_mp(si) - mp.sin(mp.mpf(x))) < 3e-32, x
+        assert abs(as_mp(ci) - mp.cos(mp.mpf(x))) < 3e-32, x
+
+
+def _around(step, ns):
+    """Doubles one ulp either side of n step, and either side of the
+    rounding boundary (n + 1/2) step, for each n."""
+    xs = []
+    for n in ns:
+        for centre in (n * step, (n + mp.mpf(0.5)) * step):
+            x = float(centre)
+            xs += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.array(xs)
+
+
+def test_reductions_at_and_between_the_table_points():
+    # n = 511 -> 512 wraps j to 0 and carries into m; -513 -> -512 back
+    ns = [-400000, -513, -512, -1, 0, 1, 255, 511, 512, 1023, 1024, 300000]
+    xs = _around(mp.log(2) / 512, ns)
+    n = np.round(xs * (512 / ddmath.LN2[0]))
+    assert {511, 512, -513, -512} <= set(n)
+    for x, got in zip(xs, _pairs(ddmath.exp(DD(xs)))):
+        assert abs(as_mp(got) / mp.exp(mp.mpf(x)) - 1) < 4e-32, x
+    # n stays below 2^27, where n times the first part of pi/512 is exact
+    xs = _around(mp.pi / 512, [n for n in ns if abs(n) < 2e5] + [-1023, -1024,
+                                                                 2 ** 27 - 1])
+    s, c = ddmath.sincos(DD(xs))
+    for x, si, ci in zip(xs, _pairs(s), _pairs(c)):
+        assert abs(as_mp(si) - mp.sin(mp.mpf(x))) < 3e-32, x
+        assert abs(as_mp(ci) - mp.cos(mp.mpf(x))) < 3e-32, x
+
+
+def test_exp_and_sincos_edges_match_numpy_without_warnings():
+    xs = np.array([np.nan, np.inf, -np.inf, 709.8, 710.0, -745.0, -746.0, 1.0])
+    got = _quietly(lambda: ddmath.exp(DD(xs)))
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.exp(xs)
+    np.testing.assert_array_equal(got.hi[:-1], want[:-1])
+    assert abs(as_mp(DD(got.hi[-1], got.lo[-1])) - mp.e) < 1e-31
+    # past 2^18 pi, n pi/512 is no longer formed exactly
+    far = DD([np.nan, np.inf, -np.inf, 2.0 ** 18 * math.pi])
+    s, c = _quietly(lambda: ddmath.sincos(far))
+    assert np.isnan(s.hi).all() and np.isnan(c.hi).all()
+    s, c = _quietly(lambda: ddmath.sincos(DD(np.nan)))
+    assert math.isnan(s.hi) and math.isnan(c.hi)
+
+
+def test_infinite_parts_in_clog_csqrt_and_division_match_numpy():
+    # the last lane is finite and keeps the pair's precision
+    x = np.array([np.inf, -np.inf, 3.0, np.inf, -np.inf, np.nan, 0.0, 2.0])
+    y = np.array([0.0, 0.0, np.inf, -np.inf, np.nan, np.inf, -np.inf, 1.0])
+    z, w = CDD(DD(x), DD(y)), ddmath._complex(x, y)
+    one = CDD(DD(1.0))
+    for kernel, np_fn, mp_fn in (
+            (lambda: ddmath.clog(z), np.log, mp.log),
+            (lambda: ddmath.csqrt(z), np.sqrt, mp.sqrt),
+            (lambda: one / z, lambda u: 1.0 / u, lambda u: 1 / u),
+            (lambda: z / one, lambda u: u / 1.0, lambda u: u)):
+        got = _quietly(kernel)
+        with np.errstate(all="ignore"):
+            want = np_fn(w)
+        np.testing.assert_array_equal(got.re.hi[:-1], want.real[:-1])
+        np.testing.assert_array_equal(got.im.hi[:-1], want.imag[:-1])
+        last = mp.mpc(as_mp(_pairs(got.re)[-1]), as_mp(_pairs(got.im)[-1]))
+        assert abs(last - mp_fn(mp.mpc(2, 1))) < 1e-31
+    z = CDD(DD(np.inf), DD(0.0))
+    assert _quietly(lambda: ddmath.clog(z).to_complex()) == np.inf
+
+
+def test_tables_are_built_only_by_a_run_that_needs_them(tmp_path):
+    # a standard-kind run never reaches the double-double exp or sincos
+    out = tmp_path / "o.csv"
+    code = (
+        "from jcrevival import cli, ddmath\n"
+        "cli.main(['integrals', '--alpha', '4', '--t-end', '1.0', '--t-steps', '2',"
+        f" '--jobs', '1', '--out', {str(out)!r}])\n"
+        "sizes = lambda: [t.cache_info().currsize for t in"
+        " (ddmath._exp_table, ddmath._sincos_table)]\n"
+        "before = sizes()\n"
+        "ddmath.exp(ddmath.DD(1.0)), ddmath.sincos(ddmath.DD(1.0))\n"
+        "print(before, sizes())\n")
+    src = str(Path(ddmath.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert run.stdout.strip() == "[0, 0] [1, 1]"
+    assert sum(line[0].isdigit() for line in out.read_text().splitlines()) == 3

@@ -218,6 +218,18 @@ def test_j2_escalation_recovers(cfg4, series200):
     assert abs(sigma - val) < 1e-7
 
 
+def test_escalated_rows_of_the_revival_grid_match_the_series(cfg4):
+    # the benchmark's revival grid: its 12 rows from 6.56 pi escalate, and
+    # the cancellation (up to 7.5e20 at 8 pi) amplifies every roundoff of
+    # the double-double kernels into sigma_z
+    ts = np.linspace(0.0, 8.0 * math.pi, 51)
+    prof = jc.resonant_profile(ts, cfg4, escalation="escalate")
+    esc = prof["escalated"]
+    assert esc.sum() == 12 and not prof["over_budget"].any()
+    series = np.array([jc.sigma_z_series(t, cfg4) for t in ts[esc]])
+    assert np.max(np.abs(prof["sigma_z"][esc] - series)) < 1e-10
+
+
 def test_j2_extended_beyond_8pi_still_refuses(cfg4):
     spec = dataclasses.replace(Y, precision_kind="extended")
     with pytest.raises(PrecisionLossError):

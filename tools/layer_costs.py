@@ -22,7 +22,10 @@ leave out start-up, imports and the pool:
 * ``special.log_gamma.*``: ``ln Gamma(1 + iy)`` on the correction grid's
   4,001 nodes in each kind;
 * ``ddmath.*``: each double-double kernel on 4,001 arguments drawn from the
-  range the families use.
+  range the families use; ``ddmath.tables_s`` is the one-time build of
+  the exp and sincos tables from an empty cache, which every process that
+  escalates pays at its first double-double exp or sincos, and which the
+  per-call figures leave out.
 
 The end-to-end yardstick stays ``bench/run.py``; these figures break a row
 down for a change that targets one of its layers.
@@ -132,6 +135,14 @@ def kernel_costs(repeats: int) -> dict:
     return out
 
 
+def table_costs(repeats: int) -> dict:
+    def build():
+        for table in (ddmath._exp_table, ddmath._sincos_table):
+            table.cache_clear()
+            table()
+    return {"ddmath.tables_s": best_of(repeats, build)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=20)
@@ -142,6 +153,7 @@ def main(argv=None) -> int:
     with np.errstate(all="ignore"):
         costs.update(family_costs(args.repeats))
         costs.update(kernel_costs(args.repeats))
+        costs.update(table_costs(args.repeats))
     print(json.dumps({k: v if isinstance(v, int) else float(f"{v:.3g}")
                       for k, v in costs.items()}))
     return 0

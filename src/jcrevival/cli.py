@@ -22,6 +22,8 @@ import argparse
 import dataclasses
 import math
 import os
+import pickle
+import signal
 import sys
 import typing
 from dataclasses import dataclass
@@ -202,30 +204,76 @@ def _write_csv(cfg: RunConfig, t: np.ndarray, columns: dict[str, np.ndarray]):
 
 
 def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
-    """Worker count: at most one per core and one per time sample."""
+    """Worker count: at most one per core and one per time sample, and one
+    where the platform cannot fork."""
     if cfg.jobs < 0:
         raise ValueError("jobs must be >= 0 (0 means all cores)")
-    cores = os.cpu_count() or 1
+    cores = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     return max(1, min(cfg.jobs or cores, cores, n_samples))
 
 
 def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
-    """Deal t[i::jobs] to worker i (a process pool when there are several),
-    sharing the costly late rows, and scatter the columns back into time
-    order.  The y truncation is widened once, for the latest t of all."""
+    """Run worker over chunks of t, the y truncation widened once for the
+    latest t, and scatter the columns back into time order.  With several
+    workers, the latest row runs first, alone: it needs the most precision,
+    so it builds every family the run uses.  The other rows are dealt
+    round-robin to this process and to forked workers that inherit those."""
     jobs = _effective_jobs(cfg, t.size)
     y_spec = jcm._peak_aware(cfg.y_spec("standard"), abs(cfg.kappa) * float(t.max()))
     run = dataclasses.replace(cfg, y_max=y_spec.upper_limit)
-    deals = [np.arange(t.size)[i::jobs] for i in range(jobs)]
-    payloads = [{"cfg": run, "t": t[rows].tolist()} for rows in deals]
-    if jobs == 1:
-        chunks = [worker(p) for p in payloads]
-    else:
-        import concurrent.futures  # only a pooled run pays for the import
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, payloads))
+    rows = np.arange(t.size)
+    deals = [rows] if jobs == 1 else [rows[-1:]] + [
+        rows[:-1][i::jobs] for i in range(min(jobs, t.size - 1))]
+    payloads = [{"cfg": run, "t": t[d].tolist()} for d in deals]
+    chunks = [worker(payloads[0])] + _run_forked(worker, payloads[1:])
     order = np.argsort(np.concatenate(deals))
     return {key: np.concatenate([c[key] for c in chunks])[order] for key in chunks[0]}
+
+
+def _run_forked(worker, payloads: list[dict]) -> list[dict]:
+    """[worker(p) for p in payloads], payloads[1:] in forked children that
+    pickle (ok, result or exception) down a pipe and leave by os._exit,
+    running no exit handler or buffer flush of the parent's.  A child's
+    exception is raised here, and every child is reaped."""
+    children = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        for payload in payloads[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                code = 1
+                try:
+                    try:
+                        reply = (True, worker(payload))
+                    except BaseException as exc:  # the parent raises it
+                        reply = (False, exc)
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump(reply, fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        chunks = [worker(p) for p in payloads[:1]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise ChildProcessError(f"worker process {pid} ended (status "
+                                        f"{status}) without reporting its rows")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            chunks.append(value)
+        return chunks
+    finally:
+        for pid, pipe in children.items():  # this process failed first
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _integrals_chunk(payload: dict) -> dict:

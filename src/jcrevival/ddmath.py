@@ -120,8 +120,8 @@ class DD:
         return cls(pair[0], pair[1])
 
     def to_float(self):
-        """Round to nearest double."""
-        return self.hi + self.lo
+        """Round to nearest double; -0.0 stays -0.0, which hi + lo loses."""
+        return np.where(self.lo == 0.0, self.hi, self.hi + self.lo)[()]
 
     def __repr__(self):
         return f"DD({self.hi!r}, {self.lo!r})"
@@ -553,9 +553,12 @@ def hypot(x: DD, y: DD) -> DD:
 
 
 def cexp(z: CDD) -> CDD:
+    """e^x (cos y + i sin y); where y is zero the imaginary part is y, its
+    sign included, so that e^x = inf gives inf + 0j as numpy does."""
     r = exp(z.re)
     s, c = sincos(z.im)
-    return CDD(r * c, r * s)
+    real = z.im.hi == 0.0
+    return CDD(r * c, where(real, z.im, where(real, 1.0, r) * s))
 
 
 @_numpy_at_infinity(np.log)

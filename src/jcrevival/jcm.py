@@ -26,6 +26,7 @@ computation refuses rather than returning noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -183,7 +184,9 @@ def _bracket_sum(l: int, t, cfg: JcmConfig, spec: SeriesSpec):
     _check_series_spec(cfg, spec)
     w = _poisson_weights(cfg.alpha, spec.n_max)
     s = cfg.c + np.arange(spec.n_max + 1) + float(l)
-    return _bracket(s[None, :], abs(cfg.kappa) * t_arr[:, None], cfg.c) @ w
+    terms = _bracket(s[None, :], abs(cfg.kappa) * t_arr[:, None], cfg.c) * w
+    # by row, not `@`: BLAS rounds a row by the size of the batch it is in
+    return terms.sum(axis=1)
 
 
 def pg_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
@@ -221,7 +224,7 @@ def sigma_z_series_resonant(t, cfg: JcmConfig,
     w = _poisson_weights(cfg.alpha, spec.n_max)
     n = np.arange(spec.n_max + 1)
     phase = 2.0 * np.sqrt(n)[None, :] * (abs(cfg.kappa) * t_arr[:, None])
-    vals = -(np.cos(phase) @ w)
+    vals = -(np.cos(phase) * w).sum(axis=1)
     return float(vals[0]) if scalar else vals
 
 
@@ -394,6 +397,15 @@ class _CorrectionFamily:
         return quadrature.assemble(samples, self.grid)
 
 
+@functools.lru_cache(maxsize=16)
+def _family(cls, cfg: JcmConfig, l: int, spec: QuadratureSpec, j_form: bool):
+    """cls(cfg, l, spec, j_form=j_form), built once per key.  Families do
+    not change after __init__, so a cached one gives a fresh one's bits.
+    Sixteen keys hold a thermal run's three brackets, each with a line, a
+    correction and an escalation family."""
+    return cls(cfg, l, spec, j_form=j_form)
+
+
 def correction_integrand_probe(cfg: JcmConfig, l: int, t: float, y: float,
                                j_form: bool = False) -> float:
     """Direct, unfolded evaluation of the correction integrand at one y > 0.
@@ -451,16 +463,15 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
                       j_form: bool = False, refuse: bool = False):
     """Correction integrals at the scaled times big_ts under one policy.
 
-    One family serves every row; the extended family is built the first
-    time a row exceeds the standard budget under "escalate" and reused for
-    every later such row.  A row that no permitted kind can hold raises
-    PrecisionLossError under "raise", and under every policy when refuse
-    is set (a caller that cannot mark the row); otherwise it is marked.
+    One family serves every row, and one extended family every row past
+    the standard budget under "escalate".  A row that no permitted kind can
+    hold raises PrecisionLossError under "raise", and under every policy
+    when refuse is set (a caller that cannot mark the row); otherwise it is
+    marked.
     Returns the arrays (values, cancellation, escalated, over_budget).
     """
     eff = _peak_aware(spec, float(big_ts.max(initial=0.0)))
-    fam = _CorrectionFamily(cfg, l, eff, j_form=j_form)
-    fam_ext = None
+    fam = _family(_CorrectionFamily, cfg, l, eff, j_form)
     vals = np.empty_like(big_ts)
     cancel = np.empty_like(big_ts)
     escalated = np.zeros(big_ts.shape, dtype=bool)
@@ -469,11 +480,9 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
         res, kind = fam.integral(big_t), eff.precision_kind
         if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
                 and escalation == "escalate" and kind == "standard"):
-            if fam_ext is None:
-                fam_ext = _CorrectionFamily(
-                    cfg, l, dataclasses.replace(eff, precision_kind="extended"),
-                    j_form=j_form)
-            res, kind = fam_ext.integral(big_t), "extended"
+            ext = dataclasses.replace(eff, precision_kind="extended")
+            res = _family(_CorrectionFamily, cfg, l, ext, j_form).integral(big_t)
+            kind = "extended"
             escalated[i] = True
         over[i] = res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
         if over[i] and (refuse or escalation == "raise"):
@@ -496,7 +505,7 @@ def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec,
     Returns (line values, *_correction_sweep(...)).
     """
     big_ts = abs(cfg.kappa) * np.asarray(ts, dtype=float)
-    line = _LineFamily(cfg, l, x_spec, j_form=j_form)
+    line = _family(_LineFamily, cfg, l, x_spec, j_form)
     line_vals = np.array([line.integral(big_t).value for big_t in big_ts])
     return (line_vals, *_correction_sweep(cfg, l, big_ts, y_spec, escalation,
                                           j_form, refuse))
@@ -550,7 +559,7 @@ def const_plateau(cfg: JcmConfig,
     average 1/2, which leaves the line family's constant part a0:
     Const = 1 - e^{-a^2} integral of w(x) (1 + c/(c+x)) dx.
     """
-    fam = _LineFamily(cfg, 0, spec)
+    fam = _family(_LineFamily, cfg, 0, spec, False)
     return 1.0 - 2.0 * math.exp(-cfg.alpha ** 2) * \
         quadrature.assemble(fam.a0, fam.grid).value
 
@@ -565,8 +574,8 @@ def abel_plana_identity(alpha: float,
     and returns (lhs, rhs) with rhs = -1/4 + e^{a^2}/2 exact.
     """
     cfg = JcmConfig(alpha=alpha)
-    line = _LineFamily(cfg, 0, x_spec, j_form=True).integral(0.0)
-    corr = _CorrectionFamily(cfg, 0, y_spec, j_form=True).integral(0.0)
+    line = _family(_LineFamily, cfg, 0, x_spec, True).integral(0.0)
+    corr = _family(_CorrectionFamily, cfg, 0, y_spec, True).integral(0.0)
     lhs = 0.5 * line.value - corr.value
     rhs = -0.25 + 0.5 * math.exp(alpha * alpha)
     return lhs, rhs
@@ -648,10 +657,9 @@ def _thermal_terms(t, cfg: JcmConfig, thermal: ThermalConfig, mode: Mode,
     """(P1, P2, thermal P_g) from one evaluation of each needed Q^(l).
 
     The brackets Q^(0) = P_g, Q^(1) and, for gamma_tilde != 0, Q^(2) are
-    evaluated in turn, so at most one l's quadrature families are alive at
-    once.  second_order=False forms P1 alone (the other two are None) and
-    needs no bracket when gamma_tilde = 0.  Nothing here warns; callers
-    report the regime.
+    evaluated in turn.  second_order=False forms P1 alone (the other two
+    are None) and needs no bracket when gamma_tilde = 0.  Nothing here
+    warns; callers report the regime.
     """
     q_args = (cfg, mode, series_spec, x_spec, y_spec, escalation)
     g = thermal.gamma_tilde

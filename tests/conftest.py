@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from jcrevival import JcmConfig, SeriesSpec
+from jcrevival import JcmConfig, SeriesSpec, jcm
+
+
+@pytest.fixture(autouse=True)
+def fresh_families():
+    """Each test builds its families as a new process would: a test that
+    counts grid builds must not find another test's families cached."""
+    jcm._family.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import jcrevival as jc
 from jcrevival import cli
 from jcrevival.cli import RunConfig, main
+from jcrevival.errors import PrecisionLossError
 
 
 def _read_csv(path):
@@ -268,21 +270,130 @@ def test_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_jobs_parallelism_matches_serial(tmp_path):
+def test_jobs_parallelism_matches_serial(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)  # fork 2 workers
     # the second run's last rows need a y grid wider than --y-max, and
     # every chunk must integrate on that same grid; the third run's late
-    # rows escalate, so its status column is dealt and scattered too
+    # rows escalate, so its status column is dealt and scattered too; the
+    # series sums must not round by the size of a chunk; two rows run in
+    # this process alone, three fork one worker at --jobs 3
+    escalating = ["integrals", "--alpha", "4", "--t-start", "18.0",
+                  "--t-end", "21.0", "--t-steps", "9"]
     for args in (["integrals", "--alpha", "2", "--t-end", "6.0", "--t-steps", "12"],
                  ["integrals", "--alpha", "4", "--y-max", "20",
                   "--t-end", "18.85", "--t-steps", "8"],
-                 ["integrals", "--alpha", "4", "--t-start", "18.0",
-                  "--t-end", "21.0", "--t-steps", "9"]):
+                 escalating,
+                 ["thermal", "--mode", "integral", "--delta-omega", "4",
+                  "--dx", "1e-2", "--dy", "1e-2", "--t-end", "6.0",
+                  "--t-steps", "5"],
+                 ["thermal", "--theta", "0", "--mode", "series",
+                  "--t-start", "0.3", "--t-end", "3.0", "--t-steps", "2"],
+                 ["thermal", "--mode", "series", "--t-end", "20.0",
+                  "--t-steps", "40"],
+                 ["integrals", "--alpha", "4", "--t-start", "20.0",
+                  "--t-end", "21.0", "--t-steps", "1"],
+                 ["integrals", "--alpha", "4", "--t-start", "19.0",
+                  "--t-end", "21.0", "--t-steps", "2"]):
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
-        assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-    status = _read_csv(b)[2]["status"]
-    assert 0 in status and 1 in status
+        for jobs in ("2", "3"):
+            assert main(args + ["--jobs", jobs, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes(), (args, jobs)
+        if args is escalating:
+            status = _read_csv(b)[2]["status"]
+            assert 0 in status and 1 in status
+
+
+def _in_workers(monkeypatch, action):
+    """Make cli._integrals_chunk call action(payload) in forked workers
+    only; this process computes its chunks as usual."""
+    parent, chunk = os.getpid(), cli._integrals_chunk
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_integrals_chunk", lambda payload: (
+        chunk(payload) if os.getpid() == parent else action(payload)))
+
+
+_THREE_ROWS = ["integrals", "--alpha", "4", "--t-end", "2.0", "--t-steps", "2"]
+
+
+def test_an_error_in_a_worker_is_raised_in_the_parent(tmp_path, monkeypatch,
+                                                      capsys):
+    def fail(payload):
+        raise PrecisionLossError("worker row over budget",
+                                 cancellation_magnitude=1e11)
+
+    _in_workers(monkeypatch, fail)
+    out = tmp_path / "o.csv"
+    assert main(_THREE_ROWS + ["--jobs", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: worker row over budget\n"
+    assert not out.exists()
+
+
+def _assert_gone(pid_file: Path):
+    """The worker that wrote pid_file has been reaped, not left a zombie."""
+    pid = int(pid_file.read_text())
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    return pid
+
+
+def test_a_worker_that_dies_unreported_is_a_clean_error(tmp_path, monkeypatch,
+                                                        capsys):
+    pid_file = tmp_path / "pid"
+
+    def die(payload):
+        pid_file.write_text(str(os.getpid()))
+        os._exit(7)
+
+    _in_workers(monkeypatch, die)
+    assert main(_THREE_ROWS + ["--jobs", "2", "--out", str(tmp_path / "o.csv")]) == 2
+    pid = _assert_gone(pid_file)
+    assert capsys.readouterr().err == (f"error: worker process {pid} ended "
+                                       "(status 7) without reporting its rows\n")
+
+
+def test_a_failing_parent_stops_and_reaps_its_workers(tmp_path, monkeypatch,
+                                                      capsys):
+    pid_file = tmp_path / "pid"
+    parent, chunk = os.getpid(), cli._integrals_chunk
+    calls = []
+
+    def parent_fails_second(payload):
+        if os.getpid() != parent:
+            pid_file.write_text(str(os.getpid()))
+            time.sleep(60)
+        calls.append(payload)
+        if len(calls) == 1:
+            return chunk(payload)
+        deadline = time.perf_counter() + 30.0
+        while not pid_file.exists():  # until the worker is running
+            assert time.perf_counter() < deadline
+            time.sleep(0.01)
+        raise FloatingPointError("parent chunk failed")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_integrals_chunk", parent_fails_second)
+    start = time.perf_counter()
+    assert main(_THREE_ROWS + ["--jobs", "2", "--out", str(tmp_path / "o.csv")]) == 3
+    assert time.perf_counter() - start < 30.0
+    _assert_gone(pid_file)
+    assert "parent chunk failed" in capsys.readouterr().err
+
+
+def test_forked_run_writes_stdout_once(tmp_path):
+    # text this process left buffered is written once, before the CSV
+    out = tmp_path / "o.csv"
+    assert main(_THREE_ROWS + ["--jobs", "1", "--out", str(out)]) == 0
+    src = str(Path(jc.__file__).resolve().parents[1])
+    code = ("import os; os.cpu_count = lambda: 2\n"
+            "from jcrevival.cli import main\n"
+            "print('before')\n"
+            f"raise SystemExit(main({_THREE_ROWS + ['--jobs', '2']!r}))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == b"before\n" + out.read_bytes()
 
 
 def _fresh_python(code: str, **env) -> str:
@@ -325,13 +436,17 @@ def test_cli_keeps_a_user_blas_thread_setting():
 
 
 def test_serial_run_imports_no_process_pool(tmp_path):
+    # neither does a run that forks its workers
     out = tmp_path / "one.csv"
-    assert _fresh_python(
-        "import sys; from jcrevival.cli import main; "
-        "rc = main(['integrals', '--t-start', '0', '--t-end', '0', "
-        f"'--t-steps', '1', '--jobs', '1', '--out', {str(out)!r}]); "
-        "print(rc, 'concurrent.futures' in sys.modules)") == "0 False"
-    assert out.is_file()
+    for t_steps, jobs in (("1", "1"), ("2", "2")):
+        assert _fresh_python(
+            "import os, sys; os.cpu_count = lambda: 2\n"
+            "from jcrevival.cli import main\n"
+            "rc = main(['integrals', '--t-start', '0', '--t-end', '1', "
+            f"'--t-steps', {t_steps!r}, '--jobs', {jobs!r}, '--out', {str(out)!r}])\n"
+            "print(rc, [m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])") == "0 []"
+        assert out.is_file()
 
 
 def test_star_import_binds_every_public_name():
@@ -352,6 +467,9 @@ def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):
     assert jobs(0, 4000) == 2  # 0 means all cores
     assert (jobs(1, 4000), jobs(3, 1), jobs(0, 1)) == (1, 1, 1)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert (jobs(0, 10), jobs(8, 10)) == (1, 1)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(cli.os, "fork")  # a platform without fork runs serially
     assert (jobs(0, 10), jobs(8, 10)) == (1, 1)
     with pytest.raises(ValueError, match="jobs must be >= 0"):
         jobs(-1, 10)

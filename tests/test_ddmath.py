@@ -402,6 +402,33 @@ def test_infinite_parts_in_clog_csqrt_and_division_match_numpy():
     assert _quietly(lambda: ddmath.clog(z).to_complex()) == np.inf
 
 
+def test_cexp_on_the_real_axis_matches_numpy():
+    # where y is zero, e^x's overflow or infinity must not meet sin 0 = 0
+    x = np.array([800.0, np.inf, -np.inf, np.nan, 1.0, -800.0, -np.inf, 800.0])
+    y = np.array([0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1.0])
+    got = _quietly(lambda: ddmath.cexp(CDD(DD(x), DD(y))))
+    with np.errstate(all="ignore"):
+        want = np.exp(ddmath._complex(x, y))
+    for part, np_part in ((got.re.hi, want.real), (got.im.hi, want.imag)):
+        np.testing.assert_array_equal(part, np_part)
+        np.testing.assert_array_equal(np.signbit(part), np.signbit(np_part))
+    z = _quietly(lambda: ddmath.cexp(CDD(DD(np.inf), DD(0.0))).to_complex())
+    assert (z.real, z.imag) == (np.inf, 0.0)
+
+
+def test_to_float_keeps_the_sign_of_zero():
+    assert np.signbit(DD(-0.0).to_float())
+    np.testing.assert_array_equal(np.signbit(DD([-0.0, 0.0, -1.0]).to_float()),
+                                  [True, False, True])
+    got = _quietly(lambda: (CDD(DD(2.0), DD(1.0))
+                            / CDD(DD(-np.inf), DD(0.0))).to_complex())
+    with np.errstate(all="ignore"):
+        want = complex(2.0, 1.0) / ddmath._complex(-np.inf, 0.0)
+    assert got == want == 0.0
+    assert (np.signbit(got.real), np.signbit(got.imag)) == (
+        np.signbit(want.real), np.signbit(want.imag)) == (True, True)
+
+
 def test_tables_are_built_only_by_a_run_that_needs_them(tmp_path):
     # a standard-kind run never reaches the double-double exp or sincos
     out = tmp_path / "o.csv"

@@ -278,6 +278,33 @@ def test_escalating_q_sweep_builds_one_extended_family(cfg4, monkeypatch):
     assert np.array_equal(swept, rows)
 
 
+def test_repeated_calls_build_each_grid_once(cfg4, cfg4_detuned, monkeypatch):
+    # a family is built once per (cfg, l, spec, j_form), and a cached one
+    # gives the bits of a fresh one
+    coarse_x = dataclasses.replace(X, step=1e-2)
+    coarse_y = dataclasses.replace(Y, step=1e-2)
+    build_grid = jc.jcm.quadrature.build_grid
+    calls = []
+
+    def counting(a, b, spec):
+        calls.append(spec)
+        return build_grid(a, b, spec)
+
+    monkeypatch.setattr(jc.jcm.quadrature, "build_grid", counting)
+
+    def run():
+        j2 = [jc.j2_integral(t, cfg4, coarse_y) for t in (1.0, 2.0, 3.0)]
+        q = [jc.q_g(1, t, cfg4_detuned, "integral", x_spec=coarse_x,
+                    y_spec=coarse_y) for t in (0.5, [0.5, 1.5], 2.5)]
+        return np.hstack([j2, *q])
+
+    first = run()
+    assert calls == [coarse_y, coarse_x, coarse_y]
+    jc.jcm._family.cache_clear()
+    assert np.array_equal(run(), first)
+    assert len(calls) == 6
+
+
 def test_peak_aware_truncation_extends_grid(cfg4):
     spec = jc.jcm._peak_aware(Y, 12.0 * math.pi)
     need = 8.0 * (12.0 * math.pi) ** 2 / (9.0 * math.pi ** 2)

@@ -60,6 +60,19 @@ def test_two_series_forms_agree_to_1e12(cfg4, series200):
         assert np.abs(a - b).max() < 1e-12
 
 
+def test_series_rows_do_not_depend_on_the_batch(cfg4):
+    # a CLI chunk of any size must write the same bits for a row
+    t = np.linspace(0.0, 8.0 * math.pi, 401)
+    detuned = jc.JcmConfig(alpha=4.0, delta_omega=4.0)
+    for batch, row in (
+            (jc.pg_series(t, cfg4), lambda x: jc.pg_series(x, cfg4)),
+            (jc.sigma_z_series_resonant(t, cfg4),
+             lambda x: jc.sigma_z_series_resonant(x, cfg4)),
+            (jc.q_g(1, t, detuned), lambda x: jc.q_g(1, x, detuned))):
+        assert [float(v) for v in batch] == [row(x) for x in t]
+        assert np.array_equal(batch[::7], row(t[::7]))
+
+
 def test_collapsed_quiet_zone(cfg4, series200):
     ts = np.linspace(2.0 * math.pi, 4.0 * math.pi, 500)
     assert np.abs(jc.sigma_z_series(ts, cfg4, series200)).mean() < 0.02

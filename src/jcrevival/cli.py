@@ -278,13 +278,12 @@ def _run_forked(worker, payloads: list[dict]) -> list[dict]:
 
 def _integrals_chunk(payload: dict) -> dict:
     cfg = payload["cfg"]
-    ts = np.asarray(payload["t"])
     kind, escalation = cfg.precision_plan()
     if cfg.delta_omega == 0.0:
-        return jcm.resonant_profile(ts, cfg.jcm_config(),
+        return jcm.resonant_profile(payload["t"], cfg.jcm_config(),
                                     cfg.x_spec(kind), cfg.y_spec(kind),
                                     escalation=escalation)
-    return jcm.detuned_profile(ts, cfg.jcm_config(), 0,
+    return jcm.detuned_profile(payload["t"], cfg.jcm_config(), 0,
                                cfg.x_spec(kind), cfg.y_spec(kind),
                                escalation=escalation)
 
@@ -311,10 +310,9 @@ def _ensure_finite(columns: dict[str, np.ndarray]) -> None:
 def cmd_series(cfg: RunConfig) -> int:
     t = cfg.time_grid()
     jcfg = cfg.jcm_config()
-    sigma = np.atleast_1d(jcm.sigma_z_series(t, jcfg, cfg.series_spec()))
-    columns = {"sigma_z_series": sigma}
+    columns = {"sigma_z_series": jcm.sigma_z_series(t, jcfg, cfg.series_spec())}
     if cfg.delta_omega == 0.0 and cfg.alpha != 0.0:
-        columns["envelope"] = np.atleast_1d(jcm.envelope_approximation(t, jcfg))
+        columns["envelope"] = jcm.envelope_approximation(t, jcfg)
     _ensure_finite(columns)
     _write_csv(cfg, t, columns)
     return EXIT_OK
@@ -323,15 +321,12 @@ def cmd_series(cfg: RunConfig) -> int:
 def cmd_integrals(cfg: RunConfig) -> int:
     t = cfg.time_grid()
     prof = _chunk_columns(_integrals_chunk, cfg, t)
-    over = prof.pop("over_budget")
-    escalated = prof.pop("escalated")
-    # status: 0 ok, 1 escalated to extended, 2 precision loss (unrecoverable)
-    prof["status"] = np.where(over, 2, np.where(escalated, 1, 0))
     _ensure_finite({k: v for k, v in prof.items()
                     if k in ("J1", "J2", "I1", "I2", "sigma_z")})
     _write_csv(cfg, t, prof)
-    if over.any():
-        print(f"precision loss on {int(over.sum())} of {t.size} rows "
+    lost = int((prof["status"] == 2).sum())
+    if lost:
+        print(f"precision loss on {lost} of {t.size} rows "
               "(status column = 2)", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -377,7 +372,7 @@ def cmd_check(cfg: RunConfig) -> int:
     if jcfg.delta_omega == 0.0 and jcfg.alpha != 0.0:
         ts = np.linspace(0.0, 4.0 * math.pi, 201)
         spec = cfg.series_spec()
-        sigma = np.atleast_1d(jcm.sigma_z_series(ts, jcfg, spec))
+        sigma = jcm.sigma_z_series(ts, jcfg, spec)
         prof = jcm.resonant_profile(ts, jcfg, x_spec, y_spec,
                                     escalation=escalation)
         report("collapse-window residual |sigma_series - J1|, t in [0, 4pi]",

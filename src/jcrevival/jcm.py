@@ -156,17 +156,14 @@ def _poisson_weights(alpha: float, n_max: int) -> np.ndarray:
     return np.exp(2.0 * n * math.log(abs(alpha)) - log_factorial - alpha * alpha)
 
 
-def _tail_need(cfg: JcmConfig) -> float:
-    """Index past which the Poisson weight (peak alpha^2) is negligible."""
-    return cfg.alpha ** 2 + 10.0 * math.sqrt(cfg.alpha ** 2 + 1.0)
-
-
-def _check_series_spec(cfg: JcmConfig, spec: SeriesSpec):
-    need = _tail_need(cfg)
-    if spec.n_max < need:
-        raise ValueError(
-            f"n_max = {spec.n_max} does not cover the Poisson tail for "
-            f"alpha = {cfg.alpha} (need >= {need:.1f}); raise n_max")
+def _require_tail(cfg: JcmConfig, name: str, limit: float, remedy: str):
+    """Refuse a truncation `name` = limit of the photon number below the
+    index past which the Poisson weight (peak alpha^2) is negligible."""
+    need = cfg.alpha ** 2 + 10.0 * math.sqrt(cfg.alpha ** 2 + 1.0)
+    if limit < need:
+        raise ValueError(f"{name} = {limit:g} does not cover the Poisson tail "
+                         f"for alpha = {cfg.alpha} (need >= {need:.1f}); "
+                         f"raise {remedy}")
 
 
 def _bracket(s, big_t, c):
@@ -177,11 +174,11 @@ def _bracket(s, big_t, c):
     return (1.0 - s2) + ratio * s2
 
 
-def _bracket_sum(l: int, t, cfg: JcmConfig, spec: SeriesSpec):
+def _bracket_sum(l: int, t_arr: np.ndarray, cfg: JcmConfig, spec: SeriesSpec):
     """Q^(l)(t) = sum_n e^{-a^2} a^{2n}/n! f(c + n + l) by direct summation,
-    as an array over t."""
-    t_arr, _ = _time_grid(t)
-    _check_series_spec(cfg, spec)
+    as an array over the times t_arr."""
+    _require_index(l)
+    _require_tail(cfg, "n_max", spec.n_max, "n_max")
     w = _poisson_weights(cfg.alpha, spec.n_max)
     s = cfg.c + np.arange(spec.n_max + 1) + float(l)
     terms = _bracket(s[None, :], abs(cfg.kappa) * t_arr[:, None], cfg.c) * w
@@ -192,20 +189,19 @@ def _bracket_sum(l: int, t, cfg: JcmConfig, spec: SeriesSpec):
 def pg_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
     """Ground-state probability P_g = Q^(0) by direct Fock-space summation.
 
-    Vectorized over t; scalar in, scalar out.  Values are confined to
-    [0, 1] up to roundoff; a violation beyond 1e-9 raises.
+    Values are confined to [0, 1] up to roundoff; a violation beyond 1e-9
+    raises.
     """
-    _require_nonnegative_time(t)
-    vals = _bracket_sum(0, t, cfg, spec)
-    if np.any(_outside_unit_interval(vals)):
-        raise FloatingPointError("P_g left [0, 1] beyond roundoff tolerance")
-    vals = np.clip(vals, 0.0, 1.0 + 1e-12)
-    return float(vals[0]) if np.ndim(t) == 0 else vals
+    def values_of(t_arr):
+        vals = _bracket_sum(0, t_arr, cfg, spec)
+        if np.any(_outside_unit_interval(vals)):
+            raise FloatingPointError("P_g left [0, 1] beyond roundoff tolerance")
+        return np.clip(vals, 0.0, 1.0 + 1e-12)
+    return _rows(t, values_of)
 
 
 def sigma_z_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
     """Population inversion 1 - 2 P_g(t); -1 is the ground state."""
-    _require_nonnegative_time(t)
     return 1.0 - 2.0 * pg_series(t, cfg, spec)
 
 
@@ -218,14 +214,13 @@ def sigma_z_series_resonant(t, cfg: JcmConfig,
     """
     if cfg.delta_omega != 0.0:
         raise ValueError("the resonant series form requires delta_omega = 0")
-    _require_nonnegative_time(t)
-    t_arr, scalar = _time_grid(t)
-    _check_series_spec(cfg, spec)
-    w = _poisson_weights(cfg.alpha, spec.n_max)
-    n = np.arange(spec.n_max + 1)
-    phase = 2.0 * np.sqrt(n)[None, :] * (abs(cfg.kappa) * t_arr[:, None])
-    vals = -(np.cos(phase) * w).sum(axis=1)
-    return float(vals[0]) if scalar else vals
+    def values_of(t_arr):
+        _require_tail(cfg, "n_max", spec.n_max, "n_max")
+        w = _poisson_weights(cfg.alpha, spec.n_max)
+        n = np.arange(spec.n_max + 1)
+        phase = 2.0 * np.sqrt(n)[None, :] * (abs(cfg.kappa) * t_arr[:, None])
+        return -(np.cos(phase) * w).sum(axis=1)
+    return _rows(t, values_of)
 
 
 def envelope_approximation(t, cfg: JcmConfig):
@@ -239,33 +234,40 @@ def envelope_approximation(t, cfg: JcmConfig):
         raise ValueError("the envelope approximation is derived on resonance only")
     if cfg.alpha == 0.0:
         raise ValueError("the envelope approximation requires alpha != 0")
-    _require_nonnegative_time(t)
-    t_arr, scalar = _time_grid(t)
-    a = abs(cfg.alpha)
-    big_t = abs(cfg.kappa) * t_arr
-    vals = -envelope_factor(t_arr, cfg) * np.cos(
-        a * big_t + cfg.alpha ** 2 * np.sin(big_t / a))
-    return float(vals[0]) if scalar else vals
+    def values_of(t_arr):
+        a = abs(cfg.alpha)
+        big_t = abs(cfg.kappa) * t_arr
+        return -envelope_factor(t_arr, cfg) * np.cos(
+            a * big_t + cfg.alpha ** 2 * np.sin(big_t / a))
+    return _rows(t, values_of)
 
 
 def envelope_factor(t, cfg: JcmConfig):
     """Just the beat envelope exp[a^2 (cos(T/|a|) - 1)]."""
     if cfg.alpha == 0.0:
         raise ValueError("the envelope factor requires alpha != 0")
-    t_arr, scalar = _time_grid(t)
-    big_t = abs(cfg.kappa) * t_arr
-    vals = np.exp(cfg.alpha ** 2 * (np.cos(big_t / abs(cfg.alpha)) - 1.0))
-    return float(vals[0]) if scalar else vals
+    return _rows(t, lambda t_arr: np.exp(
+        cfg.alpha ** 2 * (np.cos(abs(cfg.kappa) * t_arr / abs(cfg.alpha)) - 1.0)))
 
 
-def _time_grid(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    return arr, np.ndim(t) == 0
+def _times(t) -> np.ndarray:
+    """t as a 1-d float array, every time finite and nonnegative."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if t_arr.ndim != 1 or not np.all((t_arr >= 0.0) & (t_arr < math.inf)):
+        raise ValueError("t must be finite and nonnegative, at most 1-d")
+    return t_arr
 
 
-def _require_nonnegative_time(t):
-    if np.any(np.asarray(t) < 0.0):
-        raise ValueError("t must be nonnegative")
+def _rows(t, values_of):
+    """values_of(_times(t)), as a Python float for a scalar t: how every
+    public function of t takes its times and returns its rows."""
+    vals = values_of(_times(t))
+    return float(vals[0]) if np.ndim(t) == 0 else vals
+
+
+def _require_index(l):
+    if not (isinstance(l, (int, np.integer)) and l >= 0):
+        raise ValueError("l must be a nonnegative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +314,7 @@ class _LineFamily:
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False):
         _require_positive_alpha(cfg)
-        need = _tail_need(cfg)
-        if spec.upper_limit < need:
-            raise ValueError(
-                f"x_max = {spec.upper_limit:g} does not cover the Poisson tail "
-                f"for alpha = {cfg.alpha} (need >= {need:.1f}); raise x_max "
-                "(--x-max)")
+        _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--x-max)")
         self.grid, jac = _sqrt_grid(spec)
         x = self.grid.x
         # 2*ln_alpha as a double, in either kind, is exact enough: the weight
@@ -468,14 +465,15 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
     hold raises PrecisionLossError under "raise", and under every policy
     when refuse is set (a caller that cannot mark the row); otherwise it is
     marked.
-    Returns the arrays (values, cancellation, escalated, over_budget).
+    Returns the arrays (values, cancellation, status), status 0 for a row
+    held in the requested kind, 1 for an escalated row and 2 for a row
+    past the budget of its kind.
     """
     eff = _peak_aware(spec, float(big_ts.max(initial=0.0)))
     fam = _family(_CorrectionFamily, cfg, l, eff, j_form)
     vals = np.empty_like(big_ts)
     cancel = np.empty_like(big_ts)
-    escalated = np.zeros(big_ts.shape, dtype=bool)
-    over = np.zeros(big_ts.shape, dtype=bool)
+    status = np.zeros(big_ts.shape, dtype=int)
     for i, big_t in enumerate(big_ts):
         res, kind = fam.integral(big_t), eff.precision_kind
         if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
@@ -483,28 +481,29 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
             ext = dataclasses.replace(eff, precision_kind="extended")
             res = _family(_CorrectionFamily, cfg, l, ext, j_form).integral(big_t)
             kind = "extended"
-            escalated[i] = True
-        over[i] = res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
-        if over[i] and (refuse or escalation == "raise"):
-            raise PrecisionLossError(
-                f"cancellation magnitude {res.cancellation_magnitude:.3g} "
-                f"exceeds the {kind} precision budget "
-                f"{CANCELLATION_BUDGET[kind]:.1g}; the correction integral "
-                "would be noise at this time",
-                cancellation_magnitude=res.cancellation_magnitude)
+            status[i] = 1
+        if res.cancellation_magnitude > CANCELLATION_BUDGET[kind]:
+            if refuse or escalation == "raise":
+                raise PrecisionLossError(
+                    f"cancellation magnitude {res.cancellation_magnitude:.3g} "
+                    f"exceeds the {kind} precision budget "
+                    f"{CANCELLATION_BUDGET[kind]:.1g}; the correction integral "
+                    "would be noise at this time",
+                    cancellation_magnitude=res.cancellation_magnitude)
+            status[i] = 2
         vals[i] = res.value
         cancel[i] = res.cancellation_magnitude
-    return vals, cancel, escalated, over
+    return vals, cancel, status
 
 
 def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec,
            y_spec: QuadratureSpec, escalation: Escalation,
            j_form: bool = False, refuse: bool = False):
-    """Line and correction integrals over a time grid, one family each.
-
-    Returns (line values, *_correction_sweep(...)).
+    """Line and correction integrals over the checked times ts, one family
+    each.  Returns (line values, *_correction_sweep(...)).
     """
-    big_ts = abs(cfg.kappa) * np.asarray(ts, dtype=float)
+    _require_index(l)
+    big_ts = abs(cfg.kappa) * ts
     line = _family(_LineFamily, cfg, l, x_spec, j_form)
     line_vals = np.array([line.integral(big_t).value for big_t in big_ts])
     return (line_vals, *_correction_sweep(cfg, l, big_ts, y_spec, escalation,
@@ -525,12 +524,12 @@ def _peak_aware(spec: QuadratureSpec, big_t: float) -> QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# integral representations (scalar operations)
+# integral representations at single points and rows
 # ---------------------------------------------------------------------------
 
-def j2_integral(t: float, cfg: JcmConfig,
+def j2_integral(t, cfg: JcmConfig,
                 spec: QuadratureSpec = DEFAULT_Y_SPEC,
-                escalation: Escalation = "raise") -> float:
+                escalation: Escalation = "raise"):
     """Revival integral J2(t) = 2 e^{-a^2} x (correction integral).
 
     Resonant only; negligible during the collapse and carries the revival.
@@ -538,11 +537,10 @@ def j2_integral(t: float, cfg: JcmConfig,
     is exhausted near t ~ 6 pi, the extended kind near t ~ 8 pi.
     """
     _require_resonant(cfg)
-    _require_nonnegative_time(t)
-    big_ts = np.asarray([abs(cfg.kappa) * float(t)])
-    value = _correction_sweep(cfg, 0, big_ts, spec, escalation, j_form=True,
-                              refuse=True)[0][0]
-    return 2.0 * math.exp(-cfg.alpha ** 2) * float(value)
+    scale = 2.0 * math.exp(-cfg.alpha ** 2)
+    return _rows(t, lambda t_arr: scale * _correction_sweep(
+        cfg, 0, abs(cfg.kappa) * t_arr, spec, escalation, j_form=True,
+        refuse=True)[0])
 
 
 def _require_resonant(cfg: JcmConfig):
@@ -591,21 +589,20 @@ def resonant_profile(ts, cfg: JcmConfig,
                      escalation: Escalation = "raise") -> dict[str, np.ndarray]:
     """J1, J2 and the assembled inversion over a time grid.
 
-    Returns arrays J1, J2, sigma_z, cancellation (of the J2 correction),
-    escalated and over_budget row markers.  With escalation="ignore",
-    over-budget rows hold whatever the requested kind produced; callers
+    Returns arrays J1, J2, sigma_z, cancellation (of the J2 correction)
+    and the row status of _correction_sweep.  With escalation="ignore",
+    rows of status 2 hold whatever the requested kind produced; callers
     decide whether that is acceptable.
     """
     _require_resonant(cfg)
-    _require_nonnegative_time(ts)
     pref = math.exp(-cfg.alpha ** 2)
-    line, corr, cancel, escalated, over = _sweep(
-        ts, cfg, 0, x_spec, y_spec, escalation, j_form=True)
+    line, corr, cancel, status = _sweep(
+        _times(ts), cfg, 0, x_spec, y_spec, escalation, j_form=True)
     j1 = -pref * line
     j2 = 2.0 * pref * corr
     sigma = -0.5 * pref + j1 + j2
     return {"J1": j1, "J2": j2, "sigma_z": sigma, "cancellation": cancel,
-            "escalated": escalated, "over_budget": over}
+            "status": status}
 
 
 def detuned_profile(ts, cfg: JcmConfig, l: int = 0,
@@ -613,13 +610,12 @@ def detuned_profile(ts, cfg: JcmConfig, l: int = 0,
                     y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
                     escalation: Escalation = "raise") -> dict[str, np.ndarray]:
     """I1^(l), I2^(l) and the (l = 0) assembled inversion over a time grid."""
-    _require_nonnegative_time(ts)
     pref = math.exp(-cfg.alpha ** 2)
-    i1, i2, cancel, escalated, over = _sweep(
-        ts, cfg, l, x_spec, y_spec, escalation)
+    i1, i2, cancel, status = _sweep(
+        _times(ts), cfg, l, x_spec, y_spec, escalation)
     sigma = 1.0 - pref * (1.0 + 2.0 * i1 - 4.0 * i2)
     return {"I1": i1, "I2": i2, "sigma_z": sigma, "cancellation": cancel,
-            "escalated": escalated, "over_budget": over}
+            "status": status}
 
 
 # ---------------------------------------------------------------------------
@@ -637,45 +633,34 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
     weights; integral mode assembles e^{-a^2} [f(c + l)/2 + I1^(l) - 2 I2^(l)]
     and raises PrecisionLossError on a row past the budget under every policy.
     """
-    _require_nonnegative_time(t)
-    if mode == "series":
-        vals = _bracket_sum(l, t, cfg, series_spec)
-    elif mode == "integral":
-        t_arr, _ = _time_grid(t)
+    def values_of(t_arr):
+        if mode == "series":
+            return _bracket_sum(l, t_arr, cfg, series_spec)
+        if mode != "integral":
+            raise ValueError(f"unknown mode {mode!r}")
         i1, i2 = _sweep(t_arr, cfg, l, x_spec, y_spec, escalation, refuse=True)[:2]
         boundary = _bracket(cfg.c + float(l), abs(cfg.kappa) * t_arr, cfg.c)
-        vals = math.exp(-cfg.alpha ** 2) * (0.5 * boundary + i1 - 2.0 * i2)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return float(vals[0]) if np.ndim(t) == 0 else vals
+        return math.exp(-cfg.alpha ** 2) * (0.5 * boundary + i1 - 2.0 * i2)
+    return _rows(t, values_of)
 
 
-def _thermal_terms(t, cfg: JcmConfig, thermal: ThermalConfig, mode: Mode,
-                   series_spec: SeriesSpec, x_spec: QuadratureSpec,
-                   y_spec: QuadratureSpec, escalation: Escalation,
-                   second_order: bool = True):
-    """(P1, P2, thermal P_g) from one evaluation of each needed Q^(l).
+def _thermal_terms(t_arr: np.ndarray, cfg: JcmConfig, thermal: ThermalConfig,
+                   mode: Mode, series_spec: SeriesSpec, x_spec: QuadratureSpec,
+                   y_spec: QuadratureSpec, escalation: Escalation):
+    """(P1, P2, thermal P_g) over the 1-d times t_arr, from one evaluation
+    of each needed Q^(l).
 
     The brackets Q^(0) = P_g, Q^(1) and, for gamma_tilde != 0, Q^(2) are
-    evaluated in turn.  second_order=False forms P1 alone (the other two
-    are None) and needs no bracket when gamma_tilde = 0.  Nothing here
-    warns; callers report the regime.
+    evaluated in turn.  Nothing here warns; callers report the regime.
     """
     q_args = (cfg, mode, series_spec, x_spec, y_spec, escalation)
     g = thermal.gamma_tilde
-    t_arr, scalar = _time_grid(t)
-    p1 = 0.0 if scalar else np.zeros_like(t_arr)
-    if g == 0.0 and not second_order:
-        return p1, None, None
-    pg = q_g(0, t, *q_args)
-    q1 = q_g(1, t, *q_args)
-    if g != 0.0:
-        p1 = 2.0 * cfg.alpha * g * (pg - q1)
-    if not second_order:
-        return p1, None, None
+    pg = q_g(0, t_arr, *q_args)
+    q1 = q_g(1, t_arr, *q_args)
+    p1 = 2.0 * cfg.alpha * g * (pg - q1) if g != 0.0 else np.zeros_like(t_arr)
     a2 = cfg.alpha ** 2
     g2 = g ** 2
-    q2 = q_g(2, t, *q_args) if g != 0.0 else 0.0
+    q2 = q_g(2, t_arr, *q_args) if g != 0.0 else 0.0
     p2 = (2.0 * (2.0 * a2 * g2 - g2 - 1.0) * pg
           - 2.0 * a2 * (4.0 * g2 + 1.0) * q1
           + 4.0 * a2 * g2 * q2)
@@ -697,10 +682,12 @@ def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
     """First-order thermal correction 2 a g~ [P_g - Q^(1)].
 
     The expansion parameter theta is applied at assembly (pg_thermal), not
-    here.
+    here.  gamma_tilde = 0 gives zeros without evaluating a bracket.
     """
-    return _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
-                          escalation, second_order=False)[0]
+    if thermal.gamma_tilde == 0.0:
+        return _rows(t, np.zeros_like)
+    return _rows(t, lambda t_arr: _thermal_terms(
+        t_arr, cfg, thermal, mode, series_spec, x_spec, y_spec, escalation)[0])
 
 
 def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
@@ -715,8 +702,8 @@ def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
     defined so that P_g(beta;t) = P_g + theta P1 + (theta^2/2) P2 holds with
     the weights applied once, at assembly.
     """
-    return _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
-                          escalation)[1]
+    return _rows(t, lambda t_arr: _thermal_terms(
+        t_arr, cfg, thermal, mode, series_spec, x_spec, y_spec, escalation)[1])
 
 
 def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,
@@ -738,8 +725,8 @@ def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,
             stacklevel=2)
     if thermal.theta == 0.0:
         return q_g(0, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
-    out = _thermal_terms(t, cfg, thermal, mode, series_spec, x_spec, y_spec,
-                         escalation)[2]
+    out = _rows(t, lambda t_arr: _thermal_terms(
+        t_arr, cfg, thermal, mode, series_spec, x_spec, y_spec, escalation)[2])
     if np.any(_outside_unit_interval(out)):
         warnings.warn("thermal P_g left [0, 1]: perturbative breakdown",
                       PerturbativeRegimeWarning, stacklevel=2)

@@ -57,9 +57,7 @@ class QuadratureSpec:
 @dataclass
 class IntegralResult:
     value: float
-    evaluations: int
     cancellation_magnitude: float
-    step_used: float
 
 
 def _interval_count(a: float, b: float, step: float, divisor: int) -> int:
@@ -108,7 +106,6 @@ class Grid:
     x: object            # ndarray (standard) or DD array (extended)
     pattern: np.ndarray  # rule weights, step factor excluded
     h: object            # float or DD
-    step_used: float
     n: int
     precision_kind: PrecisionKind
 
@@ -117,21 +114,19 @@ def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
     """Lay out the composite grid for [a, b] under spec.
 
     The interval count is padded up to the rule's divisibility requirement
-    by shrinking the step slightly; the step actually used is reported.
+    by shrinking the step slightly; h is the step actually used.
     """
     if not b > a:
         raise ValueError("integration requires a < b")
     n = _interval_count(a, b, spec.step, _RULE_DIVISOR[spec.rule])
-    step_used = (b - a) / n
     pattern = _weight_pattern(spec.rule, n)
     if spec.precision_kind == "extended":
         h = (DD(b) - DD(a)) / DD(float(n))
         x = DD(np.arange(n + 1, dtype=np.float64)) * h + DD(a)
     else:
-        h = step_used
+        h = (b - a) / n
         x = np.linspace(a, b, n + 1)
-    return Grid(x=x, pattern=pattern, h=h, step_used=step_used, n=n,
-                precision_kind=spec.precision_kind)
+    return Grid(x=x, pattern=pattern, h=h, n=n, precision_kind=spec.precision_kind)
 
 
 def assemble(samples, grid: Grid) -> IntegralResult:
@@ -153,8 +148,7 @@ def assemble(samples, grid: Grid) -> IntegralResult:
     terms = samples * grid.pattern * grid.h
     total = special.compensated_sum(terms)
     cancel = _cancellation(np.abs(np.cumsum(special.leading(terms))), abs(total))
-    return IntegralResult(value=total, evaluations=grid.n + 1,
-                          cancellation_magnitude=cancel, step_used=grid.step_used)
+    return IntegralResult(value=total, cancellation_magnitude=cancel)
 
 
 def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:

@@ -224,8 +224,8 @@ def test_escalated_rows_of_the_revival_grid_match_the_series(cfg4):
     # the double-double kernels into sigma_z
     ts = np.linspace(0.0, 8.0 * math.pi, 51)
     prof = jc.resonant_profile(ts, cfg4, escalation="escalate")
-    esc = prof["escalated"]
-    assert esc.sum() == 12 and not prof["over_budget"].any()
+    esc = prof["status"] == 1
+    assert esc.sum() == 12 and not (prof["status"] == 2).any()
     series = np.array([jc.sigma_z_series(t, cfg4) for t in ts[esc]])
     assert np.max(np.abs(prof["sigma_z"][esc] - series)) < 1e-10
 
@@ -239,7 +239,7 @@ def test_j2_extended_beyond_8pi_still_refuses(cfg4):
 def test_j2_ignore_policy_returns_marked_noise(cfg4):
     prof = jc.resonant_profile(np.asarray([8.0 * math.pi]), cfg4,
                                escalation="ignore")
-    assert prof["over_budget"][0]
+    assert prof["status"][0] == 2
 
 
 def test_unmarked_entries_refuse_over_budget_rows_under_ignore(cfg4):
@@ -254,6 +254,16 @@ def test_unmarked_entries_refuse_over_budget_rows_under_ignore(cfg4):
         jc.q_g(0, [t], cfg4, "integral", escalation="ignore")
     with pytest.raises(PrecisionLossError, match=budget):
         jc.pg_thermal([t], cfg4, thermal, "integral", escalation="ignore")
+
+
+@pytest.mark.parametrize("l", [-1, 0.5])
+def test_bracket_index_must_be_a_nonnegative_integer(cfg4, l):
+    for call in (lambda: jc.q_g(l, 1.0, cfg4),
+                 lambda: jc.q_g(l, 1.0, cfg4, "integral"),
+                 lambda: jc.detuned_profile([1.0], cfg4, l)):
+        with pytest.raises(ValueError, match="l must be a nonnegative integer"):
+            call()
+    assert jc.q_g(np.int64(1), 1.0, cfg4) == jc.q_g(1, 1.0, cfg4)
 
 
 def test_escalating_q_sweep_builds_one_extended_family(cfg4, monkeypatch):

@@ -64,13 +64,67 @@ def test_series_rows_do_not_depend_on_the_batch(cfg4):
     # a CLI chunk of any size must write the same bits for a row
     t = np.linspace(0.0, 8.0 * math.pi, 401)
     detuned = jc.JcmConfig(alpha=4.0, delta_omega=4.0)
+    thermal = jc.ThermalConfig(theta=0.025, gamma_tilde=1.0)
     for batch, row in (
             (jc.pg_series(t, cfg4), lambda x: jc.pg_series(x, cfg4)),
             (jc.sigma_z_series_resonant(t, cfg4),
              lambda x: jc.sigma_z_series_resonant(x, cfg4)),
-            (jc.q_g(1, t, detuned), lambda x: jc.q_g(1, x, detuned))):
+            (jc.q_g(1, t, detuned), lambda x: jc.q_g(1, x, detuned)),
+            (jc.envelope_approximation(t, cfg4),
+             lambda x: jc.envelope_approximation(x, cfg4)),
+            (jc.p1_correction(t, cfg4, thermal),
+             lambda x: jc.p1_correction(x, cfg4, thermal)),
+            (jc.p2_correction(t, cfg4, thermal),
+             lambda x: jc.p2_correction(x, cfg4, thermal)),
+            (jc.pg_thermal(t, cfg4, thermal),
+             lambda x: jc.pg_thermal(x, cfg4, thermal))):
         assert [float(v) for v in batch] == [row(x) for x in t]
         assert np.array_equal(batch[::7], row(t[::7]))
+    # past about 10.6 pi the y truncation widens for the latest time of a
+    # batch, so an integral row is checked against a one-row batch
+    for x in t[:201:50]:
+        assert jc.j2_integral(x, cfg4) == jc.resonant_profile([x], cfg4)["J2"][0]
+        assert jc.q_g(1, x, detuned, "integral") == \
+            jc.q_g(1, [x], detuned, "integral")[0]
+        assert jc.pg_thermal(x, detuned, thermal, "integral") == \
+            jc.pg_thermal([x], detuned, thermal, "integral")[0]
+
+
+_DETUNED = jc.JcmConfig(alpha=4.0, delta_omega=4.0)
+_THERMAL = jc.ThermalConfig(theta=0.025, gamma_tilde=1.0)
+_COLD = jc.ThermalConfig(theta=0.025, gamma_tilde=0.0)
+_CFG4 = jc.JcmConfig(alpha=4.0)
+_TIME_ENTRIES = {
+    "pg_series": lambda t: jc.pg_series(t, _CFG4),
+    "sigma_z_series": lambda t: jc.sigma_z_series(t, _CFG4),
+    "sigma_z_series_resonant": lambda t: jc.sigma_z_series_resonant(t, _CFG4),
+    "envelope_approximation": lambda t: jc.envelope_approximation(t, _CFG4),
+    "envelope_factor": lambda t: jc.envelope_factor(t, _CFG4),
+    "j2_integral": lambda t: jc.j2_integral(t, _CFG4),
+    "q_g series": lambda t: jc.q_g(1, t, _DETUNED),
+    "q_g integral": lambda t: jc.q_g(1, t, _DETUNED, "integral"),
+    "p1_correction": lambda t: jc.p1_correction(t, _CFG4, _THERMAL),
+    "p1_correction cold": lambda t: jc.p1_correction(t, _CFG4, _COLD),
+    "p2_correction": lambda t: jc.p2_correction(t, _CFG4, _THERMAL),
+    "pg_thermal": lambda t: jc.pg_thermal(t, _CFG4, _THERMAL),
+    "resonant_profile": lambda t: jc.resonant_profile([t], _CFG4),
+    "detuned_profile": lambda t: jc.detuned_profile([t], _DETUNED),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(_TIME_ENTRIES))
+def test_every_time_entry_refuses_a_bad_time(entry, t):
+    # a clean error naming t, not a NaN, a warning or a quadrature failure
+    with pytest.raises(ValueError, match="^t must be"):
+        _TIME_ENTRIES[entry](t)
+    with pytest.raises(ValueError, match="^t must be"):
+        _TIME_ENTRIES[entry](np.array([0.0, t]))
+
+
+def test_times_are_a_scalar_or_one_dimensional(cfg4):
+    with pytest.raises(ValueError, match="at most 1-d"):
+        jc.pg_series(np.zeros((2, 2)), cfg4)
 
 
 def test_collapsed_quiet_zone(cfg4, series200):

@@ -43,11 +43,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# --precision -> (scalar kind to compute with, escalation policy)
-_PRECISION_PLANS = {"standard": ("standard", "ignore"),
-                    "extended": ("extended", "ignore"),
-                    "auto": ("standard", "escalate")}
-_Precision = Literal[tuple(_PRECISION_PLANS)]
 _Rule = typing.get_type_hints(QuadratureSpec)["rule"]
 
 
@@ -69,7 +64,7 @@ class RunConfig:
     y_max: float = jcm.DEFAULT_Y_SPEC.upper_limit
     dy: float = jcm.DEFAULT_Y_SPEC.step  # a step in sqrt(y)
     rule: _Rule = jcm.DEFAULT_X_SPEC.rule
-    precision: _Precision = "auto"
+    precision: Literal["standard", "extended", "auto"] = "auto"
     t_start: float = 0.0
     t_end: float = 8.0 * math.pi
     t_steps: int = 4000
@@ -78,6 +73,8 @@ class RunConfig:
     jobs: int = 0  # 0 means all available cores
 
     def __post_init__(self):
+        if self.jobs < 0:
+            raise ValueError("jobs must be >= 0 (0 means all cores)")
         # beta_epsilon, when given, sets the theta the header records
         if self.beta_epsilon is not None:
             self.theta = jcm.theta_of_beta(self.beta_epsilon).exact
@@ -92,14 +89,16 @@ class RunConfig:
     def series_spec(self) -> jcm.SeriesSpec:
         return jcm.SeriesSpec(n_max=self.n_max)
 
-    def x_spec(self, kind: str) -> QuadratureSpec:
-        return dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
-                                   upper_limit=self.x_max, step=self.dx,
-                                   precision_kind=kind)
-
-    def y_spec(self, kind: str) -> QuadratureSpec:
-        return dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
-                                   step=self.dy, precision_kind=kind)
+    def specs(self) -> tuple[QuadratureSpec, QuadratureSpec, jcm.Escalation]:
+        """(x spec, y spec, escalation) of the grid flags and --precision;
+        "auto" computes in the standard kind and escalates past its budget."""
+        kind = "standard" if self.precision == "auto" else self.precision
+        x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
+                                     upper_limit=self.x_max, step=self.dx,
+                                     precision_kind=kind)
+        y_spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
+                                     step=self.dy, precision_kind=kind)
+        return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"
 
     def time_grid(self) -> np.ndarray:
         if self.t_steps < 1:
@@ -116,10 +115,6 @@ class RunConfig:
             raise ValueError("the time grid is not strictly increasing; "
                              "widen [t_start, t_end] or lower t_steps")
         return t
-
-    def precision_plan(self) -> tuple[str, str]:
-        """(scalar kind to compute with, escalation policy)."""
-        return _PRECISION_PLANS[self.precision]
 
 
 def _settings_parser(**kwargs) -> argparse.ArgumentParser:
@@ -206,31 +201,33 @@ def _write_csv(cfg: RunConfig, t: np.ndarray, columns: dict[str, np.ndarray]):
 def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
     """Worker count: at most one per core and one per time sample, and one
     where the platform cannot fork."""
-    if cfg.jobs < 0:
-        raise ValueError("jobs must be >= 0 (0 means all cores)")
     cores = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     return max(1, min(cfg.jobs or cores, cores, n_samples))
 
 
 def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
-    """Run worker over chunks of t, the y truncation widened once for the
-    latest t, and scatter the columns back into time order.  With several
-    workers, the latest row runs first, alone: it needs the most precision,
-    so it builds every family the run uses.  The other rows are dealt
-    round-robin to this process and to forked workers that inherit those."""
+    """Run worker over (cfg, times, specs) chunks of t, the y spec widened
+    once for the latest t, and scatter the columns back into time order.
+    With several workers, the latest row runs first, alone: it needs the
+    most precision, so it builds every family the run uses.  The other rows
+    are dealt round-robin to this process and to forked workers that
+    inherit those."""
     jobs = _effective_jobs(cfg, t.size)
-    y_spec = jcm._peak_aware(cfg.y_spec("standard"), abs(cfg.kappa) * float(t.max()))
-    run = dataclasses.replace(cfg, y_max=y_spec.upper_limit)
+    x_spec, y_spec, escalation = cfg.specs()
+    if cfg.command == "integrals" or cfg.mode == "integral":
+        # c: the l = 0 bracket turns fastest; a series run has no y grid
+        y_spec = jcm._peak_aware(y_spec, abs(cfg.kappa) * float(t.max()),
+                                 cfg.jcm_config().c)
     rows = np.arange(t.size)
     deals = [rows] if jobs == 1 else [rows[-1:]] + [
         rows[:-1][i::jobs] for i in range(min(jobs, t.size - 1))]
-    payloads = [{"cfg": run, "t": t[d].tolist()} for d in deals]
+    payloads = [(cfg, t[d], (x_spec, y_spec, escalation)) for d in deals]
     chunks = [worker(payloads[0])] + _run_forked(worker, payloads[1:])
     order = np.argsort(np.concatenate(deals))
     return {key: np.concatenate([c[key] for c in chunks])[order] for key in chunks[0]}
 
 
-def _run_forked(worker, payloads: list[dict]) -> list[dict]:
+def _run_forked(worker, payloads: list[tuple]) -> list[dict]:
     """[worker(p) for p in payloads], payloads[1:] in forked children that
     pickle (ok, result or exception) down a pipe and leave by os._exit,
     running no exit handler or buffer flush of the parent's.  A child's
@@ -276,26 +273,18 @@ def _run_forked(worker, payloads: list[dict]) -> list[dict]:
             os.waitpid(pid, 0)
 
 
-def _integrals_chunk(payload: dict) -> dict:
-    cfg = payload["cfg"]
-    kind, escalation = cfg.precision_plan()
+def _integrals_chunk(payload: tuple) -> dict:
+    cfg, t, specs = payload
     if cfg.delta_omega == 0.0:
-        return jcm.resonant_profile(payload["t"], cfg.jcm_config(),
-                                    cfg.x_spec(kind), cfg.y_spec(kind),
-                                    escalation=escalation)
-    return jcm.detuned_profile(payload["t"], cfg.jcm_config(), 0,
-                               cfg.x_spec(kind), cfg.y_spec(kind),
-                               escalation=escalation)
+        return jcm.resonant_profile(t, cfg.jcm_config(), *specs)
+    return jcm.detuned_profile(t, cfg.jcm_config(), 0, *specs)
 
 
-def _thermal_chunk(payload: dict) -> dict:
-    cfg = payload["cfg"]
-    ts = np.asarray(payload["t"])
-    kind, escalation = cfg.precision_plan()
+def _thermal_chunk(payload: tuple) -> dict:
+    cfg, t, specs = payload
     # the parent process reports the regime and any breakdown rows
-    p1, p2, pth = jcm._thermal_terms(
-        ts, cfg.jcm_config(), cfg.thermal_config(), cfg.mode,
-        cfg.series_spec(), cfg.x_spec(kind), cfg.y_spec(kind), escalation)
+    p1, p2, pth = jcm._thermal_terms(t, cfg.jcm_config(), cfg.thermal_config(),
+                                     cfg.mode, cfg.series_spec(), *specs)
     return {"P1": p1, "P2": p2, "pg_thermal": pth,
             "sigma_z_thermal": 1.0 - 2.0 * pth}
 
@@ -351,9 +340,7 @@ def cmd_thermal(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     """Identity and residual self-tests; prints PASS/FAIL per item."""
-    kind, escalation = cfg.precision_plan()
-    x_spec = cfg.x_spec(kind)
-    y_spec = cfg.y_spec(kind)
+    x_spec, y_spec, escalation = cfg.specs()
     failures = 0
 
     def report(name: str, measured: float, bound: float):

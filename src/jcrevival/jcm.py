@@ -258,6 +258,11 @@ def _times(t) -> np.ndarray:
     return t_arr
 
 
+def _time(t) -> float:
+    """One scalar time t, checked as _times checks each."""
+    return float(_times(float(t))[0])
+
+
 def _rows(t, values_of):
     """values_of(_times(t)), as a Python float for a scalar t: how every
     public function of t takes its times and returns its rows."""
@@ -371,12 +376,6 @@ class _CorrectionFamily:
 
     def integral(self, big_t: float) -> IntegralResult:
         with np.errstate(all="ignore"):
-            if big_t == 0.0:
-                # B(iy) = b0 + b1 exactly; no oscillatory factor
-                bt = self.b0 + self.b1
-                samples = (self.a_re * bt.imag + self.a_im * bt.real) * \
-                    (self.em2piy * self.inv1m)
-                return quadrature.assemble(samples, self.grid)
             two_t = 2.0 * big_t
             su, cu = special.sincos(self.p * two_t)
             qt = self.q * two_t
@@ -411,9 +410,11 @@ def correction_integrand_probe(cfg: JcmConfig, l: int, t: float, y: float,
     families: the tests Richardson-extrapolate these samples toward y = 0
     and compare against :func:`correction_origin`.
     """
-    if y <= 0.0:
-        raise ValueError("the probe needs y > 0; use correction_origin at 0")
-    big_t = abs(cfg.kappa) * float(t)
+    _require_index(l)
+    big_t = abs(cfg.kappa) * _time(t)
+    if not 0.0 < y < math.inf:
+        raise ValueError("the probe needs a finite y > 0; use "
+                         "correction_origin at 0")
     a = np.exp(2j * y * math.log(abs(cfg.alpha))
                - special.log_gamma(1.0 + 1j * y))
     s0 = cfg.c + float(l)
@@ -436,6 +437,8 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
     the general shifted bracket.  Cross-validated against Richardson
     extrapolation of the sampled integrand in the tests and in `check`.
     """
+    _require_index(l)
+    big_t = _time(big_t)
     base = 2.0 * math.log(abs(cfg.alpha)) + EULER_GAMMA
     if j_form:
         return (base - 2.0 * big_t * big_t) / (2.0 * math.pi)
@@ -469,7 +472,7 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
     held in the requested kind, 1 for an escalated row and 2 for a row
     past the budget of its kind.
     """
-    eff = _peak_aware(spec, float(big_ts.max(initial=0.0)))
+    eff = _peak_aware(spec, float(big_ts.max(initial=0.0)), cfg.c + float(l))
     fam = _family(_CorrectionFamily, cfg, l, eff, j_form)
     vals = np.empty_like(big_ts)
     cancel = np.empty_like(big_ts)
@@ -510,16 +513,25 @@ def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec,
                                           j_form, refuse))
 
 
-def _peak_aware(spec: QuadratureSpec, big_t: float) -> QuadratureSpec:
+def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
     """Widen the y-truncation to cover the integrand's exponential peak.
 
     The folded envelope exp(2 T q - (3/2) pi y) peaks near y* = 2 T^2/(9 pi^2);
     four times that, widened to a whole v-step, keeps the tail negligible.
+    A widened grid is refused, before it is built, when the phase
+    2 T Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or more
+    over its last v-step: the row is aliased at any truncation.
     """
     need = 4.0 * 2.0 * big_t * big_t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
     v_max = math.ceil(math.sqrt(need) / spec.step) * spec.step
+    turn = 2.0 * big_t * (complex(s, v_max ** 2) ** 0.5 -
+                          complex(s, (v_max - spec.step) ** 2) ** 0.5).real
+    if turn >= math.pi:
+        raise ValueError(f"T = {big_t:g} turns the correction phase by "
+                         f"{turn:.3g} rad over a v-step of {spec.step:g}, "
+                         "aliased at any y_max; lower the step (--dy)")
     return dataclasses.replace(spec, upper_limit=v_max * v_max)
 
 

@@ -11,6 +11,19 @@ def fresh_families():
     jcm._family.cache_clear()
 
 
+@pytest.fixture
+def no_large_grids(monkeypatch):
+    """quadrature.build_grid failing past 1e6 nodes, so a missing guard
+    fails the test instead of allocating gigabytes."""
+    build_grid = jcm.quadrature.build_grid
+
+    def bounded(a, b, spec):
+        assert (b - a) / spec.step <= 1e6, "an aliased grid was built"
+        return build_grid(a, b, spec)
+
+    monkeypatch.setattr(jcm.quadrature, "build_grid", bounded)
+
+
 @pytest.fixture(scope="session")
 def cfg4():
     return JcmConfig(alpha=4.0)

@@ -216,11 +216,10 @@ def test_thermal_chunk_evaluates_each_bracket_once(gamma_tilde, brackets,
         return q_g(l, *args, **kwargs)
 
     monkeypatch.setattr(jc.jcm, "q_g", counting)
-    chunk = cli._thermal_chunk({"cfg": cfg, "t": ts})
+    chunk = cli._thermal_chunk((cfg, np.asarray(ts), cfg.specs()))
     assert calls == list(range(brackets))
-    kind, escalation = cfg.precision_plan()
     args = (np.asarray(ts), cfg.jcm_config(), cfg.thermal_config(), "integral",
-            cfg.series_spec(), cfg.x_spec(kind), cfg.y_spec(kind), escalation)
+            cfg.series_spec(), *cfg.specs())
     assert np.array_equal(chunk["P1"], jc.p1_correction(*args))
     assert np.array_equal(chunk["P2"], jc.p2_correction(*args))
     assert np.array_equal(chunk["pg_thermal"], jc.pg_thermal(*args))
@@ -517,7 +516,10 @@ def test_invalid_params_exit2():
     # the default x_max = 100 does not cover the Poisson tail at alpha = 8
     assert main(["integrals", "--alpha", "8", "--t-steps", "1",
                  "--jobs", "1"]) == 2
+    # --jobs is checked for every subcommand, not only those that deal rows
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
+    assert main(["series", "--alpha", "4", "--t-steps", "2", "--jobs", "-1"]) == 2
+    assert main(["check", "--alpha", "4", "--jobs", "-3"]) == 2
     # beta_epsilon is checked for every subcommand, not only thermal
     assert main(["series", "--beta-epsilon", "0", "--t-steps", "1"]) == 2
     assert main(["thermal", "--beta-epsilon", "1e-20", "--t-steps", "1",
@@ -527,6 +529,19 @@ def test_invalid_params_exit2():
         for flag in ("--alpha", "--delta-omega"):
             assert main([command, flag, "1e200", "--t-steps", "1",
                          "--jobs", "1"]) == 2
+
+
+def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
+    # T = 1e6 would widen y_max to about 9e10: 1.2e8 nodes per array
+    late = ["--t-start", "1e6", "--t-end", "1e6", "--t-steps", "1"]
+    for command in (["integrals", "--alpha", "4"],
+                    ["integrals", "--alpha", "4", "--delta-omega", "4"],
+                    ["thermal", "--mode", "integral"]):
+        for jobs in ("1", "2"):
+            assert main(command + late + ["--jobs", jobs]) == 2
+            assert "aliased at any y_max" in capsys.readouterr().err
+    # a series run integrates nothing in y, so it has nothing to refuse
+    assert main(["thermal", "--mode", "series", "--jobs", "1"] + late) == 0
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):

@@ -260,7 +260,9 @@ def test_unmarked_entries_refuse_over_budget_rows_under_ignore(cfg4):
 def test_bracket_index_must_be_a_nonnegative_integer(cfg4, l):
     for call in (lambda: jc.q_g(l, 1.0, cfg4),
                  lambda: jc.q_g(l, 1.0, cfg4, "integral"),
-                 lambda: jc.detuned_profile([1.0], cfg4, l)):
+                 lambda: jc.detuned_profile([1.0], cfg4, l),
+                 lambda: jc.correction_integrand_probe(cfg4, l, 1.0, 0.1),
+                 lambda: jc.correction_origin(cfg4, l, 1.0)):
         with pytest.raises(ValueError, match="l must be a nonnegative integer"):
             call()
     assert jc.q_g(np.int64(1), 1.0, cfg4) == jc.q_g(1, 1.0, cfg4)
@@ -316,10 +318,65 @@ def test_repeated_calls_build_each_grid_once(cfg4, cfg4_detuned, monkeypatch):
 
 
 def test_peak_aware_truncation_extends_grid(cfg4):
-    spec = jc.jcm._peak_aware(Y, 12.0 * math.pi)
+    spec = jc.jcm._peak_aware(Y, 12.0 * math.pi, 0.0)
     need = 8.0 * (12.0 * math.pi) ** 2 / (9.0 * math.pi ** 2)
     assert spec.upper_limit >= need
-    assert jc.jcm._peak_aware(Y, 2.0).upper_limit == Y.upper_limit
+    assert jc.jcm._peak_aware(Y, 2.0, 0.0).upper_limit == Y.upper_limit
+
+
+def test_peak_aware_refuses_an_aliased_widening(cfg4, cfg4_detuned):
+    # at s = 0 the phase 2 T Re sqrt(i v^2) turns by sqrt(2) T dv a v-step:
+    # pi from T = pi / (sqrt(2) 0.0025) = 888.6 on the default grid
+    assert jc.jcm._peak_aware(Y, 888.0, 0.0).upper_limit > 7e4
+    for s in (0.0, 4.0):
+        with pytest.raises(ValueError, match="aliased at any y_max"):
+            jc.jcm._peak_aware(Y, 890.0, s)
+    # a grid wide enough already is not widened, so not refused
+    wide = dataclasses.replace(Y, upper_limit=1e5)
+    assert jc.jcm._peak_aware(wide, 890.0, 0.0) is wide
+
+
+def test_entries_refuse_an_aliased_row_before_its_grid(cfg4, cfg4_detuned,
+                                                       no_large_grids):
+    for call in (lambda: jc.j2_integral(1e6, cfg4),
+                 lambda: jc.resonant_profile([1e6], cfg4, escalation="ignore"),
+                 lambda: jc.q_g(2, 1e6, cfg4_detuned, "integral")):
+        with pytest.raises(ValueError, match="aliased at any y_max"):
+            call()
+
+
+def test_profile_rows_do_not_depend_on_the_chunk(cfg4, cfg4_detuned):
+    # the CLI deals a run's rows to chunks of any size; up to 8 pi no row
+    # widens the y grid, so a row's bits cannot depend on its chunk
+    ts = np.linspace(0.0, 8.0 * math.pi, 41)
+    for profile in (lambda t: jc.resonant_profile(t, cfg4, escalation="escalate"),
+                    lambda t: jc.detuned_profile(t, cfg4_detuned, 1, escalation="escalate")):
+        batch = profile(ts)
+        assert 1 in batch["status"]
+        for i, t in enumerate(ts):
+            row = profile([t])
+            for key, col in batch.items():
+                assert col[i] == row[key][0], (key, t)
+    # the t = 0 row, where the correction's oscillating factor is exactly 1,
+    # to the bit; its cancellation, a diagnostic, to one ulp
+    for kind, (j1, j2, sigma, cancel), (lhs, rhs) in (
+            ("standard",
+             ("-0x1.ffffff0d97c0fp-1", "0x1.e1f8dd19d6f74p-26",
+              "-0x1.fffffffff10e1p-1", "0x1.0082900d38f86p+0"),
+             ("0x1.0f2ebc0a78179p+22", "0x1.0f2ebc0a80020p+22")),
+            ("extended",
+             ("-0x1.ffffff0d97c1cp-1", "0x1.e1f8dd19d6f71p-26",
+              "-0x1.fffffffff10edp-1", "0x1.0082900d38f86p+0"),
+             ("0x1.0f2ebc0a78180p+22", "0x1.0f2ebc0a80020p+22"))):
+        x_spec = dataclasses.replace(X, precision_kind=kind)
+        y_spec = dataclasses.replace(Y, precision_kind=kind)
+        row = jc.resonant_profile([0.0], cfg4, x_spec, y_spec)
+        assert [row[k][0] for k in ("J1", "J2", "sigma_z", "status")] == \
+            [float.fromhex(j1), float.fromhex(j2), float.fromhex(sigma), 0]
+        pinned = float.fromhex(cancel)
+        assert abs(row["cancellation"][0] - pinned) <= math.ulp(pinned)
+        assert jc.abel_plana_identity(4.0, x_spec, y_spec) == \
+            (float.fromhex(lhs), float.fromhex(rhs))
 
 
 # --- thermal corrections -----------------------------------------------------

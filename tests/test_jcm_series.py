@@ -122,6 +122,23 @@ def test_every_time_entry_refuses_a_bad_time(entry, t):
         _TIME_ENTRIES[entry](np.array([0.0, t]))
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_correction_probes_refuse_a_bad_time(t):
+    # the scalar-only probes of the correction integrand take one time
+    # each, checked by the same rule as the row entries
+    for call in (lambda: jc.correction_integrand_probe(_CFG4, 0, t, 0.1),
+                 lambda: jc.correction_origin(_CFG4, 0, t),
+                 lambda: jc.correction_origin(_DETUNED, 1, t)):
+        with pytest.raises(ValueError, match="^t must be"):
+            call()
+
+
+@pytest.mark.parametrize("y", [0.0, -0.1, math.nan, math.inf])
+def test_correction_probe_needs_a_finite_positive_y(y):
+    with pytest.raises(ValueError, match="needs a finite y > 0"):
+        jc.correction_integrand_probe(_CFG4, 0, 1.0, y)
+
+
 def test_times_are_a_scalar_or_one_dimensional(cfg4):
     with pytest.raises(ValueError, match="at most 1-d"):
         jc.pg_series(np.zeros((2, 2)), cfg4)

@@ -90,12 +90,12 @@ class RunConfig:
         return jcm.SeriesSpec(n_max=self.n_max)
 
     def specs(self) -> tuple[QuadratureSpec, QuadratureSpec, jcm.Escalation]:
-        """(x spec, y spec, escalation) of the grid flags and --precision;
-        "auto" computes in the standard kind and escalates past its budget."""
+        """(x spec, y spec, escalation) of the grid flags and --precision,
+        the y spec's kind (the line integral is standard-kind only); "auto"
+        computes in the standard kind and escalates past its budget."""
         kind = "standard" if self.precision == "auto" else self.precision
         x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
-                                     upper_limit=self.x_max, step=self.dx,
-                                     precision_kind=kind)
+                                     upper_limit=self.x_max, step=self.dx)
         y_spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
                                      step=self.dy, precision_kind=kind)
         return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"

@@ -52,6 +52,11 @@ Escalation = Literal["raise", "escalate", "ignore"]
 DEFAULT_X_SPEC = QuadratureSpec(rule="simpson", upper_limit=100.0, step=0.0025)
 DEFAULT_Y_SPEC = QuadratureSpec(rule="bode", upper_limit=100.0, step=0.0025)
 
+# the most intervals of a grid axis, and the largest n_max, a user may size:
+# 2^20 + 1 points, 8 MiB an array; series rows are summed in blocks of 2^22
+_MAX_INTERVALS = 2 ** 20
+_BLOCK_TERMS = 2 ** 22
+
 
 class PerturbativeRegimeWarning(UserWarning):
     """The thermal expansion parameters sit outside the perturbative regime."""
@@ -113,8 +118,8 @@ class SeriesSpec:
     n_max: int = 100
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
+        if not 0 <= self.n_max <= _MAX_INTERVALS:
+            raise ValueError("n_max must lie in [0, 2^20]")
 
 
 DEFAULT_SERIES_SPEC = SeriesSpec()
@@ -181,9 +186,19 @@ def _bracket_sum(l: int, t_arr: np.ndarray, cfg: JcmConfig, spec: SeriesSpec):
     _require_tail(cfg, "n_max", spec.n_max, "n_max")
     w = _poisson_weights(cfg.alpha, spec.n_max)
     s = cfg.c + np.arange(spec.n_max + 1) + float(l)
-    terms = _bracket(s[None, :], abs(cfg.kappa) * t_arr[:, None], cfg.c) * w
-    # by row, not `@`: BLAS rounds a row by the size of the batch it is in
-    return terms.sum(axis=1)
+    return _row_sums(lambda t_blk: _bracket(
+        s[None, :], abs(cfg.kappa) * t_blk[:, None], cfg.c) * w, t_arr, w.size)
+
+
+def _row_sums(terms_of, t_arr: np.ndarray, n_terms: int) -> np.ndarray:
+    """The row sums of terms_of(times), an array of n_terms columns, over
+    blocks of t_arr of at most 2^22 terms.  By row, not `@`: BLAS rounds a
+    row by the size of the batch it is in, a row sum does not."""
+    out = np.empty(t_arr.size)
+    rows = max(1, _BLOCK_TERMS // n_terms)
+    for i in range(0, t_arr.size, rows):
+        out[i:i + rows] = terms_of(t_arr[i:i + rows]).sum(axis=1)
+    return out
 
 
 def pg_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
@@ -217,9 +232,9 @@ def sigma_z_series_resonant(t, cfg: JcmConfig,
     def values_of(t_arr):
         _require_tail(cfg, "n_max", spec.n_max, "n_max")
         w = _poisson_weights(cfg.alpha, spec.n_max)
-        n = np.arange(spec.n_max + 1)
-        phase = 2.0 * np.sqrt(n)[None, :] * (abs(cfg.kappa) * t_arr[:, None])
-        return -(np.cos(phase) * w).sum(axis=1)
+        two_root_n = 2.0 * np.sqrt(np.arange(spec.n_max + 1))[None, :]
+        return -_row_sums(lambda t_blk: np.cos(
+            two_root_n * (abs(cfg.kappa) * t_blk[:, None])) * w, t_arr, w.size)
     return _rows(t, values_of)
 
 
@@ -289,12 +304,19 @@ def _double_angle(s, c: float, j_form: bool):
     return (1.0 + ratio) * 0.5, (1.0 - ratio) * 0.5
 
 
-def _sqrt_grid(spec: QuadratureSpec):
+def _sqrt_grid(spec: QuadratureSpec, axis: str):
     """(grid, 2v): spec's grid in v = sqrt(x) on [0, sqrt(upper_limit)],
     holding x = v^2 as its abscissae, and the Jacobian dx/dv, in its kind.
     In v, cos(2 sqrt(x) T) has the uniform wavelength pi/T and the weights
-    decay like a Gaussian (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
-    grid = quadrature.build_grid(0.0, math.sqrt(spec.upper_limit), spec)
+    decay like a Gaussian (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
+    grid of more than 2^20 + 1 nodes is refused before it is built; axis
+    ("x" or "y") names the flags that size it."""
+    v_max = math.sqrt(spec.upper_limit)
+    if v_max / spec.step > _MAX_INTERVALS:
+        raise ValueError(f"the {axis} grid would hold {v_max / spec.step:.3g} "
+                         "nodes, more than 2^20 + 1; lower "
+                         f"{axis}_max (--{axis}-max) or raise the step (--d{axis})")
+    grid = quadrature.build_grid(0.0, v_max, spec)
     v = grid.x
     return dataclasses.replace(grid, x=v * v), v * 2.0
 
@@ -313,27 +335,26 @@ class _LineFamily:
     family instance amortizes them over a whole time sweep.  j_form selects
     the plain cos(2 sqrt(x) T) bracket of the resonant decomposition;
     otherwise the bracket is cos^2 + (c/(x+c+l)) sin^2 at shifted index l.
-    The kind is the grid's (spec.precision_kind); a0, a1 carry its Jacobian.
+    Positive weights keep its error near eps: float64 only; a0, a1 carry dx/dv.
     """
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False):
+        if spec.precision_kind != "standard":
+            raise ValueError("the line integral takes a standard-kind x spec")
         _require_positive_alpha(cfg)
         _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--x-max)")
-        self.grid, jac = _sqrt_grid(spec)
+        self.grid, jac = _sqrt_grid(spec, "x")
         x = self.grid.x
-        # 2*ln_alpha as a double, in either kind, is exact enough: the weight
-        # is smooth and shared by every representation being compared
-        ln_alpha = math.log(abs(cfg.alpha))
-        w = special.exp(x * (2.0 * ln_alpha) - special.log_gamma(x + 1.0)) * jac
+        w = np.exp(x * (2.0 * math.log(abs(cfg.alpha)))
+                   - special.log_gamma(x + 1.0)) * jac
         s = x + (cfg.c + float(l))
-        self.sqrt_arg = special.sqrt(s)
+        self.sqrt_arg = np.sqrt(s)
         b0, b1 = _double_angle(s, cfg.c, j_form)
         self.a0, self.a1 = w * b0, w * b1
 
     def integral(self, big_t: float) -> IntegralResult:
-        phase = self.sqrt_arg * (2.0 * big_t)
-        samples = self.a0 + self.a1 * special.cos(phase)
+        samples = self.a0 + self.a1 * np.cos(self.sqrt_arg * (2.0 * big_t))
         return quadrature.assemble(samples, self.grid)
 
 
@@ -352,7 +373,7 @@ class _CorrectionFamily:
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False):
         _require_positive_alpha(cfg)
-        self.grid, jac = _sqrt_grid(spec)
+        self.grid, jac = _sqrt_grid(spec, "y")
         y = self.grid.x
         # the extended kind needs both constants to its own ~32 digits
         if special.is_extended(y):
@@ -520,15 +541,18 @@ def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
     four times that, widened to a whole v-step, keeps the tail negligible.
     A widened grid is refused, before it is built, when the phase
     2 T Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or more
-    over its last v-step: the row is aliased at any truncation.
+    over its last v-step: the row is aliased at any truncation.  So is a
+    row whose peak lies past every double (T beyond about 1.3e154).
     """
     need = 4.0 * 2.0 * big_t * big_t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
-    v_max = math.ceil(math.sqrt(need) / spec.step) * spec.step
-    turn = 2.0 * big_t * (complex(s, v_max ** 2) ** 0.5 -
-                          complex(s, (v_max - spec.step) ** 2) ** 0.5).real
-    if turn >= math.pi:
+    turn = math.inf
+    if math.isfinite(need):
+        v_max = math.ceil(math.sqrt(need) / spec.step) * spec.step
+        turn = 2.0 * big_t * (complex(s, v_max ** 2) ** 0.5 -
+                              complex(s, (v_max - spec.step) ** 2) ** 0.5).real
+    if not turn < math.pi:
         raise ValueError(f"T = {big_t:g} turns the correction phase by "
                          f"{turn:.3g} rad over a v-step of {spec.step:g}, "
                          "aliased at any y_max; lower the step (--dy)")
@@ -602,9 +626,10 @@ def resonant_profile(ts, cfg: JcmConfig,
     """J1, J2 and the assembled inversion over a time grid.
 
     Returns arrays J1, J2, sigma_z, cancellation (of the J2 correction)
-    and the row status of _correction_sweep.  With escalation="ignore",
-    rows of status 2 hold whatever the requested kind produced; callers
-    decide whether that is acceptable.
+    and the row status of _correction_sweep, raised to 2 (see
+    _refuse_noise) where sigma_z leaves [-1, 1].  With
+    escalation="ignore", rows of status 2 hold whatever the requested kind
+    produced; callers decide whether that is acceptable.
     """
     _require_resonant(cfg)
     pref = math.exp(-cfg.alpha ** 2)
@@ -613,6 +638,7 @@ def resonant_profile(ts, cfg: JcmConfig,
     j1 = -pref * line
     j2 = 2.0 * pref * corr
     sigma = -0.5 * pref + j1 + j2
+    _refuse_noise(sigma, -1.0, "sigma_z", status, escalation)
     return {"J1": j1, "J2": j2, "sigma_z": sigma, "cancellation": cancel,
             "status": status}
 
@@ -621,13 +647,31 @@ def detuned_profile(ts, cfg: JcmConfig, l: int = 0,
                     x_spec: QuadratureSpec = DEFAULT_X_SPEC,
                     y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
                     escalation: Escalation = "raise") -> dict[str, np.ndarray]:
-    """I1^(l), I2^(l) and the (l = 0) assembled inversion over a time grid."""
+    """I1^(l), I2^(l) and the (l = 0) assembled inversion over a time grid,
+    with the cancellation and status of resonant_profile."""
     pref = math.exp(-cfg.alpha ** 2)
     i1, i2, cancel, status = _sweep(
         _times(ts), cfg, l, x_spec, y_spec, escalation)
     sigma = 1.0 - pref * (1.0 + 2.0 * i1 - 4.0 * i2)
+    if l == 0:
+        _refuse_noise(sigma, -1.0, "sigma_z", status, escalation)
     return {"I1": i1, "I2": i2, "sigma_z": sigma, "cancellation": cancel,
             "status": status}
+
+
+def _refuse_noise(vals, low: float, name: str, status=None,
+                  escalation: Escalation = "raise"):
+    """Rows of vals outside [low, 1] by more than 1e-9 are noise, however
+    small their cancellation (an under-resolved weight phase 2 y ln|alpha|
+    at small alpha, for one).  Mark them status 2, or, under "raise" or
+    with no status to mark, raise PrecisionLossError as past the budget."""
+    bad = np.flatnonzero(_outside_unit_interval(vals, low))
+    if bad.size and (status is None or escalation == "raise"):
+        raise PrecisionLossError(
+            f"{name} = {float(vals[bad[0]])!r} leaves [{low:g}, 1]: the "
+            "integrals are noise at this time")
+    if status is not None:
+        status[bad] = 2
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +687,8 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
 
     series mode sums the summand f(c + n + l) of _bracket with Poisson
     weights; integral mode assembles e^{-a^2} [f(c + l)/2 + I1^(l) - 2 I2^(l)]
-    and raises PrecisionLossError on a row past the budget under every policy.
+    and raises PrecisionLossError under every policy on a row past the budget
+    or outside [0, 1] by more than 1e-9.
     """
     def values_of(t_arr):
         if mode == "series":
@@ -652,7 +697,9 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
             raise ValueError(f"unknown mode {mode!r}")
         i1, i2 = _sweep(t_arr, cfg, l, x_spec, y_spec, escalation, refuse=True)[:2]
         boundary = _bracket(cfg.c + float(l), abs(cfg.kappa) * t_arr, cfg.c)
-        return math.exp(-cfg.alpha ** 2) * (0.5 * boundary + i1 - 2.0 * i2)
+        q = math.exp(-cfg.alpha ** 2) * (0.5 * boundary + i1 - 2.0 * i2)
+        _refuse_noise(q, 0.0, f"Q^({l})")
+        return q
     return _rows(t, values_of)
 
 
@@ -679,10 +726,11 @@ def _thermal_terms(t_arr: np.ndarray, cfg: JcmConfig, thermal: ThermalConfig,
     return p1, p2, pg + thermal.theta * p1 + 0.5 * thermal.theta ** 2 * p2
 
 
-def _outside_unit_interval(p) -> np.ndarray:
-    """Mask of probabilities beyond [0, 1] by more than roundoff (1e-9)."""
+def _outside_unit_interval(p, low: float = 0.0) -> np.ndarray:
+    """Mask of values beyond [low, 1], by default probabilities beyond
+    [0, 1], by more than roundoff (1e-9)."""
     p = np.asarray(p)
-    return (p < -1e-9) | (p > 1.0 + 1e-9)
+    return (p < low - 1e-9) | (p > 1.0 + 1e-9)
 
 
 def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,

@@ -1,17 +1,18 @@
 """Complex special functions: the Lanczos gamma kit and branch-safe helpers.
 
 Every integrand in this package is built from ``1/Gamma(z)``, principal
-square roots and trigonometric functions of complex arguments, in one of
-two scalar kinds:
+square roots and trigonometric functions of complex arguments.  The line
+integral, whose weights are positive, is computed in float64 only.  The
+correction integrand, which cancels, is computed in one of two scalar kinds:
 
 * standard - float64 / complex128 (plain numbers or numpy arrays),
 * extended - double-double pairs (`ddmath.DD` real, `ddmath.CDD` complex),
   roughly 32 significant digits.
 
 Mixing kinds promotes to extended.  This is the one module that dispatches
-on the kind: :func:`exp`, :func:`sqrt`, :func:`sincos`, :func:`cos`,
-:func:`complex_of`, :func:`log_gamma` and :func:`principal_sqrt` return the
-kind they are given, so an integrand is written once for both kinds and
+on the kind: :func:`exp`, :func:`sincos`, :func:`complex_of`,
+:func:`log_gamma` and :func:`principal_sqrt` return the kind they are
+given, so the correction integrand is written once for both kinds and
 reads complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
 :func:`leading`, :func:`replace_first` and :func:`compensated_sum` serve
 the real samples of ``quadrature.assemble``, whose sum runs ddmath's fixed
@@ -75,21 +76,11 @@ def exp(z):
     return np.exp(z)
 
 
-def sqrt(x):
-    """Square root of a real argument in the kind of x (NaN below zero)."""
-    return ddmath.sqrt(x) if isinstance(x, DD) else np.sqrt(x)
-
-
 def sincos(x):
     """(sin x, cos x) of a real argument in the kind of x."""
     if isinstance(x, DD):
         return ddmath.sincos(x)
     return np.sin(x), np.cos(x)
-
-
-def cos(x):
-    """cos x of a real argument in the kind of x."""
-    return ddmath.cos(x) if isinstance(x, DD) else np.cos(x)
 
 
 def complex_of(re, im):

@@ -1,5 +1,6 @@
 """The command-line surface: columns, exit codes, config handling."""
 
+import collections
 import math
 import os
 import subprocess
@@ -108,6 +109,14 @@ def test_integrals_standard_precision_loss_exit3(tmp_path):
     assert rc == 3
     _, _, cols = _read_csv(out)
     assert cols["status"][0] == 2  # marked, not silently blank
+    # a row outside [-1, 1] is noise at any cancellation: at alpha = 1e-300
+    # the weight phase 2 y ln|alpha| is under-resolved (the series gives -1)
+    rc = main(["integrals", "--alpha", "1e-300", "--t-end", "6.283185307179586",
+               "--t-steps", "2", "--jobs", "1", "--out", str(out)])
+    assert rc == 3
+    _, _, cols = _read_csv(out)
+    assert list(cols["status"]) == [2, 0, 2]
+    assert np.all(np.abs(cols["sigma_z"][[0, 2]]) > 1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("precision", ["standard", "extended"])
@@ -542,6 +551,30 @@ def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
             assert "aliased at any y_max" in capsys.readouterr().err
     # a series run integrates nothing in y, so it has nothing to refuse
     assert main(["thermal", "--mode", "series", "--jobs", "1"] + late) == 0
+    # past T of about 1.3e154 the peak overflows: aliased, not a numerical failure
+    for argv in (["integrals", "--alpha", "4", "--t-end", "1e300", "--t-steps", "2"],
+                 ["integrals", "--alpha", "4", "--kappa", "1e300", "--t-end", "3",
+                  "--t-steps", "2"]):
+        assert main(argv) == 2
+        assert "aliased at any y_max" in capsys.readouterr().err
+
+
+def test_a_grid_past_the_ceiling_is_refused_before_it_is_built(capsys,
+                                                               no_large_grids):
+    # a wide --y-max skips the widening, and its aliasing refusal, entirely
+    for argv, flag in (
+            (["--t-start", "1e6", "--t-end", "1e6", "--y-max", "9.1e10"], "--y-max"),
+            (["--dx", "1e-8", "--t-end", "1"], "--dx")):
+        assert main(["integrals", "--alpha", "4", "--t-steps", "1",
+                     "--jobs", "1"] + argv) == 2
+        assert flag in capsys.readouterr().err
+    # n_max sizes the series' (rows x terms) arrays the same way
+    assert main(["series", "--alpha", "4", "--t-start", "3", "--t-end", "3",
+                 "--t-steps", "1", "--n-max", str(2 ** 20 + 1)]) == 2
+    assert "n_max must lie in [0, 2^20]" in capsys.readouterr().err
+    # the README's fine grids (100,001 nodes an axis) stay accepted
+    assert main(["integrals", "--alpha", "4", "--dx", "1e-4", "--dy", "1e-4",
+                 "--t-end", "1", "--t-steps", "1", "--jobs", "1"]) == 0
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):
@@ -609,8 +642,32 @@ def test_check_runs_in_the_kind_of_precision(monkeypatch):
                         recorder({"J1": np.zeros(201)}))
     monkeypatch.setattr(jc.jcm, "q_g", recorder(0.0))
     main(["check", "--precision", "extended"])
-    assert len(specs) == 2 * (4 + 1 + 1)
-    assert all(s.precision_kind == "extended" for s in specs)
+    # each call takes (x spec, y spec); the kind is the correction's
+    assert [s.precision_kind for s in specs] == \
+        ["standard", "extended"] * (4 + 1 + 1)
+
+
+def test_extended_precision_builds_no_extended_x_grid(monkeypatch, capsys):
+    # the x grid is the Simpson one, the y grid the Bode one
+    calls = []
+    build_grid = jc.jcm.quadrature.build_grid
+
+    def counting(a, b, spec):
+        calls.append((spec.rule, spec.precision_kind))
+        return build_grid(a, b, spec)
+
+    monkeypatch.setattr(jc.jcm.quadrature, "build_grid", counting)
+    for argv in (["integrals", "--alpha", "4", "--precision", "extended",
+                  "--t-end", "3", "--t-steps", "2", "--jobs", "1"],
+                 ["check", "--alpha", "4", "--precision", "extended"]):
+        calls.clear()
+        jc.jcm._family.cache_clear()
+        assert main(argv) == 0
+        counts = collections.Counter(calls)
+        assert counts[("simpson", "extended")] == 0, argv
+        assert counts[("simpson", "standard")] >= 1, argv
+        assert counts[("bode", "extended")] >= 1, argv
+    capsys.readouterr()
 
 
 def test_check_fails_on_coarse_grid(capsys):

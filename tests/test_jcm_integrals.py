@@ -115,8 +115,7 @@ def test_representation_agreement_extended():
     t = math.pi
     a = jc.sigma_z_series(t, cfg, jc.SeriesSpec(200))
     b = jc.detuned_profile(
-        [t], cfg, 0,
-        dataclasses.replace(X, precision_kind="extended"),
+        [t], cfg, 0, X,
         dataclasses.replace(Y, precision_kind="extended"))["sigma_z"][0]
     assert abs(a - b) < 1e-6
 
@@ -331,6 +330,10 @@ def test_peak_aware_refuses_an_aliased_widening(cfg4, cfg4_detuned):
     for s in (0.0, 4.0):
         with pytest.raises(ValueError, match="aliased at any y_max"):
             jc.jcm._peak_aware(Y, 890.0, s)
+    # past T of about 1.3e154 the peak itself overflows a double
+    for big_t in (1e155, 1e300, math.inf):
+        with pytest.raises(ValueError, match="aliased at any y_max"):
+            jc.jcm._peak_aware(Y, big_t, 0.0)
     # a grid wide enough already is not widened, so not refused
     wide = dataclasses.replace(Y, upper_limit=1e5)
     assert jc.jcm._peak_aware(wide, 890.0, 0.0) is wide
@@ -343,6 +346,38 @@ def test_entries_refuse_an_aliased_row_before_its_grid(cfg4, cfg4_detuned,
                  lambda: jc.q_g(2, 1e6, cfg4_detuned, "integral")):
         with pytest.raises(ValueError, match="aliased at any y_max"):
             call()
+
+
+def test_a_grid_past_the_ceiling_is_refused_before_it_is_built(no_large_grids):
+    # at most 2^20 + 1 nodes an axis: 16 MiB a complex array
+    for spec, axis, flags in (
+            (dataclasses.replace(X, step=1e-8), "x", "--x-max.*--dx"),
+            (dataclasses.replace(Y, upper_limit=9.1e10), "y", "--y-max.*--dy")):
+        with pytest.raises(ValueError, match=f"the {axis} grid .*{flags}"):
+            jc.jcm._sqrt_grid(spec, axis)
+    # a step of 1e-5 in v on [0, 10] is 1e6 intervals, under the ceiling
+    grid = jc.jcm._sqrt_grid(dataclasses.replace(Y, step=1e-5), "y")[0]
+    assert grid.n == 10 ** 6
+
+
+def test_rows_no_physics_allows_are_refused():
+    # at alpha = 1e-14 the weight phase 2 y ln|alpha| is under-resolved on
+    # the default y grid: sigma_z leaves [-1, 1] at a small cancellation
+    cfg = jc.JcmConfig(alpha=1e-14)
+    ts = np.linspace(0.0, 8.0 * math.pi, 81)
+    prof = jc.resonant_profile(ts, cfg, escalation="escalate")
+    outside = np.abs(prof["sigma_z"]) > 1.0 + 1e-9
+    quiet = outside & (prof["cancellation"] < 10.0)
+    assert quiet.any()
+    assert np.all(prof["status"][outside] == 2)
+    with pytest.raises(PrecisionLossError, match=r"sigma_z = .* leaves \[-1, 1\]"):
+        jc.resonant_profile(ts[quiet][:1], cfg)
+    # off resonance at l = 0 too; a shifted bracket's sigma_z is no inversion
+    detuned = jc.JcmConfig(alpha=1e-300, delta_omega=2.0)
+    assert list(jc.detuned_profile([0.0, math.pi], detuned, 0,
+                                   escalation="ignore")["status"]) == [2, 2]
+    with pytest.raises(PrecisionLossError, match=r"Q\^\(0\) = .* leaves \[0, 1\]"):
+        jc.q_g(0, ts, cfg, "integral", escalation="escalate")
 
 
 def test_profile_rows_do_not_depend_on_the_chunk(cfg4, cfg4_detuned):
@@ -365,10 +400,11 @@ def test_profile_rows_do_not_depend_on_the_chunk(cfg4, cfg4_detuned):
               "-0x1.fffffffff10e1p-1", "0x1.0082900d38f86p+0"),
              ("0x1.0f2ebc0a78179p+22", "0x1.0f2ebc0a80020p+22")),
             ("extended",
-             ("-0x1.ffffff0d97c1cp-1", "0x1.e1f8dd19d6f71p-26",
-              "-0x1.fffffffff10edp-1", "0x1.0082900d38f86p+0"),
-             ("0x1.0f2ebc0a78180p+22", "0x1.0f2ebc0a80020p+22"))):
-        x_spec = dataclasses.replace(X, precision_kind=kind)
+             ("-0x1.ffffff0d97c0fp-1", "0x1.e1f8dd19d6f71p-26",
+              "-0x1.fffffffff10e1p-1", "0x1.0082900d38f86p+0"),
+             ("0x1.0f2ebc0a78179p+22", "0x1.0f2ebc0a80020p+22"))):
+        # the kind is the correction's: the line integral is standard only
+        x_spec = X
         y_spec = dataclasses.replace(Y, precision_kind=kind)
         row = jc.resonant_profile([0.0], cfg4, x_spec, y_spec)
         assert [row[k][0] for k in ("J1", "J2", "sigma_z", "status")] == \
@@ -391,6 +427,8 @@ def test_q0_equals_pg_both_modes(cfg4, series200):
     pg = jc.pg_series(t, cfg4, series200)
     assert jc.q_g(0, t, cfg4, "series", series200) == pg
     assert jc.q_g(0, t, cfg4, "integral", series200) == pytest.approx(pg, abs=1e-8)
+    with pytest.raises(ValueError, match="unknown mode 'fourier'"):
+        jc.q_g(0, t, cfg4, "fourier")
 
 
 def test_q_is_one_at_t_zero(cfg4, series200):
@@ -405,19 +443,32 @@ def test_q_bounds_for_shifted_index(cfg4_detuned, series200):
         assert np.all(q >= -1e-9) and np.all(q <= 1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("family", ["_LineFamily", "_CorrectionFamily"])
+@pytest.mark.parametrize("family", ["_CorrectionFamily"])
 @pytest.mark.parametrize("delta_omega, l, j_form",
                          [(0.0, 0, True), (4.0, 1, False), (0.0, 0, False)])
 def test_families_agree_across_kinds(family, delta_omega, l, j_form):
     # one code path serves both kinds: at a time well inside the standard
     # budget the two kinds evaluate the same formula on the same grid
     cfg = jc.JcmConfig(alpha=4.0, delta_omega=delta_omega)
-    spec = dataclasses.replace(X if family == "_LineFamily" else Y, step=1e-2)
+    spec = dataclasses.replace(Y, step=1e-2)
     ext = dataclasses.replace(spec, precision_kind="extended")
     cls = getattr(jc.jcm, family)
     std_val = cls(cfg, l, spec, j_form=j_form).integral(math.pi).value
     ext_val = cls(cfg, l, ext, j_form=j_form).integral(math.pi).value
     assert ext_val == pytest.approx(std_val, rel=1e-12)
+
+
+def test_line_integral_is_standard_kind_only(cfg4, cfg4_detuned):
+    # its weights are positive: no row cancels, so no row needs more digits
+    ext = dataclasses.replace(X, precision_kind="extended")
+    for call in (lambda: jc.jcm._LineFamily(cfg4, 0, ext, j_form=True),
+                 lambda: jc.resonant_profile([1.0], cfg4, ext),
+                 lambda: jc.detuned_profile([1.0], cfg4_detuned, 0, ext),
+                 lambda: jc.q_g(1, 1.0, cfg4_detuned, "integral", x_spec=ext),
+                 lambda: jc.const_plateau(cfg4_detuned, ext),
+                 lambda: jc.abel_plana_identity(4.0, ext)):
+        with pytest.raises(ValueError, match="standard-kind x spec"):
+            call()
 
 
 def test_line_family_refuses_an_uncovered_poisson_tail(series200):
@@ -575,3 +626,8 @@ def test_perturbative_regime_warning(series200):
     assert jc.perturbative_strength(cfg, th) > 0.5
     with pytest.warns(jc.PerturbativeRegimeWarning):
         jc.pg_thermal(1.0, cfg, th, "series", series200)
+    # far outside it the result itself leaves [0, 1]
+    hot = jc.ThermalConfig(theta=0.9, gamma_tilde=1.0)
+    with pytest.warns(jc.PerturbativeRegimeWarning) as caught:
+        jc.pg_thermal(np.linspace(0.0, 3.0, 4), cfg, hot, "series", series200)
+    assert "thermal P_g left [0, 1]" in [str(w.message).split(":")[0] for w in caught]

@@ -60,7 +60,7 @@ def test_two_series_forms_agree_to_1e12(cfg4, series200):
         assert np.abs(a - b).max() < 1e-12
 
 
-def test_series_rows_do_not_depend_on_the_batch(cfg4):
+def test_series_rows_do_not_depend_on_the_batch(cfg4, monkeypatch):
     # a CLI chunk of any size must write the same bits for a row
     t = np.linspace(0.0, 8.0 * math.pi, 401)
     detuned = jc.JcmConfig(alpha=4.0, delta_omega=4.0)
@@ -80,6 +80,12 @@ def test_series_rows_do_not_depend_on_the_batch(cfg4):
              lambda x: jc.pg_thermal(x, cfg4, thermal))):
         assert [float(v) for v in batch] == [row(x) for x in t]
         assert np.array_equal(batch[::7], row(t[::7]))
+    # nor on the blocks of rows a long batch is summed in
+    for series in (jc.pg_series, jc.sigma_z_series_resonant):
+        whole = series(t, cfg4)
+        monkeypatch.setattr(jc.jcm, "_BLOCK_TERMS", 7 * 101)
+        assert np.array_equal(series(t, cfg4), whole)
+        monkeypatch.undo()
     # past about 10.6 pi the y truncation widens for the latest time of a
     # batch, so an integral row is checked against a one-row batch
     for x in t[:201:50]:
@@ -206,6 +212,11 @@ def test_envelope_requires_resonance_and_field():
         jc.envelope_approximation(1.0, jc.JcmConfig(alpha=4.0, delta_omega=1.0))
     with pytest.raises(ValueError):
         jc.envelope_approximation(1.0, jc.JcmConfig(alpha=0.0))
+    with pytest.raises(ValueError, match="alpha != 0"):
+        jc.envelope_factor(1.0, jc.JcmConfig(alpha=0.0))
+    # so does the resonant series form
+    with pytest.raises(ValueError, match="delta_omega = 0"):
+        jc.sigma_z_series_resonant(1.0, jc.JcmConfig(alpha=4.0, delta_omega=1.0))
 
 
 def test_config_validation():
@@ -221,6 +232,15 @@ def test_config_validation():
         jc.JcmConfig(alpha=1.0, kappa=1e-200, delta_omega=1e200)
     # squares up to the largest double are accepted
     assert math.isfinite(jc.JcmConfig(alpha=1e154, delta_omega=1e154).c)
+    for name in ("alpha", "kappa", "delta_omega"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                jc.JcmConfig(**{"alpha": 1.0, name: value})
+    # n_max sizes an axis of (rows x terms) arrays: 2^20 at most
+    assert jc.SeriesSpec(n_max=2 ** 20).n_max == 2 ** 20
+    for n_max in (-1, 2 ** 20 + 1, 10 ** 8):
+        with pytest.raises(ValueError, match="n_max must lie in"):
+            jc.SeriesSpec(n_max=n_max)
 
 
 def test_theta_of_beta_limits():

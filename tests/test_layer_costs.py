@@ -17,10 +17,14 @@ def test_layer_costs_prints_every_layer_once():
     lines = out.stdout.splitlines()
     assert len(lines) == 1
     costs = json.loads(lines[0])
-    for layer in ("line", "correction"):
-        for kind in ("standard", "extended"):
+    for layer, kinds in (("line", ("standard",)),
+                         ("correction", ("standard", "extended"))):
+        for kind in kinds:
             assert f"{layer}.build.{kind}" in costs
             assert f"{layer}.row.{kind}" in costs
+    # the line family has no extended kind to cost
+    assert not any(key.startswith("line.") and key.endswith(".extended")
+                   for key in costs)
     startup = ["startup.import_cli_s", "startup.cpu_s"]
     if os.path.isdir("/proc/self/task"):
         startup.append("startup.threads")

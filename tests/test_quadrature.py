@@ -125,6 +125,9 @@ def test_extended_kind_agrees_with_standard():
     assert abs(a.value - b.value) < 1e-14
     assert b.cancellation_magnitude == pytest.approx(
         a.cancellation_magnitude, rel=1e-12)
+    # plain float64 samples on an extended grid are lifted to the kind
+    c = integrate(lambda x: np.exp(-x.hi) * np.cos(3.0 * x.hi), 0.0, 10.0, spec_e)
+    assert abs(c.value - b.value) < 1e-14
 
 
 @pytest.mark.parametrize("kind", ["standard", "extended"])

@@ -15,10 +15,12 @@ leave out start-up, imports and the pool:
   them);
 * ``line.*`` and ``correction.*``: building the resonant (J form) line and
   correction families on the default grids at alpha = 4, and one row of
-  each at t = 6 pi (inside the window where rows escalate), in the
-  standard and the extended kind;
+  each at t = 6 pi (inside the window where rows escalate); the line
+  family in the standard kind, which is its only one, and the correction
+  family in the standard and the extended kind;
 * ``assemble.*``: one ``quadrature.assemble`` of the line family's row
-  samples, and ``compensated_sum.*`` the sum inside it, in each kind;
+  samples on the line grid laid out in each kind, and
+  ``compensated_sum.*`` the sum inside it;
 * ``special.log_gamma.*``: ``ln Gamma(1 + iy)`` on the correction grid's
   4,001 nodes in each kind;
 * ``ddmath.*``: each double-double kernel on 4,001 arguments drawn from the
@@ -86,24 +88,27 @@ def startup_costs(repeats: int) -> dict:
 
 def family_costs(repeats: int) -> dict:
     cfg = jcm.JcmConfig(alpha=4.0)
-    out = {}
-    for name, cls, spec in (("line", jcm._LineFamily, jcm.DEFAULT_X_SPEC),
-                            ("correction", jcm._CorrectionFamily,
-                             jcm.DEFAULT_Y_SPEC)):
-        for kind in ("standard", "extended"):
-            kspec = dataclasses.replace(spec, precision_kind=kind)
-            out[f"{name}.build.{kind}"] = best_of(
-                repeats, lambda: cls(cfg, 0, kspec, j_form=True))
-            fam = cls(cfg, 0, kspec, j_form=True)
-            out[f"{name}.row.{kind}"] = best_of(
-                repeats, lambda: fam.integral(BIG_T))
-            if name == "line":
-                samples = fam.a0 + fam.a1 * special.cos(fam.sqrt_arg * (2.0 * BIG_T))
-                out[f"assemble.{kind}"] = best_of(
-                    repeats, lambda: quadrature.assemble(samples, fam.grid))
-                terms = samples * fam.grid.pattern * fam.grid.h
-                out[f"compensated_sum.{kind}"] = best_of(
-                    repeats, lambda: special.compensated_sum(terms))
+    out = {"line.build.standard": best_of(
+        repeats, lambda: jcm._LineFamily(cfg, 0, jcm.DEFAULT_X_SPEC, j_form=True))}
+    line = jcm._LineFamily(cfg, 0, jcm.DEFAULT_X_SPEC, j_form=True)
+    out["line.row.standard"] = best_of(repeats, lambda: line.integral(BIG_T))
+    samples = line.a0 + line.a1 * np.cos(line.sqrt_arg * (2.0 * BIG_T))
+    for kind in ("standard", "extended"):
+        spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, precision_kind=kind)
+        out[f"correction.build.{kind}"] = best_of(
+            repeats, lambda: jcm._CorrectionFamily(cfg, 0, spec, j_form=True))
+        fam = jcm._CorrectionFamily(cfg, 0, spec, j_form=True)
+        out[f"correction.row.{kind}"] = best_of(
+            repeats, lambda: fam.integral(BIG_T))
+        # the line row's samples on the line grid laid out in this kind
+        grid = jcm._sqrt_grid(dataclasses.replace(
+            jcm.DEFAULT_X_SPEC, precision_kind=kind), "x")[0]
+        kind_samples = DD(samples) if kind == "extended" else samples
+        out[f"assemble.{kind}"] = best_of(
+            repeats, lambda: quadrature.assemble(kind_samples, grid))
+        terms = kind_samples * grid.pattern * grid.h
+        out[f"compensated_sum.{kind}"] = best_of(
+            repeats, lambda: special.compensated_sum(terms))
     return out
 
 

@@ -504,10 +504,6 @@ def sincos(a: DD):
     return sin_out, cos_out
 
 
-def cos(a: DD) -> DD:
-    return sincos(a)[1]
-
-
 def atan2(y: DD, x: DD) -> DD:
     """Two-argument arctangent: one Newton step from the double seed th.
 

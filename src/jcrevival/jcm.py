@@ -286,7 +286,8 @@ def _rows(t, values_of):
 
 
 def _require_index(l):
-    if not (isinstance(l, (int, np.integer)) and l >= 0):
+    # a bool is an int to Python, and np.bool_ is not an np.integer
+    if isinstance(l, bool) or not (isinstance(l, (int, np.integer)) and l >= 0):
         raise ValueError("l must be a nonnegative integer")
 
 
@@ -375,12 +376,10 @@ class _CorrectionFamily:
         _require_positive_alpha(cfg)
         self.grid, jac = _sqrt_grid(spec, "y")
         y = self.grid.x
-        # the extended kind needs both constants to its own ~32 digits
-        if special.is_extended(y):
-            two_pi = DD.from_pair(ddmath.TWO_PI)
-            ln_alpha = ddmath.log(DD(abs(cfg.alpha)))
-        else:
-            two_pi, ln_alpha = 2.0 * np.pi, math.log(abs(cfg.alpha))
+        two_pi = special.in_kind(ddmath.TWO_PI, y)
+        # the extended kind needs ln|alpha| to its own ~32 digits
+        ln_alpha = (ddmath.log(DD(abs(cfg.alpha))) if special.is_extended(y)
+                    else math.log(abs(cfg.alpha)))
         with np.errstate(all="ignore"):
             arg = special.complex_of(0.0, y * (2.0 * ln_alpha))
             a_fac = special.exp(arg - special.log_gamma(special.complex_of(1.0, y)))
@@ -432,6 +431,7 @@ def correction_integrand_probe(cfg: JcmConfig, l: int, t: float, y: float,
     and compare against :func:`correction_origin`.
     """
     _require_index(l)
+    _require_positive_alpha(cfg)
     big_t = abs(cfg.kappa) * _time(t)
     if not 0.0 < y < math.inf:
         raise ValueError("the probe needs a finite y > 0; use "
@@ -459,6 +459,7 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
     extrapolation of the sampled integrand in the tests and in `check`.
     """
     _require_index(l)
+    _require_positive_alpha(cfg)
     big_t = _time(big_t)
     base = 2.0 * math.log(abs(cfg.alpha)) + EULER_GAMMA
     if j_form:

@@ -12,8 +12,9 @@ correction integrand, which cancels, is computed in one of two scalar kinds:
 Mixing kinds promotes to extended.  This is the one module that dispatches
 on the kind: :func:`exp`, :func:`sincos`, :func:`complex_of`,
 :func:`log_gamma` and :func:`principal_sqrt` return the kind they are
-given, so the correction integrand is written once for both kinds and
-reads complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
+given, and :func:`in_kind` reads a constant's (hi, lo) pair in a given
+kind, so the correction integrand is written once for both kinds and reads
+complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
 :func:`leading`, :func:`replace_first` and :func:`compensated_sum` serve
 the real samples of ``quadrature.assemble``, whose sum runs ddmath's fixed
 pairwise two-sum tree in both kinds.  :func:`reciprocal_gamma` is
@@ -31,25 +32,17 @@ from .ddmath import CDD, DD
 # The series error bound is |eps| < 2e-10 relative; the extended kind removes
 # arithmetic roundoff but not this inherent series error.
 LANCZOS_G = 5.0
-LANCZOS_COEFFS = (
-    1.000000000190015,
-    76.18009172947146,
-    -86.50532032941677,
-    24.01409824083091,
-    -1.231739572450155,
-    0.1208650973866179e-2,
-    -0.5395239384953e-5,
-)
-# the same coefficients rounded to double-double pairs
-_LANCZOS_DD = (
+# (hi, lo): each published coefficient and its double-double residual
+_LANCZOS_PAIRS = (
     (1.000000000190015, 1.0729079953307518e-16),
     (76.18009172947146, 3.4258257737383245e-15),
-    (-86.50532032941678, 5.848585530184209e-15),
+    (-86.50532032941677, 5.848585530184209e-15),
     (24.01409824083091, -1.3793620781507343e-15),
     (-1.231739572450155, -2.6362618227722122e-17),
-    (0.001208650973866179, -2.0865807558493542e-20),
-    (-5.395239384953e-06, 3.2754456442951606e-22),
+    (0.1208650973866179e-2, -2.0865807558493542e-20),
+    (-0.5395239384953e-5, 3.2754456442951606e-22),
 )
+LANCZOS_COEFFS = tuple(hi for hi, _ in _LANCZOS_PAIRS)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -57,6 +50,11 @@ EULER_GAMMA = 0.5772156649015329
 def is_extended(x) -> bool:
     """True if x carries the extended (double-double) kind."""
     return isinstance(x, (DD, CDD))
+
+
+def in_kind(pair, like):
+    """pair = (hi, lo) as a DD when like is extended, else as the double hi."""
+    return DD.from_pair(pair) if is_extended(like) else pair[0]
 
 
 def _log(z):
@@ -125,18 +123,14 @@ def log_gamma(z):
     if not np.all(leading(z.re if isinstance(z, CDD) else z).real > 0.0):
         raise ValueError("log_gamma requires Re(z) > 0; use reciprocal_gamma "
                          "for the rest of the plane")
-    if isinstance(z, (DD, CDD)):
-        coeffs = [DD.from_pair(c) for c in _LANCZOS_DD]
-        ln_sqrt_2pi = DD.from_pair(ddmath.LN_SQRT_2PI)
-    else:
-        coeffs = LANCZOS_COEFFS
-        ln_sqrt_2pi = ddmath.LN_SQRT_2PI[0]
+    coeffs = [in_kind(c, z) for c in _LANCZOS_PAIRS]
     series = coeffs[0] + 0.0 * z
     den = z
     for c in coeffs[1:]:
         den = den + 1.0
         series = series + c / den
     y = z + (LANCZOS_G + 0.5)
+    ln_sqrt_2pi = in_kind(ddmath.LN_SQRT_2PI, z)
     return (z + 0.5) * _log(y) - y + ln_sqrt_2pi + _log(series) - _log(z)
 
 

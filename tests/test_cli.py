@@ -369,7 +369,11 @@ def test_a_failing_parent_stops_and_reaps_its_workers(tmp_path, monkeypatch,
 
     def parent_fails_second(payload):
         if os.getpid() != parent:
-            pid_file.write_text(str(os.getpid()))
+            # written whole, then renamed: the kill that follows the file's
+            # appearance cannot land before the pid is in it
+            tmp = pid_file.with_suffix(".tmp")
+            tmp.write_text(str(os.getpid()))
+            os.replace(tmp, pid_file)
             time.sleep(60)
         calls.append(payload)
         if len(calls) == 1:

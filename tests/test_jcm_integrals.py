@@ -149,6 +149,10 @@ def test_alpha_zero_integral_forms_rejected():
         jc.detuned_profile([1.0], cfg)
     with pytest.raises(ValueError):
         jc.const_plateau(cfg)
+    for probe in (lambda: jc.correction_integrand_probe(cfg, 0, 1.0, 0.1),
+                  lambda: jc.correction_origin(cfg, 0, 1.0)):
+        with pytest.raises(ValueError, match="needs alpha != 0"):
+            probe()
 
 
 def test_j_forms_require_resonance(cfg4_detuned):
@@ -255,7 +259,7 @@ def test_unmarked_entries_refuse_over_budget_rows_under_ignore(cfg4):
         jc.pg_thermal([t], cfg4, thermal, "integral", escalation="ignore")
 
 
-@pytest.mark.parametrize("l", [-1, 0.5])
+@pytest.mark.parametrize("l", [-1, 0.5, True])
 def test_bracket_index_must_be_a_nonnegative_integer(cfg4, l):
     for call in (lambda: jc.q_g(l, 1.0, cfg4),
                  lambda: jc.q_g(l, 1.0, cfg4, "integral"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcrevival import special
+from jcrevival import ddmath, special
 from jcrevival.ddmath import CDD, DD
 
 
@@ -111,8 +111,11 @@ def test_kind_primitives_keep_the_kind_and_agree_with_numpy(extended):
     check(z, x + 1j * y, cplx)
     check(special.complex_of(2.0, arg_y), 2.0 + 1j * y, cplx)
     check(special.exp(z), np.exp(x + 1j * y), cplx)
+    two_pi = special.in_kind(ddmath.TWO_PI, arg)
+    check(two_pi, 2.0 * np.pi, DD if extended else float)
     if extended:
         assert z.real is z.re and z.imag is z.im
+        assert two_pi.lo == ddmath.TWO_PI[1]
 
 
 def test_extended_matches_standard_to_15_digits():
@@ -162,7 +165,7 @@ def test_extended_log_gamma_on_the_imaginary_line_is_the_lanczos_sum():
     y = np.linspace(0.0, 400.0, 201)
     got = special.log_gamma(special.complex_of(1.0, DD(y)))
     with mp.workdps(50):
-        coeffs = [mp.mpf(hi) + mp.mpf(lo) for hi, lo in special._LANCZOS_DD]
+        coeffs = [mp.mpf(hi) + mp.mpf(lo) for hi, lo in special._LANCZOS_PAIRS]
         for i, yi in enumerate(y):
             z = mp.mpc(1.0, yi)
             series, den = coeffs[0], z

@@ -19,7 +19,7 @@ leave out start-up, imports and the pool:
   family in the standard kind, which is its only one, and the correction
   family in the standard and the extended kind;
 * ``assemble.*``: one ``quadrature.assemble`` of the line family's row
-  samples on the line grid laid out in each kind, and
+  samples on the correction family's grid in each kind, and
   ``compensated_sum.*`` the sum inside it;
 * ``special.log_gamma.*``: ``ln Gamma(1 + iy)`` on the correction grid's
   4,001 nodes in each kind;
@@ -100,13 +100,11 @@ def family_costs(repeats: int) -> dict:
         fam = jcm._CorrectionFamily(cfg, 0, spec, j_form=True)
         out[f"correction.row.{kind}"] = best_of(
             repeats, lambda: fam.integral(BIG_T))
-        # the line row's samples on the line grid laid out in this kind
-        grid = jcm._sqrt_grid(dataclasses.replace(
-            jcm.DEFAULT_X_SPEC, precision_kind=kind), "x")[0]
+        # the line row's samples on this family's grid, also of NODES nodes
         kind_samples = DD(samples) if kind == "extended" else samples
         out[f"assemble.{kind}"] = best_of(
-            repeats, lambda: quadrature.assemble(kind_samples, grid))
-        terms = kind_samples * grid.pattern * grid.h
+            repeats, lambda: quadrature.assemble(kind_samples, fam.grid))
+        terms = kind_samples * fam.grid.pattern * fam.grid.h
         out[f"compensated_sum.{kind}"] = best_of(
             repeats, lambda: special.compensated_sum(terms))
     return out

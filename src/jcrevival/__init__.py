@@ -18,8 +18,8 @@ _EXPORTS = {
     **dict.fromkeys(("CDD", "DD"), "ddmath"),
     **dict.fromkeys(("IntegrandError", "PrecisionLossError"), "errors"),
     **dict.fromkeys((
-        "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC", "JcmConfig",
-        "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
+        "BANDED_X_SPEC", "BANDED_Y_SPEC", "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",
+        "JcmConfig", "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
         "ThetaResult", "abel_plana_identity", "const_plateau",
         "correction_integrand_probe", "correction_origin", "detuned_profile",
         "envelope_approximation", "envelope_factor", "j2_integral",

@@ -60,9 +60,9 @@ class RunConfig:
     beta_epsilon: float | None = None
     n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max
     x_max: float = jcm.DEFAULT_X_SPEC.upper_limit
-    dx: float = jcm.DEFAULT_X_SPEC.step  # a step in sqrt(x)
+    dx: float | None = None  # a step in sqrt(x); None: the band rule's
     y_max: float = jcm.DEFAULT_Y_SPEC.upper_limit
-    dy: float = jcm.DEFAULT_Y_SPEC.step  # a step in sqrt(y)
+    dy: float | None = None  # a step in sqrt(y); None: the band rule's
     rule: _Rule = jcm.DEFAULT_X_SPEC.rule
     precision: Literal["standard", "extended", "auto"] = "auto"
     t_start: float = 0.0
@@ -92,7 +92,8 @@ class RunConfig:
     def specs(self) -> tuple[QuadratureSpec, QuadratureSpec, jcm.Escalation]:
         """(x spec, y spec, escalation) of the grid flags and --precision,
         the y spec's kind (the line integral is standard-kind only); "auto"
-        computes in the standard kind and escalates past its budget."""
+        computes in the standard kind and escalates past its budget.  An
+        unset --dx or --dy gives a banded spec (jcm._row_specs)."""
         kind = "standard" if self.precision == "auto" else self.precision
         x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
                                      upper_limit=self.x_max, step=self.dx)
@@ -208,19 +209,23 @@ def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
 def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
     """Run worker over (cfg, times, specs) chunks of t, the y spec widened
     once for the latest t, and scatter the columns back into time order.
-    With several workers, the latest row runs first, alone: it needs the
-    most precision, so it builds every family the run uses.  The other rows
-    are dealt round-robin to this process and to forked workers that
-    inherit those."""
+    With several workers, the latest row of each band runs first, alone:
+    it needs the most precision of its band, so these rows build every
+    family the run uses.  The other rows are dealt round-robin to this
+    process and to forked workers that inherit those."""
     jobs = _effective_jobs(cfg, t.size)
     x_spec, y_spec, escalation = cfg.specs()
+    big_ts = abs(cfg.kappa) * t
     if cfg.command == "integrals" or cfg.mode == "integral":
         # c: the l = 0 bracket turns fastest; a series run has no y grid
-        y_spec = jcm._peak_aware(y_spec, abs(cfg.kappa) * float(t.max()),
-                                 cfg.jcm_config().c)
-    rows = np.arange(t.size)
-    deals = [rows] if jobs == 1 else [rows[-1:]] + [
-        rows[:-1][i::jobs] for i in range(min(jobs, t.size - 1))]
+        y_spec = jcm._peak_aware(y_spec, float(big_ts.max()), cfg.jcm_config().c)
+    # t increases, so a band's latest row is the one before its specs change
+    bands = list(zip(*(jcm._row_specs(s, cfg.jcm_config(), big_ts)
+                       for s in (x_spec, y_spec))))
+    latest = [i for i in range(t.size) if i + 1 == t.size or bands[i] != bands[i + 1]]
+    rest = np.delete(np.arange(t.size), latest)
+    deals = [np.arange(t.size)] if jobs == 1 else [latest] + [
+        rest[i::jobs] for i in range(min(jobs, rest.size))]
     payloads = [(cfg, t[d], (x_spec, y_spec, escalation)) for d in deals]
     chunks = [worker(payloads[0])] + _run_forked(worker, payloads[1:])
     order = np.argsort(np.concatenate(deals))

@@ -51,6 +51,11 @@ Escalation = Literal["raise", "escalate", "ignore"]
 # upper_limit is in x (or y); step is in v = sqrt(x), see _sqrt_grid
 DEFAULT_X_SPEC = QuadratureSpec(rule="simpson", upper_limit=100.0, step=0.0025)
 DEFAULT_Y_SPEC = QuadratureSpec(rule="bode", upper_limit=100.0, step=0.0025)
+# a spec of step None is banded: each row takes the step of _row_specs
+BANDED_X_SPEC = dataclasses.replace(DEFAULT_X_SPEC, step=None)
+BANDED_Y_SPEC = dataclasses.replace(DEFAULT_Y_SPEC, step=None)
+# the band rule's step h, its fitted K and p, and the added error it allows
+_BAND_H, _BAND_K, _BAND_P, _BAND_TOL = DEFAULT_X_SPEC.step, 0.41, 2.0, 1e-13
 
 # the most intervals of a grid axis, and the largest n_max, a user may size:
 # 2^20 + 1 points, 8 MiB an array; series rows are summed in blocks of 2^22
@@ -413,12 +418,13 @@ class _CorrectionFamily:
         return quadrature.assemble(samples, self.grid)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=21)
 def _family(cls, cfg: JcmConfig, l: int, spec: QuadratureSpec, j_form: bool):
     """cls(cfg, l, spec, j_form=j_form), built once per key.  Families do
     not change after __init__, so a cached one gives a fresh one's bits.
-    Sixteen keys hold a thermal run's three brackets, each with a line, a
-    correction and an escalation family."""
+    Twenty-one keys hold a thermal run's three brackets, each with a line
+    and a correction family for each of its (at most three) bands and one
+    escalation family."""
     return cls(cfg, l, spec, j_form=j_form)
 
 
@@ -485,25 +491,25 @@ def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
                       j_form: bool = False, refuse: bool = False):
     """Correction integrals at the scaled times big_ts under one policy.
 
-    One family serves every row, and one extended family every row past
-    the standard budget under "escalate".  A row that no permitted kind can
-    hold raises PrecisionLossError under "raise", and under every policy
-    when refuse is set (a caller that cannot mark the row); otherwise it is
-    marked.
+    One family serves every row of a band, and one extended family every
+    row of it past the standard budget under "escalate".  A row that no
+    permitted kind can hold raises PrecisionLossError under "raise", and
+    under every policy when refuse is set (a caller that cannot mark the
+    row); otherwise it is marked.
     Returns the arrays (values, cancellation, status), status 0 for a row
     held in the requested kind, 1 for an escalated row and 2 for a row
     past the budget of its kind.
     """
     eff = _peak_aware(spec, float(big_ts.max(initial=0.0)), cfg.c + float(l))
-    fam = _family(_CorrectionFamily, cfg, l, eff, j_form)
     vals = np.empty_like(big_ts)
     cancel = np.empty_like(big_ts)
     status = np.zeros(big_ts.shape, dtype=int)
-    for i, big_t in enumerate(big_ts):
-        res, kind = fam.integral(big_t), eff.precision_kind
+    for i, (band, big_t) in enumerate(zip(_row_specs(eff, cfg, big_ts), big_ts)):
+        res = _family(_CorrectionFamily, cfg, l, band, j_form).integral(big_t)
+        kind = band.precision_kind
         if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
                 and escalation == "escalate" and kind == "standard"):
-            ext = dataclasses.replace(eff, precision_kind="extended")
+            ext = dataclasses.replace(band, precision_kind="extended")
             res = _family(_CorrectionFamily, cfg, l, ext, j_form).integral(big_t)
             kind = "extended"
             status[i] = 1
@@ -525,14 +531,35 @@ def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec,
            y_spec: QuadratureSpec, escalation: Escalation,
            j_form: bool = False, refuse: bool = False):
     """Line and correction integrals over the checked times ts, one family
-    each.  Returns (line values, *_correction_sweep(...)).
+    each per band.  Returns (line values, *_correction_sweep(...)).
     """
     _require_index(l)
     big_ts = abs(cfg.kappa) * ts
-    line = _family(_LineFamily, cfg, l, x_spec, j_form)
-    line_vals = np.array([line.integral(big_t).value for big_t in big_ts])
+    line_vals = np.array([
+        _family(_LineFamily, cfg, l, band, j_form).integral(big_t).value
+        for band, big_t in zip(_row_specs(x_spec, cfg, big_ts), big_ts)])
     return (line_vals, *_correction_sweep(cfg, l, big_ts, y_spec, escalation,
                                           j_form, refuse))
+
+
+def _row_specs(spec: QuadratureSpec, cfg: JcmConfig,
+               big_ts: np.ndarray) -> list[QuadratureSpec]:
+    """The spec of each row at the scaled times big_ts, one object per band:
+    spec itself, or for a banded spec (step None) spec at the coarsest step
+    k h, k in (4, 2, 1), whose fitted added error K e^{-a^2} (k h)^4
+    max(T, 1)^p, from the v = 0 endpoint, stays at or below 1e-13 (README,
+    Precision model).  Rows past T = 4 pi keep h: rounding, not the step,
+    sets their error there."""
+    if spec.step is not None:
+        return [spec] * big_ts.size
+    model = (_BAND_K * math.exp(-cfg.alpha ** 2)
+             * np.maximum(big_ts, 1.0) ** _BAND_P)
+    steps = np.full(big_ts.shape, _BAND_H)
+    for k in (2.0, 4.0):
+        steps[(model * (k * _BAND_H) ** 4 <= _BAND_TOL)
+              & (big_ts <= 4.0 * math.pi)] = k * _BAND_H
+    bands = {step: dataclasses.replace(spec, step=step) for step in set(steps.tolist())}
+    return [bands[step] for step in steps.tolist()]
 
 
 def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
@@ -543,19 +570,20 @@ def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
     A widened grid is refused, before it is built, when the phase
     2 T Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or more
     over its last v-step: the row is aliased at any truncation.  So is a
-    row whose peak lies past every double (T beyond about 1.3e154).
+    row whose peak lies past every double (T beyond about 1.3e154).  A
+    banded spec is checked at h, its rows' step past 4 pi.
     """
     need = 4.0 * 2.0 * big_t * big_t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
-    turn = math.inf
+    turn, step = math.inf, spec.step or _BAND_H
     if math.isfinite(need):
-        v_max = math.ceil(math.sqrt(need) / spec.step) * spec.step
+        v_max = math.ceil(math.sqrt(need) / step) * step
         turn = 2.0 * big_t * (complex(s, v_max ** 2) ** 0.5 -
-                              complex(s, (v_max - spec.step) ** 2) ** 0.5).real
+                              complex(s, (v_max - step) ** 2) ** 0.5).real
     if not turn < math.pi:
         raise ValueError(f"T = {big_t:g} turns the correction phase by "
-                         f"{turn:.3g} rad over a v-step of {spec.step:g}, "
+                         f"{turn:.3g} rad over a v-step of {step:g}, "
                          "aliased at any y_max; lower the step (--dy)")
     return dataclasses.replace(spec, upper_limit=v_max * v_max)
 
@@ -565,7 +593,7 @@ def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
 # ---------------------------------------------------------------------------
 
 def j2_integral(t, cfg: JcmConfig,
-                spec: QuadratureSpec = DEFAULT_Y_SPEC,
+                spec: QuadratureSpec = BANDED_Y_SPEC,
                 escalation: Escalation = "raise"):
     """Revival integral J2(t) = 2 e^{-a^2} x (correction integral).
 
@@ -592,9 +620,11 @@ def const_plateau(cfg: JcmConfig,
 
     Replaces the squared trigonometric functions in I1^(0) by their time
     average 1/2, which leaves the line family's constant part a0:
-    Const = 1 - e^{-a^2} integral of w(x) (1 + c/(c+x)) dx.
+    Const = 1 - e^{-a^2} integral of w(x) (1 + c/(c+x)) dx.  A long-time
+    limit: a banded spec takes the step h of the rows past 4 pi.
     """
-    fam = _family(_LineFamily, cfg, 0, spec, False)
+    fam = _family(_LineFamily, cfg, 0,
+                  dataclasses.replace(spec, step=spec.step or _BAND_H), False)
     return 1.0 - 2.0 * math.exp(-cfg.alpha ** 2) * \
         quadrature.assemble(fam.a0, fam.grid).value
 
@@ -606,12 +636,13 @@ def abel_plana_identity(alpha: float,
 
     Computes lhs = (1/2) integral of |a|^{2x}/Gamma(x+1)
                  - integral of Im{|a|^{2iy}/Gamma(1+iy)}/(e^{2 pi y} - 1)
-    and returns (lhs, rhs) with rhs = -1/4 + e^{a^2}/2 exact.
+    and returns (lhs, rhs) with rhs = -1/4 + e^{a^2}/2 exact: the J form's
+    line and correction integrals at T = 0.
     """
     cfg = JcmConfig(alpha=alpha)
-    line = _family(_LineFamily, cfg, 0, x_spec, True).integral(0.0)
-    corr = _family(_CorrectionFamily, cfg, 0, y_spec, True).integral(0.0)
-    lhs = 0.5 * line.value - corr.value
+    line, corr = _sweep(np.zeros(1), cfg, 0, x_spec, y_spec, "raise",
+                        j_form=True)[:2]
+    lhs = 0.5 * line[0] - corr[0]
     rhs = -0.25 + 0.5 * math.exp(alpha * alpha)
     return lhs, rhs
 
@@ -621,8 +652,8 @@ def abel_plana_identity(alpha: float,
 # ---------------------------------------------------------------------------
 
 def resonant_profile(ts, cfg: JcmConfig,
-                     x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-                     y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
+                     x_spec: QuadratureSpec = BANDED_X_SPEC,
+                     y_spec: QuadratureSpec = BANDED_Y_SPEC,
                      escalation: Escalation = "raise") -> dict[str, np.ndarray]:
     """J1, J2 and the assembled inversion over a time grid.
 
@@ -645,8 +676,8 @@ def resonant_profile(ts, cfg: JcmConfig,
 
 
 def detuned_profile(ts, cfg: JcmConfig, l: int = 0,
-                    x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-                    y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
+                    x_spec: QuadratureSpec = BANDED_X_SPEC,
+                    y_spec: QuadratureSpec = BANDED_Y_SPEC,
                     escalation: Escalation = "raise") -> dict[str, np.ndarray]:
     """I1^(l), I2^(l) and the (l = 0) assembled inversion over a time grid,
     with the cancellation and status of resonant_profile."""
@@ -681,8 +712,8 @@ def _refuse_noise(vals, low: float, name: str, status=None,
 
 def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
         series_spec: SeriesSpec = DEFAULT_SERIES_SPEC,
-        x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-        y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
+        x_spec: QuadratureSpec = BANDED_X_SPEC,
+        y_spec: QuadratureSpec = BANDED_Y_SPEC,
         escalation: Escalation = "raise"):
     """Shifted-index ground-state weight Q_g^(l)(t); Q^(0) is P_g itself.
 
@@ -737,8 +768,8 @@ def _outside_unit_interval(p, low: float = 0.0) -> np.ndarray:
 def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
                   mode: Mode = "series",
                   series_spec: SeriesSpec = DEFAULT_SERIES_SPEC,
-                  x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-                  y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
+                  x_spec: QuadratureSpec = BANDED_X_SPEC,
+                  y_spec: QuadratureSpec = BANDED_Y_SPEC,
                   escalation: Escalation = "raise"):
     """First-order thermal correction 2 a g~ [P_g - Q^(1)].
 
@@ -754,8 +785,8 @@ def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
 def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
                   mode: Mode = "series",
                   series_spec: SeriesSpec = DEFAULT_SERIES_SPEC,
-                  x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-                  y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
+                  x_spec: QuadratureSpec = BANDED_X_SPEC,
+                  y_spec: QuadratureSpec = BANDED_Y_SPEC,
                   escalation: Escalation = "raise"):
     """Second-order thermal correction.
 
@@ -770,8 +801,8 @@ def p2_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
 def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,
                mode: Mode = "series",
                series_spec: SeriesSpec = DEFAULT_SERIES_SPEC,
-               x_spec: QuadratureSpec = DEFAULT_X_SPEC,
-               y_spec: QuadratureSpec = DEFAULT_Y_SPEC,
+               x_spec: QuadratureSpec = BANDED_X_SPEC,
+               y_spec: QuadratureSpec = BANDED_Y_SPEC,
                escalation: Escalation = "raise"):
     """Thermal ground-state probability to second order in theta.
 

@@ -41,14 +41,16 @@ class QuadratureSpec:
 
     rule: Literal["simpson", "bode"] = "simpson"
     upper_limit: float = 100.0
-    step: float = 1e-3
+    # None leaves the step to the caller, row by row (jcm's band rule)
+    step: float | None = 1e-3
     precision_kind: PrecisionKind = "standard"
 
     def __post_init__(self):
         if self.rule not in _RULE_DIVISOR:
             raise ValueError(f"unknown rule {self.rule!r}")
         for name in ("step", "upper_limit"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not ((name == "step" and value is None) or 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
         if self.precision_kind not in ("standard", "extended"):
             raise ValueError(f"unknown precision kind {self.precision_kind!r}")

@@ -312,6 +312,51 @@ def test_jobs_parallelism_matches_serial(tmp_path, monkeypatch):
             assert 0 in status and 1 in status
 
 
+@pytest.mark.parametrize("command", [["integrals"], ["thermal", "--mode", "integral"]])
+def test_forked_workers_build_no_grid(tmp_path, monkeypatch, command):
+    # on [0, 8 pi] the rows up to 4 pi take the coarse band and the late
+    # ones escalate: the latest row of each band, run in this process
+    # first, builds every family the workers need
+    parent, build_grid = os.getpid(), jc.jcm.quadrature.build_grid
+    builds = []
+
+    def in_parent_only(a, b, spec):
+        assert os.getpid() == parent, "a forked worker built a grid"
+        builds.append((spec.step, spec.precision_kind))
+        return build_grid(a, b, spec)
+
+    monkeypatch.setattr(jc.jcm.quadrature, "build_grid", in_parent_only)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "o.csv"
+    assert main(command + ["--t-steps", "16", "--jobs", "2", "--out", str(out)]) == 0
+    # a line and a correction family per band and bracket, one extended
+    brackets = 1 if command == ["integrals"] else 3
+    assert collections.Counter(builds) == {
+        (0.01, "standard"): 2 * brackets, (0.0025, "standard"): 2 * brackets,
+        (0.0025, "extended"): brackets}
+
+
+def test_pinned_steps_write_the_single_step_rows(tmp_path):
+    # --dx/--dy at the default step pin every row to it; unset, they band
+    # the rows and the header omits them, and the rows past 4 pi keep
+    # their bytes
+    args = ["integrals", "--t-end", "25.132741228718345", "--t-steps", "8",
+            "--jobs", "1", "--out"]
+    pinned, banded = tmp_path / "pinned.csv", tmp_path / "banded.csv"
+    assert main(args + [str(pinned), "--dx", "0.0025", "--dy", "0.0025"]) == 0
+    assert main(args + [str(banded)]) == 0
+    meta, _, cols = _read_csv(pinned)
+    assert meta["dx"] == meta["dy"] == "0.0025"
+    # sigma_z at t = pi as every run wrote it before the band rule
+    assert cols["sigma_z"][1].hex() == "-0x1.e7eb49e5c904fp-8"
+    banded_meta, _, banded_cols = _read_csv(banded)
+    assert "dx" not in banded_meta and "dy" not in banded_meta
+    early = cols["t"] <= 4.0 * math.pi
+    assert np.abs(banded_cols["sigma_z"] - cols["sigma_z"])[early].max() <= 1e-13
+    assert banded.read_text().splitlines()[-4:] == \
+        pinned.read_text().splitlines()[-4:]
+
+
 def _in_workers(monkeypatch, action):
     """Make cli._integrals_chunk call action(payload) in forked workers
     only; this process computes its chunks as usual."""

@@ -529,6 +529,29 @@ def test_q_cross_mode_agreement(series200):
     assert abs(a - b) < 1e-6
 
 
+def test_banded_rows_add_at_most_the_band_rule_error_over_a_box(series200):
+    # the band rule allows a row 1e-13 more error than its pinned row (the
+    # v-step 0.0025 of DEFAULT_X_SPEC); past 4 pi it keeps the pinned grid
+    early = np.linspace(0.0, 4.0 * math.pi, 41)
+    late = np.array([4.25, 5.0, 5.75]) * math.pi
+    for alpha in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
+        for delta_omega in (0.0, 4.0):
+            cfg = jc.JcmConfig(alpha=alpha, delta_omega=delta_omega)
+            after = abs(cfg.kappa) * np.linspace(4.0, 8.0, 81)[1:] * math.pi
+            assert jc.jcm._row_specs(jc.BANDED_Y_SPEC, cfg, after) == \
+                [Y] * after.size
+            for l in (0, 1, 2):
+                want = jc.q_g(l, early, cfg, "series", series200)
+                pinned = jc.q_g(l, early, cfg, "integral", x_spec=X, y_spec=Y)
+                banded = jc.q_g(l, early, cfg, "integral")
+                assert np.all(np.abs(banded - want)
+                              <= np.abs(pinned - want) + 1e-13), (alpha, l)
+                assert np.array_equal(
+                    jc.q_g(l, late, cfg, "integral", escalation="escalate"),
+                    jc.q_g(l, late, cfg, "integral", x_spec=X, y_spec=Y,
+                           escalation="escalate"))
+
+
 @pytest.mark.parametrize("delta_omega", [0.0, 4.0])
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_q_integral_agrees_with_series_over_the_revival_window(

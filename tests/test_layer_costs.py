@@ -17,8 +17,8 @@ def test_layer_costs_prints_every_layer_once():
     lines = out.stdout.splitlines()
     assert len(lines) == 1
     costs = json.loads(lines[0])
-    for layer, kinds in (("line", ("standard",)),
-                         ("correction", ("standard", "extended"))):
+    for layer, kinds in (("line", ("standard", "coarse")),
+                         ("correction", ("standard", "extended", "coarse"))):
         for kind in kinds:
             assert f"{layer}.build.{kind}" in costs
             assert f"{layer}.row.{kind}" in costs

@@ -18,6 +18,9 @@ leave out start-up, imports and the pool:
   each at t = 6 pi (inside the window where rows escalate); the line
   family in the standard kind, which is its only one, and the correction
   family in the standard and the extended kind;
+* ``line.*.coarse`` and ``correction.*.coarse``: the same builds, and
+  one row at t = 4 pi, in the standard kind on the coarser grid that the
+  band rule gives that row (a v-step of 0.01, 1,001 nodes, at alpha = 4);
 * ``assemble.*``: one ``quadrature.assemble`` of the line family's row
   samples on the correction family's grid in each kind, and
   ``compensated_sum.*`` the sum inside it;
@@ -52,6 +55,8 @@ from jcrevival.ddmath import CDD, DD
 NODES = 4001
 # the time of the one row costed per family: inside the escalation window
 BIG_T = 6.0 * math.pi
+# the latest time of a row on a coarser grid than the default
+BAND_T = 4.0 * math.pi
 
 
 def best_of(repeats: int, fn) -> float:
@@ -110,6 +115,22 @@ def family_costs(repeats: int) -> dict:
     return out
 
 
+def coarse_costs(repeats: int) -> dict:
+    """Build and row costs of both families, standard kind, on the grid
+    the band rule gives the row at T = 4 pi."""
+    cfg = jcm.JcmConfig(alpha=4.0)
+    out = {}
+    for layer, cls, banded in (("line", jcm._LineFamily, jcm.BANDED_X_SPEC),
+                               ("correction", jcm._CorrectionFamily,
+                                jcm.BANDED_Y_SPEC)):
+        spec = jcm._row_specs(banded, cfg, np.array([BAND_T]))[0]
+        out[f"{layer}.build.coarse"] = best_of(
+            repeats, lambda: cls(cfg, 0, spec, j_form=True))
+        fam = cls(cfg, 0, spec, j_form=True)
+        out[f"{layer}.row.coarse"] = best_of(repeats, lambda: fam.integral(BAND_T))
+    return out
+
+
 def kernel_costs(repeats: int) -> dict:
     rng = np.random.default_rng(5)
     y = np.linspace(0.0, 100.0, NODES)
@@ -155,6 +176,7 @@ def main(argv=None) -> int:
     costs = startup_costs(args.repeats)
     with np.errstate(all="ignore"):
         costs.update(family_costs(args.repeats))
+        costs.update(coarse_costs(args.repeats))
         costs.update(kernel_costs(args.repeats))
         costs.update(table_costs(args.repeats))
     print(json.dumps({k: v if isinstance(v, int) else float(f"{v:.3g}")

@@ -93,7 +93,7 @@ class RunConfig:
         """(x spec, y spec, escalation) of the grid flags and --precision,
         the y spec's kind (the line integral is standard-kind only); "auto"
         computes in the standard kind and escalates past its budget.  An
-        unset --dx or --dy gives a banded spec (jcm._row_specs)."""
+        unset --dx or --dy gives a banded spec (jcm._plan)."""
         kind = "standard" if self.precision == "auto" else self.precision
         x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
                                      upper_limit=self.x_max, step=self.dx)
@@ -207,22 +207,21 @@ def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
 
 
 def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarray]:
-    """Run worker over (cfg, times, specs) chunks of t, the y spec widened
-    once for the latest t, and scatter the columns back into time order.
-    With several workers, the latest row of each band runs first, alone:
-    it needs the most precision of its band, so these rows build every
-    family the run uses.  The other rows are dealt round-robin to this
-    process and to forked workers that inherit those."""
+    """Run worker over (cfg, times, specs) chunks of t and scatter the
+    columns back into time order.  An integral run makes one jcm._plan of
+    t, whose widened y spec every chunk takes.  With several workers, the
+    latest row of each of its bands runs first, alone: it needs the most
+    precision of its band, so these rows build every family the run uses.
+    The other rows are dealt round-robin to this process and to forked
+    workers that inherit those."""
     jobs = _effective_jobs(cfg, t.size)
     x_spec, y_spec, escalation = cfg.specs()
-    big_ts = abs(cfg.kappa) * t
+    latest = []  # a series run plans nothing: its first chunk is empty
     if cfg.command == "integrals" or cfg.mode == "integral":
-        # c: the l = 0 bracket turns fastest; a series run has no y grid
-        y_spec = jcm._peak_aware(y_spec, float(big_ts.max()), cfg.jcm_config().c)
-    # t increases, so a band's latest row is the one before its specs change
-    bands = list(zip(*(jcm._row_specs(s, cfg.jcm_config(), big_ts)
-                       for s in (x_spec, y_spec))))
-    latest = [i for i in range(t.size) if i + 1 == t.size or bands[i] != bands[i + 1]]
+        # c: the l = 0 bracket turns fastest
+        jcfg = cfg.jcm_config()
+        y_spec, bands = jcm._plan(jcfg, abs(cfg.kappa) * t, x_spec, y_spec, jcfg.c)
+        latest = [rows[-1] for _, rows in bands]
     rest = np.delete(np.arange(t.size), latest)
     deals = [np.arange(t.size)] if jobs == 1 else [latest] + [
         rest[i::jobs] for i in range(min(jobs, rest.size))]

@@ -51,7 +51,7 @@ Escalation = Literal["raise", "escalate", "ignore"]
 # upper_limit is in x (or y); step is in v = sqrt(x), see _sqrt_grid
 DEFAULT_X_SPEC = QuadratureSpec(rule="simpson", upper_limit=100.0, step=0.0025)
 DEFAULT_Y_SPEC = QuadratureSpec(rule="bode", upper_limit=100.0, step=0.0025)
-# a spec of step None is banded: each row takes the step of _row_specs
+# a spec of step None is banded: each row takes its band's step (_plan)
 BANDED_X_SPEC = dataclasses.replace(DEFAULT_X_SPEC, step=None)
 BANDED_Y_SPEC = dataclasses.replace(DEFAULT_Y_SPEC, step=None)
 # the band rule's step h, its fitted K and p, and the added error it allows
@@ -486,80 +486,77 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
 # escalation policy and the time sweep
 # ---------------------------------------------------------------------------
 
-def _correction_sweep(cfg: JcmConfig, l: int, big_ts: np.ndarray,
-                      spec: QuadratureSpec, escalation: Escalation,
-                      j_form: bool = False, refuse: bool = False):
-    """Correction integrals at the scaled times big_ts under one policy.
-
-    One family serves every row of a band, and one extended family every
-    row of it past the standard budget under "escalate".  A row that no
-    permitted kind can hold raises PrecisionLossError under "raise", and
-    under every policy when refuse is set (a caller that cannot mark the
-    row); otherwise it is marked.
-    Returns the arrays (values, cancellation, status), status 0 for a row
-    held in the requested kind, 1 for an escalated row and 2 for a row
-    past the budget of its kind.
-    """
-    eff = _peak_aware(spec, float(big_ts.max(initial=0.0)), cfg.c + float(l))
-    vals = np.empty_like(big_ts)
-    cancel = np.empty_like(big_ts)
-    status = np.zeros(big_ts.shape, dtype=int)
-    for i, (band, big_t) in enumerate(zip(_row_specs(eff, cfg, big_ts), big_ts)):
-        res = _family(_CorrectionFamily, cfg, l, band, j_form).integral(big_t)
-        kind = band.precision_kind
-        if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
-                and escalation == "escalate" and kind == "standard"):
-            ext = dataclasses.replace(band, precision_kind="extended")
-            res = _family(_CorrectionFamily, cfg, l, ext, j_form).integral(big_t)
-            kind = "extended"
-            status[i] = 1
-        if res.cancellation_magnitude > CANCELLATION_BUDGET[kind]:
-            if refuse or escalation == "raise":
-                raise PrecisionLossError(
-                    f"cancellation magnitude {res.cancellation_magnitude:.3g} "
-                    f"exceeds the {kind} precision budget "
-                    f"{CANCELLATION_BUDGET[kind]:.1g}; the correction integral "
-                    "would be noise at this time",
-                    cancellation_magnitude=res.cancellation_magnitude)
-            status[i] = 2
-        vals[i] = res.value
-        cancel[i] = res.cancellation_magnitude
-    return vals, cancel, status
-
-
-def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec,
+def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec | None,
            y_spec: QuadratureSpec, escalation: Escalation,
            j_form: bool = False, refuse: bool = False):
-    """Line and correction integrals over the checked times ts, one family
-    each per band.  Returns (line values, *_correction_sweep(...)).
-    """
+    """Line and correction integrals over the checked times ts, band by
+    band of _plan; x_spec None skips the line integral (values 0).  A
+    band's families serve all its rows, an extended one its rows past the
+    standard budget under "escalate".  A row no permitted kind can hold
+    raises PrecisionLossError under "raise", and under every policy when
+    refuse is set (a caller that cannot mark the row); otherwise it is
+    marked.  Returns the arrays (line values, correction values,
+    cancellation, status), status 0 for a row held in the requested kind,
+    1 for an escalated row and 2 for a row past the budget of its kind."""
     _require_index(l)
     big_ts = abs(cfg.kappa) * ts
-    line_vals = np.array([
-        _family(_LineFamily, cfg, l, band, j_form).integral(big_t).value
-        for band, big_t in zip(_row_specs(x_spec, cfg, big_ts), big_ts)])
-    return (line_vals, *_correction_sweep(cfg, l, big_ts, y_spec, escalation,
-                                          j_form, refuse))
+    line_vals, vals, cancel = (np.zeros_like(big_ts) for _ in range(3))
+    status = np.zeros(big_ts.shape, dtype=int)
+    for (x_band, y_band), rows in _plan(cfg, big_ts, x_spec, y_spec,
+                                       cfg.c + float(l))[1]:
+        line = x_band and _family(_LineFamily, cfg, l, x_band, j_form)
+        corr = _family(_CorrectionFamily, cfg, l, y_band, j_form)
+        ext = None
+        for i in rows:
+            if line:
+                line_vals[i] = line.integral(big_ts[i]).value
+            res = corr.integral(big_ts[i])
+            kind = y_band.precision_kind
+            if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
+                    and escalation == "escalate" and kind == "standard"):
+                ext = ext or _family(_CorrectionFamily, cfg, l, dataclasses.replace(
+                    y_band, precision_kind="extended"), j_form)
+                res = ext.integral(big_ts[i])
+                kind = "extended"
+                status[i] = 1
+            if res.cancellation_magnitude > CANCELLATION_BUDGET[kind]:
+                if refuse or escalation == "raise":
+                    raise PrecisionLossError(
+                        f"cancellation magnitude {res.cancellation_magnitude:.3g} "
+                        f"exceeds the {kind} precision budget "
+                        f"{CANCELLATION_BUDGET[kind]:.1g}; the correction "
+                        "integral would be noise at this time",
+                        cancellation_magnitude=res.cancellation_magnitude)
+                status[i] = 2
+            vals[i] = res.value
+            cancel[i] = res.cancellation_magnitude
+    return line_vals, vals, cancel, status
 
 
-def _row_specs(spec: QuadratureSpec, cfg: JcmConfig,
-               big_ts: np.ndarray) -> list[QuadratureSpec]:
-    """The spec of each row at the scaled times big_ts, one object per band:
-    spec itself, or for a banded spec (step None) spec at the coarsest step
-    k h, k in (4, 2, 1), whose fitted added error K e^{-a^2} (k h)^4
-    max(T, 1)^p, from the v = 0 endpoint, stays at or below 1e-13 (README,
-    Precision model).  Rows past T = 4 pi keep h: rounding, not the step,
-    sets their error there."""
-    if spec.step is not None:
-        return [spec] * big_ts.size
+def _plan(cfg: JcmConfig, big_ts: np.ndarray, x_spec: QuadratureSpec | None,
+          y_spec: QuadratureSpec, s: float):
+    """(y_spec widened by _peak_aware for the latest of the scaled times
+    big_ts at s = c + l, the bands in time order as ((x spec, y spec), row
+    indices)); a pinned spec (a step), or an x_spec of None, is every
+    band's.  A banded spec (step None) takes the coarsest step k h, k in
+    (4, 2, 1), whose fitted added error K e^{-a^2} (k h)^4 max(T, 1)^p,
+    from the v = 0 endpoint, stays at or below 1e-13 (README, Precision
+    model).  Rows past T = 4 pi keep h: rounding, not the step, sets
+    their error there."""
+    y_spec = _peak_aware(y_spec, float(big_ts.max(initial=0.0)), s)
     model = (_BAND_K * math.exp(-cfg.alpha ** 2)
              * np.maximum(big_ts, 1.0) ** _BAND_P)
     steps = np.full(big_ts.shape, _BAND_H)
     for k in (2.0, 4.0):
         steps[(model * (k * _BAND_H) ** 4 <= _BAND_TOL)
               & (big_ts <= 4.0 * math.pi)] = k * _BAND_H
-    bands = {step: dataclasses.replace(spec, step=step) for step in set(steps.tolist())}
-    return [bands[step] for step in steps.tolist()]
+    bands = {}  # (x spec, y spec) -> the mask of its rows
+    for step in sorted(set(steps.tolist()), reverse=True):  # time order
+        key = tuple(spec if spec is None or spec.step
+                    else dataclasses.replace(spec, step=step)
+                    for spec in (x_spec, y_spec))
+        bands[key] = bands.get(key, False) | (steps == step)
+    return y_spec, [(key, np.flatnonzero(rows)) for key, rows in bands.items()]
 
 
 def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
@@ -603,9 +600,8 @@ def j2_integral(t, cfg: JcmConfig,
     """
     _require_resonant(cfg)
     scale = 2.0 * math.exp(-cfg.alpha ** 2)
-    return _rows(t, lambda t_arr: scale * _correction_sweep(
-        cfg, 0, abs(cfg.kappa) * t_arr, spec, escalation, j_form=True,
-        refuse=True)[0])
+    return _rows(t, lambda t_arr: scale * _sweep(
+        t_arr, cfg, 0, None, spec, escalation, j_form=True, refuse=True)[1])
 
 
 def _require_resonant(cfg: JcmConfig):
@@ -658,7 +654,7 @@ def resonant_profile(ts, cfg: JcmConfig,
     """J1, J2 and the assembled inversion over a time grid.
 
     Returns arrays J1, J2, sigma_z, cancellation (of the J2 correction)
-    and the row status of _correction_sweep, raised to 2 (see
+    and the row status of _sweep, raised to 2 (see
     _refuse_noise) where sigma_z leaves [-1, 1].  With
     escalation="ignore", rows of status 2 hold whatever the requested kind
     produced; callers decide whether that is acceptable.

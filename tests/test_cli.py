@@ -336,6 +336,29 @@ def test_forked_workers_build_no_grid(tmp_path, monkeypatch, command):
         (0.0025, "extended"): brackets}
 
 
+@pytest.mark.parametrize("command", [["integrals"], ["thermal", "--mode", "integral"]])
+def test_the_parent_first_runs_the_latest_row_of_each_planned_band(
+        tmp_path, monkeypatch, command):
+    name = "_thermal_chunk" if command[0] == "thermal" else "_integrals_chunk"
+    chunk, first = getattr(cli, name), []
+
+    def recording(payload):
+        if not first:
+            first.append(payload[1].copy())
+        return chunk(payload)
+
+    monkeypatch.setattr(cli, name, recording)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "o.csv"
+    assert main(command + ["--t-steps", "16", "--jobs", "2", "--out", str(out)]) == 0
+    cfg = RunConfig(command=command[0], mode="integral", t_steps=16)
+    x_spec, y_spec, _ = cfg.specs()
+    t, jcfg = cfg.time_grid(), cfg.jcm_config()
+    bands = jc.jcm._plan(jcfg, abs(jcfg.kappa) * t, x_spec, y_spec, jcfg.c)[1]
+    assert len(bands) == 2  # the coarse rows up to 4 pi, then the fine ones
+    assert np.array_equal(first[0], t[[rows[-1] for _, rows in bands]])
+
+
 def test_pinned_steps_write_the_single_step_rows(tmp_path):
     # --dx/--dy at the default step pin every row to it; unset, they band
     # the rows and the header omits them, and the rows past 4 pi keep

@@ -538,8 +538,10 @@ def test_banded_rows_add_at_most_the_band_rule_error_over_a_box(series200):
         for delta_omega in (0.0, 4.0):
             cfg = jc.JcmConfig(alpha=alpha, delta_omega=delta_omega)
             after = abs(cfg.kappa) * np.linspace(4.0, 8.0, 81)[1:] * math.pi
-            assert jc.jcm._row_specs(jc.BANDED_Y_SPEC, cfg, after) == \
-                [Y] * after.size
+            bands = jc.jcm._plan(cfg, after, jc.BANDED_X_SPEC,
+                                 jc.BANDED_Y_SPEC, cfg.c)[1]
+            assert [(y, list(rows)) for (_, y), rows in bands] == \
+                [(Y, list(range(after.size)))]
             for l in (0, 1, 2):
                 want = jc.q_g(l, early, cfg, "series", series200)
                 pinned = jc.q_g(l, early, cfg, "integral", x_spec=X, y_spec=Y)
@@ -550,6 +552,41 @@ def test_banded_rows_add_at_most_the_band_rule_error_over_a_box(series200):
                     jc.q_g(l, late, cfg, "integral", escalation="escalate"),
                     jc.q_g(l, late, cfg, "integral", x_spec=X, y_spec=Y,
                            escalation="escalate"))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0, 6.0])
+@pytest.mark.parametrize("c", [0.0, 4.0])
+def test_plan_bands_every_row_by_the_band_rule(alpha, c):
+    cfg = jc.JcmConfig(alpha=alpha, delta_omega=2.0 * math.sqrt(c))
+    big_ts = np.linspace(0.0, 8.0 * math.pi, 81)
+
+    def rule(big_t):
+        # the coarsest k h, k in (4, 2, 1), with a modelled added error
+        # 0.41 e^{-a^2} max(T, 1)^2 (k h)^4 of at most 1e-13, up to 4 pi
+        model = 0.41 * math.exp(-alpha ** 2) * max(big_t, 1.0) ** 2
+        return next((k * 0.0025 for k in (4.0, 2.0) if big_t <= 4.0 * math.pi
+                     and model * (k * 0.0025) ** 4 <= 1e-13), 0.0025)
+
+    def plan(x_spec, y_spec, ts=big_ts):
+        return jc.jcm._plan(cfg, ts, x_spec, y_spec, cfg.c)
+
+    y_spec, bands = plan(jc.BANDED_X_SPEC, jc.BANDED_Y_SPEC)
+    assert y_spec == jc.BANDED_Y_SPEC  # T = 8 pi needs no wider y grid
+    assert np.array_equal(np.concatenate([rows for _, rows in bands]),
+                          np.arange(big_ts.size))
+    for (x, y), rows in bands:
+        assert (x, y) == (dataclasses.replace(X, step=x.step),
+                          dataclasses.replace(Y, step=x.step))
+        assert [rule(big_t) for big_t in big_ts[rows]] == [x.step] * rows.size
+    assert [(key, list(rows)) for key, rows in plan(X, Y)[1]] == \
+        [((X, Y), list(range(big_ts.size)))]
+    assert [(key, list(rows)) for key, rows in plan(None, jc.BANDED_Y_SPEC)[1]] \
+        == [((None, y), list(rows)) for (_, y), rows in bands]
+    # one widening, for the latest row, serves every band
+    late = np.array([0.0, 12.0 * math.pi])
+    wide, late_bands = plan(jc.BANDED_X_SPEC, jc.BANDED_Y_SPEC, late)
+    assert wide == jc.jcm._peak_aware(jc.BANDED_Y_SPEC, late[-1], cfg.c)
+    assert {y.upper_limit for (_, y), _ in late_bands} == {wide.upper_limit}
 
 
 @pytest.mark.parametrize("delta_omega", [0.0, 4.0])

@@ -6,7 +6,7 @@ Usage (from the root of a checkout):
 
 Prints one JSON line of costs, each the minimum over N repeats (default
 20).  All but ``startup.*`` are seconds measured in this process, so they
-leave out start-up, imports and the pool:
+leave out start-up, imports and the CLI's forked workers:
 
 * ``startup.import_cli_s`` and ``startup.cpu_s``: the wall and CPU time of
   a fresh interpreter that runs ``import jcrevival.cli`` and exits, what
@@ -119,11 +119,11 @@ def coarse_costs(repeats: int) -> dict:
     """Build and row costs of both families, standard kind, on the grid
     the band rule gives the row at T = 4 pi."""
     cfg = jcm.JcmConfig(alpha=4.0)
+    (x_spec, y_spec), _ = jcm._plan(cfg, np.array([BAND_T]), jcm.BANDED_X_SPEC,
+                                    jcm.BANDED_Y_SPEC, cfg.c)[1][0]
     out = {}
-    for layer, cls, banded in (("line", jcm._LineFamily, jcm.BANDED_X_SPEC),
-                               ("correction", jcm._CorrectionFamily,
-                                jcm.BANDED_Y_SPEC)):
-        spec = jcm._row_specs(banded, cfg, np.array([BAND_T]))[0]
+    for layer, cls, spec in (("line", jcm._LineFamily, x_spec),
+                             ("correction", jcm._CorrectionFamily, y_spec)):
         out[f"{layer}.build.coarse"] = best_of(
             repeats, lambda: cls(cfg, 0, spec, j_form=True))
         fam = cls(cfg, 0, spec, j_form=True)

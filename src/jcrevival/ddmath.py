@@ -17,12 +17,12 @@ function schemes of the QD library (Hida, Li & Bailey, ARITH-15, 2001):
   roundoff; the rest of its tail is a plain double polynomial;
 * log and atan2 take one Newton step from the double seed: the seed is
   good to ~1e-16 and convergence is at least quadratic, so one step
-  reaches the pair roundoff;
-* sums run through one fixed pairwise tree of two-sums whose rounding
-  errors are accumulated alongside (:func:`dd_sum`).
+  reaches the pair roundoff.
 
 Nothing here is adaptive: a given input shape and value always executes the
 same sequence of floating-point operations, so results are bit-reproducible.
+Only the extended kind calls into this module: a standard-kind run makes
+no call here, and sums of either kind are ``special.compensated_sum``'s.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _mul(x: DD, y: DD) -> DD:
 
 def _add(x: DD, y: DD) -> DD:
     """x + y to within about eps^2 (|x| + |y|), by one two-sum of the
-    leading words (the QD library's sloppy add, as in dd_sum)."""
+    leading words (the QD library's sloppy add)."""
     s, e = _two_sum(x.hi, y.hi)
     return DD(*_quick_two_sum(s, e + (x.lo + y.lo)))
 
@@ -305,34 +305,6 @@ def where(mask, a, b):
     if not isinstance(b, DD):
         b = DD(b)
     return DD(np.where(mask, a.hi, b.hi), np.where(mask, a.lo, b.lo))
-
-
-def dd_sum(x):
-    """Sum of all elements of a DD array, by a fixed pairwise tree.
-
-    The pairs are padded with zeros to a power of two and each level adds
-    the first half to the second: an error-free two-sum of the high words,
-    whose rounding error joins the low words' sum before the pair is
-    renormalized (the QD library's sloppy add).  The error stays of order
-    log2(n) eps^2 sum|x| (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
-    2005), and the tree's shape depends only on the length, so results are
-    bit-identical between runs.
-    """
-    n = np.size(x.hi)
-    size = 1 << max(n - 1, 0).bit_length()
-    hi = np.zeros(size)
-    lo = np.zeros(size)
-    hi[:n] = np.ravel(x.hi)
-    lo[:n] = np.ravel(x.lo)
-    while size > 1:
-        size //= 2
-        a, b = hi[:size], hi[size:]
-        s = a + b
-        bb = s - a
-        e = ((a - (s - bb)) + (b - bb)) + (lo[:size] + lo[size:])
-        hi = s + e
-        lo = e - (hi - s)
-    return DD(hi[0], lo[0])
 
 
 def sqrt(a: DD) -> DD:

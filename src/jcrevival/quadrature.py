@@ -1,9 +1,9 @@
 """Composite Newton-Cotes quadrature on fixed grids.
 
-Simpson and Bode (Boole) rules over finite intervals.  Accumulation runs
-through one fixed pairwise tree of error-free two-sums in either kind
-(``special.compensated_sum``): it is double-double accurate before its one
-rounding to a double, and two runs with the same spec are bit-identical.
+Simpson and Bode (Boole) rules over finite intervals.  Accumulation is
+``special.compensated_sum`` in either kind: the exact sum of the terms'
+float64 words, faithfully rounded to a double, so two runs with the same
+spec are bit-identical.
 Integrands are called once with the whole abscissa grid: an ndarray for
 the standard kind, a ``ddmath.DD`` array for the extended kind; they return
 real samples of the same length, which one :func:`assemble` sums in either

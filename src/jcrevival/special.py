@@ -16,12 +16,14 @@ given, and :func:`in_kind` reads a constant's (hi, lo) pair in a given
 kind, so the correction integrand is written once for both kinds and reads
 complex parts as ``.real`` / ``.imag`` (which ``CDD`` provides too).
 :func:`leading`, :func:`replace_first` and :func:`compensated_sum` serve
-the real samples of ``quadrature.assemble``, whose sum runs ddmath's fixed
-pairwise two-sum tree in both kinds.  :func:`reciprocal_gamma` is
+the real samples of ``quadrature.assemble``; the sum is one body for both
+kinds and makes no ``ddmath`` call.  :func:`reciprocal_gamma` is
 standard-kind only.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -104,13 +106,35 @@ def leading(x):
 
 
 def compensated_sum(x):
-    """Sum of the elements of the real x to double-double accuracy, rounded
-    to a double.  Both kinds run ddmath's fixed pairwise tree of two-sums,
-    so the result is bit-identical between runs.  The terms must be finite,
-    as quadrature.assemble checks: a non-finite term gives NaN."""
-    if not isinstance(x, DD):
-        x = DD(np.ravel(x))
-    return float(ddmath.dd_sum(x).to_float())
+    """Sum of the elements of the real x, faithfully rounded to a double:
+    AccSum (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, Alg. 4.5)
+    of its float64 words, a DD's high and low words alike.  Deterministic
+    for a given input.  The terms must be finite, as quadrature.assemble
+    checks: a non-finite term gives NaN."""
+    p = (np.concatenate((np.ravel(x.hi), np.ravel(x.lo))) if isinstance(x, DD)
+         else np.ravel(np.asarray(x, dtype=np.float64)))
+    mu = float(np.max(np.abs(p), initial=0.0))
+    if mu == 0.0:
+        return 0.0
+    m = (p.size + 1).bit_length()  # 2^m >= n + 2
+    frac, e = math.frexp(mu)
+    e -= frac == 0.5  # e = ceil(log2 mu)
+    # sigma = 2^(m + e), kept finite by scaling the terms by 2^-k (exact
+    # for terms above 2^(k - 1022))
+    k = max(0, m + e - 1023)
+    p, sigma, t = p * 2.0 ** -k, 2.0 ** (m + e - k), 0.0
+    while True:
+        # each q is p cut to a multiple of 2^-53 sigma: their sum is exact
+        q = (sigma + p) - sigma
+        tau = float(np.sum(q))
+        p = p - q
+        t_next = t + tau
+        if abs(t_next) >= 2.0 ** (2 * m - 53) * sigma or sigma <= 2.0 ** -1022:
+            tau2 = tau - (t_next - t)  # exact: t + tau = t_next + tau2
+            return (t_next + (tau2 + float(np.sum(p)))) * 2.0 ** k
+        if t_next == 0.0:
+            return compensated_sum(p) * 2.0 ** k
+        t, sigma = t_next, 2.0 ** (m - 53) * sigma
 
 
 def log_gamma(z):

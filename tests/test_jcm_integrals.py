@@ -1,12 +1,15 @@
 """Integral representations: I/J families, limits, plateau, thermal modes."""
 
 import dataclasses
+import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import jcrevival as jc
+from jcrevival import ddmath
 from jcrevival.errors import PrecisionLossError
 
 X = jc.DEFAULT_X_SPEC
@@ -291,6 +294,40 @@ def test_escalating_q_sweep_builds_one_extended_family(cfg4, monkeypatch):
     rows = [jc.q_g(0, t, cfg4, "integral", x_spec=coarse_x, y_spec=coarse_y,
                    escalation="escalate") for t in ts]
     assert np.array_equal(swept, rows)
+
+
+@pytest.fixture
+def ddmath_calls(monkeypatch):
+    """The names of the calls into ddmath, one per call: its public
+    functions and the methods of DD and CDD, the constructors included."""
+    calls = []
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    for name, fn in inspect.getmembers(ddmath, inspect.isfunction):
+        if fn.__module__ == ddmath.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(ddmath, name, counted(name, fn))
+    for cls in (ddmath.DD, ddmath.CDD):
+        for name, fn in list(vars(cls).items()):
+            if inspect.isfunction(fn):
+                monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}", fn))
+    return calls
+
+
+def test_the_standard_kind_makes_no_ddmath_call(cfg4, cfg4_detuned, thermal,
+                                                ddmath_calls):
+    ts = np.linspace(0.0, 4.0 * math.pi, 9)
+    assert (jc.resonant_profile(ts, cfg4)["status"] == 0).all()
+    jc.pg_thermal(ts, cfg4_detuned, thermal, mode="integral")
+    assert ddmath_calls == []
+    # the counter sees the extended kind: an escalated row calls in
+    prof = jc.resonant_profile([7.0 * math.pi], cfg4, escalation="escalate")
+    assert prof["status"][0] == 1 and ddmath_calls
 
 
 def test_repeated_calls_build_each_grid_once(cfg4, cfg4_detuned, monkeypatch):

@@ -217,3 +217,77 @@ def test_compensated_sum_of_no_one_and_an_odd_count_of_terms():
     assert special.compensated_sum(np.array([2.5])) == 2.5
     assert special.compensated_sum(np.array([1e16, 1.0, -1e16])) == 1.0
     assert special.compensated_sum(np.array([1e16, 1.0, -1e16, 3.0, 0.5])) == 4.5
+
+
+def _faithful(got: float, words) -> bool:
+    """got is the exact sum of words when that is a double, else one of
+    the two doubles around it."""
+    exact = sum(map(Fraction, words), Fraction(0))
+    near = float(exact)  # correctly rounded
+    if Fraction(near) == exact:
+        return got == near
+    return got in (near, math.nextafter(near, math.inf if exact > near else -math.inf))
+
+
+def _cancelling(rng, small, ratio):
+    """small shuffled among words that sum to zero exactly: each b of
+    magnitude ratio * sum|small| is joined by -fl(0.75 b) and the exact
+    -(b - fl(0.75 b)), so no word is the negative of another."""
+    big = rng.uniform(0.01, 1.0, small.size) * ratio * np.sum(np.abs(small))
+    x = np.concatenate([small, big, -0.75 * big, -(big - 0.75 * big)])
+    return rng.permutation(x)
+
+
+@pytest.mark.parametrize("ratio", [1e10, 1e25])
+def test_compensated_sum_is_faithful_under_planted_cancellation(ratio):
+    rng = np.random.default_rng(int(math.log10(ratio)))
+    for n in (1, 7, 300, 2000):
+        x = _cancelling(rng, rng.standard_normal(n), ratio)
+        assert _faithful(special.compensated_sum(x), x), n
+
+
+def test_compensated_sum_is_faithful_over_600_binades():
+    rng = np.random.default_rng(600)
+    for _ in range(20):
+        x = rng.standard_normal(500) * 2.0 ** rng.integers(-300, 300, 500)
+        assert _faithful(special.compensated_sum(x), x)
+        # with words 1e10 times larger that cancel exactly
+        x = _cancelling(rng, x, 1e10)
+        assert _faithful(special.compensated_sum(x), x)
+
+
+def test_compensated_sum_of_zeros_and_of_one_nonzero_term():
+    for kind in (np.asarray, DD):
+        assert special.compensated_sum(kind(np.array([]))) == 0.0
+        assert special.compensated_sum(kind(np.zeros(6))) == 0.0
+        for value in (-3.7e-200, 5e-324, 1.5e300):
+            x = np.zeros(9)
+            x[4] = value
+            assert special.compensated_sum(kind(x)) == value
+
+
+def test_compensated_sum_of_pairs_is_the_sum_of_their_words():
+    assert special.compensated_sum(DD([1e16, -1e16], [1.0, 0.5])) == 1.5
+    rng = np.random.default_rng(2)
+    hi = _cancelling(rng, rng.standard_normal(200), 1e20)
+    lo = hi * rng.uniform(-1.1e-16, 1.1e-16, hi.size)
+    assert _faithful(special.compensated_sum(DD(hi, lo)), [*hi, *lo])
+
+
+def test_compensated_sum_scales_terms_near_the_overflow_threshold():
+    # 2^m 2^ceil(log2 max|x|) overflows here without the power-of-two scale
+    rng = np.random.default_rng(1020)
+    big = rng.uniform(0.5, 1.0, 40) * 2.0 ** 1020
+    x = rng.permutation(np.concatenate([
+        [2.0 ** 1021], big, -0.75 * big, -(big - 0.75 * big),
+        rng.standard_normal(30) * 2.0 ** 900]))
+    total = special.compensated_sum(x)
+    assert math.isfinite(total) and _faithful(total, x)
+
+
+def test_compensated_sum_of_the_harmonic_pairs():
+    inv = DD(1.0) / DD(np.arange(1.0, 100001.0))
+    total = special.compensated_sum(inv)
+    assert special.compensated_sum(inv).hex() == total.hex()
+    with mp.workdps(40):
+        assert abs(mp.mpf(total) - mp.harmonic(100000)) <= math.ulp(total)

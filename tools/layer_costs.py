@@ -153,8 +153,7 @@ def kernel_costs(repeats: int) -> dict:
                      ("cexp", lambda: ddmath.cexp(z)),
                      ("clog", lambda: ddmath.clog(z)),
                      ("mul", lambda: a * b),
-                     ("div", lambda: a / b),
-                     ("dd_sum", lambda: ddmath.dd_sum(wide))):
+                     ("div", lambda: a / b)):
         out[f"ddmath.{name}"] = best_of(repeats, fn)
     return out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import os
 import pickle
@@ -31,12 +32,19 @@ from typing import Literal
 
 # one OpenBLAS thread, set before numpy loads: no command needs a BLAS pool
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# what the imports leave lives as long as the process: no collection walks it
+_gc_was_enabled = gc.isenabled()
+gc.disable()
 
 import numpy as np
 
 from . import jcm
 from .errors import IntegrandError, PrecisionLossError
 from .quadrature import QuadratureSpec
+
+gc.freeze()
+if _gc_was_enabled:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

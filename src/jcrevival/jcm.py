@@ -352,8 +352,9 @@ class _LineFamily:
         _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--x-max)")
         self.grid, jac = _sqrt_grid(spec, "x")
         x = self.grid.x
-        w = np.exp(x * (2.0 * math.log(abs(cfg.alpha)))
-                   - special.log_gamma(x + 1.0)) * jac
+        # ln Gamma(x + 1) to an ulp or so, which the Lanczos form is not
+        ln_gamma = np.array([math.lgamma(v + 1.0) for v in x.tolist()])
+        w = np.exp(x * (2.0 * math.log(abs(cfg.alpha))) - ln_gamma) * jac
         s = x + (cfg.c + float(l))
         self.sqrt_arg = np.sqrt(s)
         b0, b1 = _double_angle(s, cfg.c, j_form)

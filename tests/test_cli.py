@@ -370,8 +370,8 @@ def test_pinned_steps_write_the_single_step_rows(tmp_path):
     assert main(args + [str(banded)]) == 0
     meta, _, cols = _read_csv(pinned)
     assert meta["dx"] == meta["dy"] == "0.0025"
-    # sigma_z at t = pi as every run wrote it before the band rule
-    assert cols["sigma_z"][1].hex() == "-0x1.e7eb49e5c904fp-8"
+    # sigma_z at t = pi on the one default step
+    assert cols["sigma_z"][1].hex() == "-0x1.e7eb49e5b7edap-8"
     banded_meta, _, banded_cols = _read_csv(banded)
     assert "dx" not in banded_meta and "dy" not in banded_meta
     early = cols["t"] <= 4.0 * math.pi
@@ -499,6 +499,19 @@ def test_cli_import_starts_one_thread():
     # numpy's OpenBLAS would start one thread per core at import
     assert _fresh_python(
         "import os, jcrevival.cli; print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_cli_import_freezes_the_imported_heap_and_keeps_the_gc_setting():
+    # gc.get_objects() lists the objects the collector still walks
+    enabled, frozen, walked = _fresh_python(
+        "import gc, jcrevival.cli; "
+        "print(gc.isenabled(), gc.get_freeze_count(), len(gc.get_objects()))"
+    ).split()
+    assert enabled == "True"
+    assert int(frozen) >= 0.9 * (int(frozen) + int(walked))
+    assert _fresh_python(
+        "import gc; gc.disable(); import jcrevival.cli; print(gc.isenabled())"
+    ) == "False"
 
 
 def test_package_import_loads_no_numpy_and_sets_no_environment():

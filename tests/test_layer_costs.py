@@ -25,7 +25,7 @@ def test_layer_costs_prints_every_layer_once():
     # the line family has no extended kind to cost
     assert not any(key.startswith("line.") and key.endswith(".extended")
                    for key in costs)
-    startup = ["startup.import_cli_s", "startup.cpu_s"]
+    startup = ["startup.import_cli_s", "startup.cpu_s", "startup.teardown_s"]
     if os.path.isdir("/proc/self/task"):
         startup.append("startup.threads")
     for key in (*startup, "assemble.standard", "assemble.extended",

@@ -206,7 +206,7 @@ def test_compensated_sum_holds_planted_cancellation(terms):
     total = special.compensated_sum(x)
     assert _within_one_ulp(total, sum(map(Fraction, terms)))
     assert _within_one_ulp(total, math.fsum(terms))
-    # one fixed tree: bit-identical on repeat and in either kind
+    # AccSum is deterministic: bit-identical on repeat and in either kind
     assert special.compensated_sum(x.copy()).hex() == total.hex()
     assert special.compensated_sum(DD(x)).hex() == total.hex()
 

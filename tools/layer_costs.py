@@ -10,9 +10,11 @@ leave out start-up, imports and the CLI's forked workers:
 
 * ``startup.import_cli_s`` and ``startup.cpu_s``: the wall and CPU time of
   a fresh interpreter that runs ``import jcrevival.cli`` and exits, what
-  every CLI process pays before its first row; ``startup.threads``: the
-  threads it runs after that import (where ``/proc/self/task`` lists
-  them);
+  every CLI process pays besides its rows; both include the teardown;
+  ``startup.teardown_s``: the time from that interpreter's last statement
+  to the exit its parent sees, interpreter shutdown included;
+  ``startup.threads``: the threads it runs after that import (where
+  ``/proc/self/task`` lists them);
 * ``line.*`` and ``correction.*``: building the resonant (J form) line and
   correction families on the default grids at alpha = 4, and one row of
   each at t = 6 pi (inside the window where rows escalate); the line
@@ -70,22 +72,29 @@ def best_of(repeats: int, fn) -> float:
 
 
 def startup_costs(repeats: int) -> dict:
-    """Least wall and CPU time of a fresh `import jcrevival.cli`, and the
-    number of threads that import leaves running."""
-    code = ("import os, jcrevival.cli; task = '/proc/self/task'; "
-            "print(len(os.listdir(task)) if os.path.isdir(task) else '')")
-    wall, cpu = math.inf, math.inf
+    """Least wall and CPU time of a fresh `import jcrevival.cli`, least
+    time from its last statement to its exit, and the number of threads
+    that import leaves running."""
+    # the child's last statement prints the monotonic clock, which is
+    # system-wide, so the parent can subtract it from its own reading
+    code = ("import os, time, jcrevival.cli; task = '/proc/self/task'; "
+            "print(len(os.listdir(task)) if os.path.isdir(task) else ''); "
+            "print(time.monotonic())")
+    wall, cpu, teardown = math.inf, math.inf, math.inf
     for _ in range(repeats):
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        start = time.perf_counter()
+        start = time.monotonic()
         run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
-        wall = min(wall, time.perf_counter() - start)
+        exited = time.monotonic()
+        wall = min(wall, exited - start)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         cpu = min(cpu, (after.ru_utime + after.ru_stime)
                   - (before.ru_utime + before.ru_stime))
-    threads = run.stdout.strip()
-    out = {"startup.import_cli_s": wall, "startup.cpu_s": cpu}
+        threads, last = run.stdout.splitlines()
+        teardown = min(teardown, exited - float(last))
+    out = {"startup.import_cli_s": wall, "startup.cpu_s": cpu,
+           "startup.teardown_s": teardown}
     if threads:
         out["startup.threads"] = int(threads)
     return out

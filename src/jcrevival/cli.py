@@ -1,13 +1,6 @@
 """Command-line front end: CSV time series and consistency reports.
 
-Subcommands
------------
-series      inversion from the Fock-space series (plus the envelope on
-            resonance)
-integrals   the sum-to-integral representations: J1/J2 on resonance,
-            I1/I2 off resonance, with cancellation diagnostics
-thermal     low-temperature corrections P1, P2 and the corrected P_g
-check       identity and residual self-tests; exits nonzero on failure
+The commands and their help are in _COMMANDS; flags go before or after.
 
 Outputs are CSV with a `# key=value` comment block recording the full run
 configuration, so a figure can be regenerated from its data file alone.
@@ -80,12 +73,20 @@ class RunConfig:
     out: str | None = None
     jobs: int = 0  # 0 means all available cores
 
-    def __post_init__(self):
+    def __post_init__(self):  # every setting is checked whatever the command
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means all cores)")
         # beta_epsilon, when given, sets the theta the header records
         if self.beta_epsilon is not None:
             self.theta = jcm.theta_of_beta(self.beta_epsilon).exact
+        self.jcm_config(), self.thermal_config(), self.series_spec(), self.specs()
+        if self.t_steps < 1:
+            raise ValueError("t_steps must be >= 1")
+        for name in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.t_start > self.t_end:
+            raise ValueError("t_start must not exceed t_end")
 
     def jcm_config(self) -> jcm.JcmConfig:
         return jcm.JcmConfig(alpha=self.alpha, kappa=self.kappa,
@@ -110,13 +111,6 @@ class RunConfig:
         return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"
 
     def time_grid(self) -> np.ndarray:
-        if self.t_steps < 1:
-            raise ValueError("t_steps must be >= 1")
-        for name in ("t_start", "t_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.t_start > self.t_end:
-            raise ValueError("t_start must not exceed t_end")
         if self.t_start == self.t_end:
             return np.asarray([self.t_start])
         t = np.linspace(self.t_start, self.t_end, self.t_steps + 1)
@@ -126,11 +120,12 @@ class RunConfig:
         return t
 
 
-def _settings_parser(**kwargs) -> argparse.ArgumentParser:
-    """A flag for each RunConfig field but `command`, typed by its
-    annotation: a Literal lists the choices and `X | None` parses as X."""
-    parser = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS, **kwargs)
+def _settings_parser() -> argparse.ArgumentParser:
+    """A flag for each RunConfig field but `command`, typed by its annotation
+    (a Literal lists the choices, `X | None` parses as X); strict, for config keys."""
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                     exit_on_error=False,
+                                     argument_default=argparse.SUPPRESS)
     for name, hint in list(typing.get_type_hints(RunConfig).items())[1:]:
         literal = typing.get_origin(hint) is Literal
         parser.add_argument(
@@ -140,10 +135,9 @@ def _settings_parser(**kwargs) -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, settings: argparse.ArgumentParser) -> dict:
     """Flat `key = value` lines; # starts a comment.  The keys are the flag
-    names but `out`; each value is parsed and checked as its flag is."""
-    parser = _settings_parser(allow_abbrev=False, exit_on_error=False)
+    names but `out`; each value is parsed and checked by its settings flag."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -156,7 +150,7 @@ def _read_config_file(path: str) -> dict:
             flag = "--" + key.strip().replace("_", "-")
             text = text.strip().strip("\"'")
             try:
-                values, unknown = parser.parse_known_args([f"{flag}={text}"])
+                values, unknown = settings.parse_known_args([f"{flag}={text}"])
             except argparse.ArgumentError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if unknown or flag == "--out":
@@ -165,19 +159,14 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(settings: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="jcrevival",
+        prog="jcrevival", parents=[settings],
         description="Collapse and revival of Rabi oscillations: series, "
                     "envelope and integral representations.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    settings = _settings_parser()
-    for name, blurb in (("series", "Fock-space series inversion"),
-                        ("integrals", "integral representations"),
-                        ("thermal", "low-temperature corrections"),
-                        ("check", "identity and residual self-tests")):
-        p = sub.add_parser(name, help=blurb, parents=[settings])
-        p.add_argument("--config")
+    parser.add_argument("command", choices=_COMMANDS, help="; ".join(
+        f"{name}: {blurb}" for name, (_, blurb) in _COMMANDS.items()))
+    parser.add_argument("--config")
     return parser
 
 
@@ -408,15 +397,22 @@ def _origin_limit_residual(cfg: jcm.JcmConfig, l: int, t: float) -> float:
     return abs(extrapolated - analytic) / max(abs(analytic), 1e-30)
 
 
+# name -> (handler, help): the parser's choices and main's dispatch
+_COMMANDS = {
+    "series": (cmd_series, "Fock-space series, and the envelope on resonance"),
+    "integrals": (cmd_integrals, "J1/J2, or I1/I2 off resonance, with diagnostics"),
+    "thermal": (cmd_thermal, "low-temperature corrections P1, P2 and P_g"),
+    "check": (cmd_check, "identity and residual self-tests; exit 1 on failure")}
+
+
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
-    config = args.pop("config")
+    settings = _settings_parser()
+    args = vars(_build_parser(settings).parse_args(argv))
+    path = args.pop("config")
     try:
         # flags override the config file, which overrides the defaults
-        cfg = RunConfig(**{**(_read_config_file(config) if config else {}), **args})
-        handler = {"series": cmd_series, "integrals": cmd_integrals,
-                   "thermal": cmd_thermal, "check": cmd_check}[cfg.command]
-        return handler(cfg)
+        cfg = RunConfig(**(_read_config_file(path, settings) if path else {}) | args)
+        return _COMMANDS[cfg.command][0](cfg)
     except (PrecisionLossError, IntegrandError, OverflowError,
             FloatingPointError) as exc:
         # before ValueError, which IntegrandError subclasses

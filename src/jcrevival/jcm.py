@@ -398,7 +398,7 @@ class _CorrectionFamily:
             s0 = special.complex_of(cfg.c + float(l), y)
             root = special.principal_sqrt(s0)
             self.p, self.q = root.real, root.imag
-            self.b0, self.b1 = _double_angle(s0, cfg.c, j_form)
+            self.b = None if j_form else _double_angle(s0, cfg.c, False)
 
     def integral(self, big_t: float) -> IntegralResult:
         with np.errstate(all="ignore"):
@@ -412,9 +412,12 @@ class _CorrectionFamily:
             # cos(2 T z) e^{-2 pi y} for z = p + iq, in parts
             ct_re = cu * ch
             ct_im = -(su * sh)
-            b0, b1 = self.b0, self.b1
-            b_re = b0.real * self.em2piy + b1.real * ct_re - b1.imag * ct_im
-            b_im = b0.imag * self.em2piy + b1.real * ct_im + b1.imag * ct_re
+            if self.b is None:  # J form, (b0, b1) = (0, 1): the bracket is the cosine
+                b_re, b_im = ct_re, ct_im
+            else:
+                b0, b1 = self.b
+                b_re = b0.real * self.em2piy + b1.real * ct_re - b1.imag * ct_im
+                b_im = b0.imag * self.em2piy + b1.real * ct_im + b1.imag * ct_re
             samples = (self.a_re * b_im + self.a_im * b_re) * self.inv1m
         return quadrature.assemble(samples, self.grid)
 

@@ -108,11 +108,11 @@ def leading(x):
 def compensated_sum(x):
     """Sum of the elements of the real x, faithfully rounded to a double:
     AccSum (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, Alg. 4.5)
-    of its float64 words, a DD's high and low words alike.  Deterministic
-    for a given input.  The terms must be finite, as quadrature.assemble
-    checks: a non-finite term gives NaN."""
-    p = (np.concatenate((np.ravel(x.hi), np.ravel(x.lo))) if isinstance(x, DD)
-         else np.ravel(np.asarray(x, dtype=np.float64)))
+    of its float64 words, a DD's high and nonzero low words alike (so DD(x)
+    sums to x's bits).  Deterministic for a given input.  The terms must be
+    finite, as quadrature.assemble checks: a non-finite term gives NaN."""
+    p = (np.concatenate((np.ravel(x.hi), np.extract(x.lo != 0.0, x.lo)))
+         if isinstance(x, DD) else np.ravel(np.asarray(x, dtype=np.float64)))
     mu = float(np.max(np.abs(p), initial=0.0))
     if mu == 0.0:
         return 0.0

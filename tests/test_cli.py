@@ -270,12 +270,14 @@ def test_thermal_gamma_zero_p1_column(tmp_path):
 
 
 def test_deterministic_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["integrals", "--alpha", "2", "--t-end", "4.0", "--t-steps", "10",
-            "--jobs", "1"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # the same settings write the same bytes, their flags before, after or
+    # around the command
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    flags = ["--alpha", "2", "--t-end", "4.0", "--t-steps", "10", "--jobs", "1"]
+    assert main(["integrals"] + flags + ["--out", str(a)]) == 0
+    assert main(flags + ["--out", str(b), "integrals"]) == 0
+    assert main(flags[:4] + ["integrals"] + flags[4:] + ["--out", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_jobs_parallelism_matches_serial(tmp_path, monkeypatch):
@@ -578,15 +580,17 @@ def test_config_file_merging_and_flag_precedence(tmp_path):
     assert meta["alpha"] == "2.0"
     assert len(cols["t"]) == 4  # flag overrode the file
     assert cols["t"][-1] == 3.0
-    # a config file writes the bytes of the same settings given as flags
+    # a config file writes the bytes of the same settings given as flags,
+    # whatever the command and wherever --config stands
     cfgfile.write_text("alpha = 4\nt_steps = 10\nrule = 'bode'\n")
-    common = ["integrals", "--t-end", "3", "--dx", "1e-2", "--dy", "1e-2",
-              "--jobs", "1", "--out"]
     flagged = tmp_path / "flags.csv"
-    assert main(common + [str(out), "--config", str(cfgfile)]) == 0
-    assert main(common + [str(flagged), "--alpha", "4", "--t-steps", "10",
-                          "--rule", "bode"]) == 0
-    assert out.read_bytes() == flagged.read_bytes()
+    for command in (["integrals", "--dx", "1e-2", "--dy", "1e-2"],
+                    ["thermal", "--mode", "series"]):
+        common = command + ["--t-end", "3", "--jobs", "1", "--out"]
+        assert main(["--config", str(cfgfile)] + common + [str(out)]) == 0
+        assert main(common + [str(flagged), "--alpha", "4", "--t-steps", "10",
+                              "--rule", "bode"]) == 0
+        assert out.read_bytes() == flagged.read_bytes(), command
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -596,12 +600,26 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
                  "rule = trapezoid", "precision = turbo", "out = x.csv",
                  "command = series"):
         cfgfile.write_text(line + "\n")
-        for command in ("series", "check"):
+        for command in ("series", "integrals", "thermal", "check"):
             assert main([command, "--config", str(cfgfile)]) == 2, line
             assert capsys.readouterr().err.startswith(f"error: {cfgfile}:1: ")
 
 
-def test_invalid_params_exit2():
+def test_the_parser_takes_one_of_four_commands(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "{series,integrals,thermal,check}" in capsys.readouterr().out
+    # a missing, unknown or second command, or a bad flag, is a usage error
+    for argv in ([], ["--alpha", "4"], ["simulate"], ["series", "check"],
+                 ["series", "--rule", "trapezoid"], ["series", "--no-such-flag"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err
+
+
+def test_invalid_params_exit2(capsys):
     assert main(["series", "--alpha", "4", "--t-steps", "0"]) == 2
     assert main(["series", "--t-start", "5", "--t-end", "1"]) == 2
     assert main(["series", "--t-start", "1", "--t-end", "1.0000000000000002",
@@ -610,11 +628,11 @@ def test_invalid_params_exit2():
     # the default x_max = 100 does not cover the Poisson tail at alpha = 8
     assert main(["integrals", "--alpha", "8", "--t-steps", "1",
                  "--jobs", "1"]) == 2
-    # --jobs is checked for every subcommand, not only those that deal rows
+    # --jobs is checked for every command, not only those that deal rows
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
     assert main(["series", "--alpha", "4", "--t-steps", "2", "--jobs", "-1"]) == 2
     assert main(["check", "--alpha", "4", "--jobs", "-3"]) == 2
-    # beta_epsilon is checked for every subcommand, not only thermal
+    # beta_epsilon is checked for every command, not only thermal
     assert main(["series", "--beta-epsilon", "0", "--t-steps", "1"]) == 2
     assert main(["thermal", "--beta-epsilon", "1e-20", "--t-steps", "1",
                  "--jobs", "1"]) == 2
@@ -623,6 +641,22 @@ def test_invalid_params_exit2():
         for flag in ("--alpha", "--delta-omega"):
             assert main([command, flag, "1e200", "--t-steps", "1",
                          "--jobs", "1"]) == 2
+    capsys.readouterr()
+    # every setting is checked whatever the command, with the message of
+    # the command that uses it; a flag given twice takes its last value
+    short = ["--t-end", "1", "--t-steps", "1", "--jobs", "1"]
+    for argv, message in (
+            (["integrals", "--n-max", "-3"], "n_max must lie in [0, 2^20]"),
+            (["integrals", "--theta", "-1"], "theta must lie in [0, 1)"),
+            (["series", "--dx", "-1"], "step must be positive and finite"),
+            (["series", "--x-max", "nan"], "upper_limit must be positive and finite"),
+            (["series", "--theta", "1.5"], "theta must lie in [0, 1)"),
+            (["series", "--gamma-tilde", "nan"], "gamma_tilde must be finite"),
+            (["check", "--t-steps", "0"], "t_steps must be >= 1"),
+            (["check", "--t-start", "2", "--t-end", "1"],
+             "t_start must not exceed t_end")):
+        assert main(argv[:1] + short + argv[1:]) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
@@ -755,11 +789,16 @@ def test_extended_precision_builds_no_extended_x_grid(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_check_fails_on_coarse_grid(capsys):
+def test_check_fails_on_coarse_grid(capsys, tmp_path):
     rc = main(["check", "--dx", "0.5", "--dy", "0.5"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+    # the same settings from a config file print the same report
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text("dx = 0.5\ndy = 0.5\n")
+    assert main(["check", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().out == out
 
 
 def test_public_names_resolve():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcrevival import ddmath, special
@@ -200,6 +200,11 @@ def _within_one_ulp(got: float, want) -> bool:
 
 
 @given(cancelling_terms())
+# twelve terms: a DD's twelve zero low words once raised 2^m from 16 to 32
+# and moved the sum by one ulp from the float64 kind's
+@example([0.75, 0.96875, 0.6342715452543591, 0.5602260863110488]
+         + [5.956094503152177e-15] * 3 + [1.8612795322350554e-15]
+         + [-5.956094503152177e-15] * 3 + [-1.8612795322350554e-15])
 @settings(max_examples=200, deadline=None)
 def test_compensated_sum_holds_planted_cancellation(terms):
     x = np.array(terms)

@@ -35,7 +35,6 @@ from typing import Literal
 import numpy as np
 
 from . import ddmath, quadrature, special
-from .ddmath import DD
 from .errors import PrecisionLossError
 from .quadrature import IntegralResult, QuadratureSpec
 
@@ -155,15 +154,26 @@ def theta_of_beta(beta_epsilon: float) -> ThetaResult:
 # series representation
 # ---------------------------------------------------------------------------
 
-def _poisson_weights(alpha: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1)
-    if alpha == 0.0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
-        return w
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    # 2 n log|alpha| rather than n log(alpha^2): alpha^2 can underflow
-    return np.exp(2.0 * n * math.log(abs(alpha)) - log_factorial - alpha * alpha)
+def _log_weight(alpha: float, z):
+    """ln p(z) + alpha^2 for the coherent state's weight p(z) = e^{-alpha^2}
+    |alpha|^{2z} / Gamma(z + 1), as 2 z ln|alpha| (alpha^2 can underflow).
+    A real float64 array z takes ln Gamma(z + 1) from math.lgamma node by
+    node, to an ulp or so; any other z special.log_gamma, in z's kind, and
+    ln|alpha| in that kind."""
+    _require_positive_alpha(alpha)
+    two_ln_alpha = 2.0 * special.log(special.in_kind((abs(alpha), 0.0), z))
+    if np.iscomplexobj(z) or special.is_extended(z):
+        return z * two_ln_alpha - special.log_gamma(z + 1.0)
+    return z * two_ln_alpha - np.array([math.lgamma(v + 1.0) for v in z.tolist()])
+
+
+def _poisson_weights(cfg: JcmConfig, spec: SeriesSpec) -> np.ndarray:
+    """p(n) for n = 0..n_max, once n_max covers the Poisson tail."""
+    _require_tail(cfg, "n_max", spec.n_max, "n_max")
+    n = np.arange(spec.n_max + 1)
+    if cfg.alpha == 0.0:
+        return np.where(n == 0, 1.0, 0.0)
+    return np.exp(_log_weight(cfg.alpha, n) - cfg.alpha * cfg.alpha)
 
 
 def _require_tail(cfg: JcmConfig, name: str, limit: float, remedy: str):
@@ -188,21 +198,20 @@ def _bracket_sum(l: int, t_arr: np.ndarray, cfg: JcmConfig, spec: SeriesSpec):
     """Q^(l)(t) = sum_n e^{-a^2} a^{2n}/n! f(c + n + l) by direct summation,
     as an array over the times t_arr."""
     _require_index(l)
-    _require_tail(cfg, "n_max", spec.n_max, "n_max")
-    w = _poisson_weights(cfg.alpha, spec.n_max)
     s = cfg.c + np.arange(spec.n_max + 1) + float(l)
     return _row_sums(lambda t_blk: _bracket(
-        s[None, :], abs(cfg.kappa) * t_blk[:, None], cfg.c) * w, t_arr, w.size)
+        s[None, :], abs(cfg.kappa) * t_blk[:, None], cfg.c), t_arr, cfg, spec)
 
 
-def _row_sums(terms_of, t_arr: np.ndarray, n_terms: int) -> np.ndarray:
-    """The row sums of terms_of(times), an array of n_terms columns, over
-    blocks of t_arr of at most 2^22 terms.  By row, not `@`: BLAS rounds a
-    row by the size of the batch it is in, a row sum does not."""
+def _row_sums(terms_of, t_arr, cfg: JcmConfig, spec: SeriesSpec):
+    """The row sums of p(n) terms_of(times), n = 0..n_max, over blocks of
+    t_arr of at most 2^22 terms.  By row, not `@`: BLAS rounds a row by the
+    size of the batch it is in, a row sum does not."""
+    w = _poisson_weights(cfg, spec)
     out = np.empty(t_arr.size)
-    rows = max(1, _BLOCK_TERMS // n_terms)
+    rows = max(1, _BLOCK_TERMS // w.size)
     for i in range(0, t_arr.size, rows):
-        out[i:i + rows] = terms_of(t_arr[i:i + rows]).sum(axis=1)
+        out[i:i + rows] = (terms_of(t_arr[i:i + rows]) * w).sum(axis=1)
     return out
 
 
@@ -235,11 +244,9 @@ def sigma_z_series_resonant(t, cfg: JcmConfig,
     if cfg.delta_omega != 0.0:
         raise ValueError("the resonant series form requires delta_omega = 0")
     def values_of(t_arr):
-        _require_tail(cfg, "n_max", spec.n_max, "n_max")
-        w = _poisson_weights(cfg.alpha, spec.n_max)
         two_root_n = 2.0 * np.sqrt(np.arange(spec.n_max + 1))[None, :]
         return -_row_sums(lambda t_blk: np.cos(
-            two_root_n * (abs(cfg.kappa) * t_blk[:, None])) * w, t_arr, w.size)
+            two_root_n * (abs(cfg.kappa) * t_blk[:, None])), t_arr, cfg, spec)
     return _rows(t, values_of)
 
 
@@ -327,8 +334,8 @@ def _sqrt_grid(spec: QuadratureSpec, axis: str):
     return dataclasses.replace(grid, x=v * v), v * 2.0
 
 
-def _require_positive_alpha(cfg: JcmConfig):
-    if cfg.alpha == 0.0:
+def _require_positive_alpha(alpha: float):
+    if alpha == 0.0:
         raise ValueError(
             "the integral representation needs alpha != 0 "
             "(|alpha|^{2x} is ill-defined at alpha = 0); use the series form")
@@ -348,13 +355,10 @@ class _LineFamily:
                  j_form: bool = False):
         if spec.precision_kind != "standard":
             raise ValueError("the line integral takes a standard-kind x spec")
-        _require_positive_alpha(cfg)
         _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--x-max)")
         self.grid, jac = _sqrt_grid(spec, "x")
         x = self.grid.x
-        # ln Gamma(x + 1) to an ulp or so, which the Lanczos form is not
-        ln_gamma = np.array([math.lgamma(v + 1.0) for v in x.tolist()])
-        w = np.exp(x * (2.0 * math.log(abs(cfg.alpha))) - ln_gamma) * jac
+        w = np.exp(_log_weight(cfg.alpha, x)) * jac
         s = x + (cfg.c + float(l))
         self.sqrt_arg = np.sqrt(s)
         b0, b1 = _double_angle(s, cfg.c, j_form)
@@ -379,16 +383,11 @@ class _CorrectionFamily:
 
     def __init__(self, cfg: JcmConfig, l: int, spec: QuadratureSpec,
                  j_form: bool = False):
-        _require_positive_alpha(cfg)
         self.grid, jac = _sqrt_grid(spec, "y")
         y = self.grid.x
         two_pi = special.in_kind(ddmath.TWO_PI, y)
-        # the extended kind needs ln|alpha| to its own ~32 digits
-        ln_alpha = (ddmath.log(DD(abs(cfg.alpha))) if special.is_extended(y)
-                    else math.log(abs(cfg.alpha)))
         with np.errstate(all="ignore"):
-            arg = special.complex_of(0.0, y * (2.0 * ln_alpha))
-            a_fac = special.exp(arg - special.log_gamma(special.complex_of(1.0, y)))
+            a_fac = special.exp(_log_weight(cfg.alpha, special.complex_of(0.0, y)))
             self.a_re, self.a_im = a_fac.real * jac, a_fac.imag * jac
             self.two_pi_y = y * two_pi
             self.em2piy = special.exp(-self.two_pi_y)
@@ -441,13 +440,11 @@ def correction_integrand_probe(cfg: JcmConfig, l: int, t: float, y: float,
     and compare against :func:`correction_origin`.
     """
     _require_index(l)
-    _require_positive_alpha(cfg)
     big_t = abs(cfg.kappa) * _time(t)
     if not 0.0 < y < math.inf:
         raise ValueError("the probe needs a finite y > 0; use "
                          "correction_origin at 0")
-    a = np.exp(2j * y * math.log(abs(cfg.alpha))
-               - special.log_gamma(1.0 + 1j * y))
+    a = np.exp(_log_weight(cfg.alpha, 1j * y))
     s0 = cfg.c + float(l)
     root = np.sqrt(s0 + 1j * y)
     if j_form:
@@ -469,7 +466,7 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
     extrapolation of the sampled integrand in the tests and in `check`.
     """
     _require_index(l)
-    _require_positive_alpha(cfg)
+    _require_positive_alpha(cfg.alpha)
     big_t = _time(big_t)
     base = 2.0 * math.log(abs(cfg.alpha)) + EULER_GAMMA
     if j_form:

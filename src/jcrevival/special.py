@@ -10,7 +10,7 @@ correction integrand, which cancels, is computed in one of two scalar kinds:
   roughly 32 significant digits.
 
 Mixing kinds promotes to extended.  This is the one module that dispatches
-on the kind: :func:`exp`, :func:`sincos`, :func:`complex_of`,
+on the kind: :func:`exp`, :func:`log`, :func:`sincos`, :func:`complex_of`,
 :func:`log_gamma` and :func:`principal_sqrt` return the kind they are
 given, and :func:`in_kind` reads a constant's (hi, lo) pair in a given
 kind, so the correction integrand is written once for both kinds and reads
@@ -59,12 +59,13 @@ def in_kind(pair, like):
     return DD.from_pair(pair) if is_extended(like) else pair[0]
 
 
-def _log(z):
+def log(z):
+    """ln z in the kind of z; math.log at a real double (np.log can be an ulp off)."""
     if isinstance(z, CDD):
         return ddmath.clog(z)
     if isinstance(z, DD):
         return ddmath.log(z)
-    return np.log(z)
+    return math.log(z) if isinstance(z, float) else np.log(z)
 
 
 def exp(z):
@@ -155,7 +156,7 @@ def log_gamma(z):
         series = series + c / den
     y = z + (LANCZOS_G + 0.5)
     ln_sqrt_2pi = in_kind(ddmath.LN_SQRT_2PI, z)
-    return (z + 0.5) * _log(y) - y + ln_sqrt_2pi + _log(series) - _log(z)
+    return (z + 0.5) * log(y) - y + ln_sqrt_2pi + log(series) - log(z)
 
 
 def _sinpi(z):
@@ -179,8 +180,9 @@ def reciprocal_gamma(z):
     # each lane's unused branch sees a harmless argument
     out = np.exp(-log_gamma(np.where(neg, 1.0, z)))
     if np.any(neg):
-        refl = np.exp(log_gamma(np.where(neg, 1.0 - z, 1.0))) * \
-            _sinpi(np.where(neg, z, 0.0)) / np.pi
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            refl = np.exp(log_gamma(np.where(neg, 1.0 - z, 1.0))) * \
+                _sinpi(np.where(neg, z, 0.0)) / np.pi
         out = np.where(neg, refl, out)
     if not np.all(np.isfinite(out)):
         raise OverflowError("reciprocal_gamma overflowed; argument too large")

@@ -1,7 +1,18 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 from jcrevival import JcmConfig, SeriesSpec, jcm
+
+# Hypothesis imports this module to report a failing example; its libcst
+# import warns, which the suite's error::DeprecationWarning filter turns into
+# an INTERNALERROR that names no test and stops the run.  Imported once here,
+# with the warning ignored, it is cached by the time a report needs it.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

@@ -572,7 +572,8 @@ def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):
 
 def test_config_file_merging_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("alpha = 2.0\nt_steps = 5\nt-end = 3.0  # comment\n")
+    cfgfile.write_text("# a comment line\nalpha = 2.0\nt_steps = 5\n"
+                       "t-end = 3.0  # comment\n")
     out = tmp_path / "o.csv"
     assert main(["series", "--config", str(cfgfile), "--t-steps", "3",
                  "--out", str(out)]) == 0
@@ -598,11 +599,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     for line in ("not_a_key = 1", "alpha = abc", "t_steps = 1e1",
                  "rule = trapezoid", "precision = turbo", "out = x.csv",
-                 "command = series"):
+                 "command = series", "alpha 4"):
         cfgfile.write_text(line + "\n")
         for command in ("series", "integrals", "thermal", "check"):
             assert main([command, "--config", str(cfgfile)]) == 2, line
-            assert capsys.readouterr().err.startswith(f"error: {cfgfile}:1: ")
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfgfile}:1: "), err
+    assert err == f"error: {cfgfile}:1: expected key = value\n"
 
 
 def test_the_parser_takes_one_of_four_commands(capsys):

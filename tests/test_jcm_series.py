@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcrevival as jc
+from jcrevival import special
 
 
 def test_pg_is_one_at_t_zero(series200):
@@ -34,7 +35,7 @@ def test_truncation_stability_at_alpha_4():
 @pytest.mark.parametrize("alpha, n_max", [(0.5, 100), (4.0, 100), (-3.0, 100),
                                           (11.0, 400)])
 def test_poisson_weights_match_mpmath(alpha, n_max):
-    w = jc.jcm._poisson_weights(alpha, n_max)
+    w = jc.jcm._poisson_weights(jc.JcmConfig(alpha=alpha), jc.SeriesSpec(n_max))
     with mp.workdps(40):
         exact = [mp.exp(-mp.mpf(alpha) ** 2) * mp.mpf(alpha) ** (2 * n)
                  / mp.factorial(n) for n in range(n_max + 1)]
@@ -43,6 +44,29 @@ def test_poisson_weights_match_mpmath(alpha, n_max):
         if want > 1e-300:
             worst = max(worst, float(abs((got - want) / want)))
     assert worst <= 1e-12, f"worst relative error {worst:.3g}"
+    # the same ln p(z) + alpha^2, continued off the integers: at real x to a
+    # few ulp of its larger term, from math.lgamma ...
+    log_weight = jc.jcm._log_weight
+    x = np.array([0.3, 1.7, 12.25, 40.5, 99.9, 350.75])
+    got = log_weight(alpha, x)
+    with mp.workdps(40):
+        two_ln_a = 2 * mp.log(abs(mp.mpf(alpha)))
+        for g, v in zip(got, x):
+            term, lg = v * two_ln_a, mp.loggamma(mp.mpf(v) + 1)
+            assert abs(g - (term - lg)) <= 4 * 2.0 ** -52 * max(abs(term), lg), v
+    # ... and to the Lanczos form's 2e-10 (1.9e-10 measured) at z = iy in
+    # both kinds, which agree within it, and at real x in the extended kind
+    y = np.array([0.05, 0.5, 3.0, 20.0, 99.0])
+    std = log_weight(alpha, special.complex_of(0.0, y))
+    ext = log_weight(alpha, special.complex_of(0.0, jc.DD(y))).to_complex()
+    assert np.abs(np.exp(ext - std) - 1.0).max() <= 2e-10
+    with mp.workdps(40):
+        on_line = [1j * v * two_ln_a - mp.loggamma(1 + 1j * mp.mpf(v)) for v in y]
+        on_axis = [v * two_ln_a - mp.loggamma(mp.mpf(v) + 1) for v in x]
+        for got, want in ((std, on_line), (ext, on_line),
+                          (log_weight(alpha, jc.DD(x)).to_float(), on_axis)):
+            for g, w in zip(got, want):
+                assert abs(mp.exp(mp.mpc(g) - w) - 1) <= 2e-10, (alpha, g)
 
 
 def test_sigma_starts_at_ground_state(cfg4, series200):

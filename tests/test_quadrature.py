@@ -102,6 +102,10 @@ def test_non_finite_sample_reports_abscissa():
 def test_incompatible_step_is_an_error():
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, 1.0, QuadratureSpec("simpson", step=5.0))
+    # so is a rule or a kind the package does not have
+    for bad in ({"rule": "trapezoid"}, {"precision_kind": "quad"}):
+        with pytest.raises(ValueError, match="unknown"):
+            QuadratureSpec(**bad)
 
 
 def test_one_step_adjustment_is_reported():

@@ -49,6 +49,9 @@ def test_reciprocal_gamma_reflection_negative_half():
     # Gamma(-1/2) = -2 sqrt(pi)
     got = special.reciprocal_gamma(-0.5 + 0j)
     assert got == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-9)
+    # past the double range: OverflowError alone, no RuntimeWarning first
+    with pytest.raises(OverflowError):
+        special.reciprocal_gamma(-200.5)
 
 
 def test_log_gamma_rejects_left_half_plane():

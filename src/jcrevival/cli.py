@@ -44,8 +44,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_Rule = typing.get_type_hints(QuadratureSpec)["rule"]
-
 
 @dataclass
 class RunConfig:
@@ -64,7 +62,6 @@ class RunConfig:
     dx: float | None = None  # a step in sqrt(x); None: the band rule's
     y_max: float = jcm.DEFAULT_Y_SPEC.upper_limit
     dy: float | None = None  # a step in sqrt(y); None: the band rule's
-    rule: _Rule = jcm.DEFAULT_X_SPEC.rule
     precision: Literal["standard", "extended", "auto"] = "auto"
     t_start: float = 0.0
     t_end: float = 8.0 * math.pi
@@ -104,8 +101,8 @@ class RunConfig:
         computes in the standard kind and escalates past its budget.  An
         unset --dx or --dy gives a banded spec (jcm._plan)."""
         kind = "standard" if self.precision == "auto" else self.precision
-        x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, rule=self.rule,
-                                     upper_limit=self.x_max, step=self.dx)
+        x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, upper_limit=self.x_max,
+                                     step=self.dx)
         y_spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
                                      step=self.dy, precision_kind=kind)
         return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"

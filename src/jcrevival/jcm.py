@@ -48,8 +48,7 @@ Mode = Literal["series", "integral"]
 Escalation = Literal["raise", "escalate", "ignore"]
 
 # upper_limit is in x (or y); step is in v = sqrt(x), see _sqrt_grid
-DEFAULT_X_SPEC = QuadratureSpec(rule="simpson", upper_limit=100.0, step=0.0025)
-DEFAULT_Y_SPEC = QuadratureSpec(rule="bode", upper_limit=100.0, step=0.0025)
+DEFAULT_X_SPEC = DEFAULT_Y_SPEC = QuadratureSpec(upper_limit=100.0, step=0.0025)
 # a spec of step None is banded: each row takes its band's step (_plan)
 BANDED_X_SPEC = dataclasses.replace(DEFAULT_X_SPEC, step=None)
 BANDED_Y_SPEC = dataclasses.replace(DEFAULT_Y_SPEC, step=None)
@@ -107,6 +106,10 @@ class ThermalConfig:
             raise ValueError("theta must lie in [0, 1)")
         if not math.isfinite(self.gamma_tilde):
             raise ValueError("gamma_tilde must be finite")
+        # gamma_tilde^2 enters perturbative_strength as a plain double
+        if not math.isfinite(self.gamma_tilde * self.gamma_tilde):
+            raise ValueError(f"gamma_tilde is out of range: {self.gamma_tilde!r} "
+                             "squared overflows")
 
 
 def perturbative_strength(cfg: JcmConfig, thermal: ThermalConfig) -> float:
@@ -540,10 +543,10 @@ def _plan(cfg: JcmConfig, big_ts: np.ndarray, x_spec: QuadratureSpec | None,
     big_ts at s = c + l, the bands in time order as ((x spec, y spec), row
     indices)); a pinned spec (a step), or an x_spec of None, is every
     band's.  A banded spec (step None) takes the coarsest step k h, k in
-    (4, 2, 1), whose fitted added error K e^{-a^2} (k h)^4 max(T, 1)^p,
-    from the v = 0 endpoint, stays at or below 1e-13 (README, Precision
-    model).  Rows past T = 4 pi keep h: rounding, not the step, sets
-    their error there."""
+    (4, 2, 1), whose modelled added error K e^{-a^2} (k h)^4 max(T, 1)^p
+    stays at or below 1e-13: fitted on Simpson's h^4 term from the v = 0
+    endpoint, it bounds Bode's h^6 one (README, Precision model).  Rows
+    past T = 4 pi keep h: rounding, not the step, sets their error there."""
     y_spec = _peak_aware(y_spec, float(big_ts.max(initial=0.0)), s)
     model = (_BAND_K * math.exp(-cfg.alpha ** 2)
              * np.maximum(big_ts, 1.0) ** _BAND_P)

@@ -1,9 +1,8 @@
-"""Composite Newton-Cotes quadrature on fixed grids.
+"""Composite Bode (Boole) quadrature on fixed grids over finite intervals.
 
-Simpson and Bode (Boole) rules over finite intervals.  Accumulation is
-``special.compensated_sum`` in either kind: the exact sum of the terms'
-float64 words, faithfully rounded to a double, so two runs with the same
-spec are bit-identical.
+Accumulation is ``special.compensated_sum`` in either kind: the exact sum
+of the terms' float64 words, faithfully rounded to a double, so two runs
+with the same spec are bit-identical.
 Integrands are called once with the whole abscissa grid: an ndarray for
 the standard kind, a ``ddmath.DD`` array for the extended kind; they return
 real samples of the same length, which one :func:`assemble` sums in either
@@ -32,22 +31,19 @@ PrecisionKind = Literal["standard", "extended"]
 # composite Bode weights follow the classical pattern
 #   (7, 32, 12, 32, 14, 32, 12, 32, 14, ..., 32, 7) * 2h/45
 # with 14 at interior panel joints (7 + 7 from the two adjacent panels)
-_RULE_DIVISOR = {"simpson": 2, "bode": 4}
+_PANEL = 4  # intervals per Bode panel
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid and rule selection for one integral family."""
+    """Grid selection for one integral family."""
 
-    rule: Literal["simpson", "bode"] = "simpson"
     upper_limit: float = 100.0
     # None leaves the step to the caller, row by row (jcm's band rule)
     step: float | None = 1e-3
     precision_kind: PrecisionKind = "standard"
 
     def __post_init__(self):
-        if self.rule not in _RULE_DIVISOR:
-            raise ValueError(f"unknown rule {self.rule!r}")
         for name in ("step", "upper_limit"):
             value = getattr(self, name)
             if not ((name == "step" and value is None) or 0.0 < value < math.inf):
@@ -62,29 +58,24 @@ class IntegralResult:
     cancellation_magnitude: float
 
 
-def _interval_count(a: float, b: float, step: float, divisor: int) -> int:
+def _interval_count(a: float, b: float, step: float) -> int:
     n_exact = (b - a) / step
     n = int(round(n_exact))
     if abs(n - n_exact) > 0.25:
         # step does not tile [a, b]; shrink to the next compatible count
         n = int(math.ceil(n_exact))
-    n = max(n, divisor)
-    n += (-n) % divisor
+    n = max(n, _PANEL)
+    n += (-n) % _PANEL
     step_used = (b - a) / n
     if step_used < 0.45 * step:
         raise ValueError(
-            f"step {step:g} is incompatible with [{a:g}, {b:g}] for this rule; "
+            f"step {step:g} is incompatible with [{a:g}, {b:g}]; "
             f"adjusting would shrink it to {step_used:g}")
     return n
 
 
-def _weight_pattern(rule: str, n: int) -> np.ndarray:
+def _weight_pattern(n: int) -> np.ndarray:
     w = np.empty(n + 1)
-    if rule == "simpson":
-        w[:] = 2.0
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return w / 3.0
     w[0::4] = 14.0
     w[1::4] = 32.0
     w[2::4] = 12.0
@@ -106,7 +97,7 @@ class Grid:
     hold a mapped variable's physical abscissae, which assemble reports."""
 
     x: object            # ndarray (standard) or DD array (extended)
-    pattern: np.ndarray  # rule weights, step factor excluded
+    pattern: np.ndarray  # Bode weights, step factor excluded
     h: object            # float or DD
     n: int
     precision_kind: PrecisionKind
@@ -115,13 +106,13 @@ class Grid:
 def build_grid(a: float, b: float, spec: QuadratureSpec) -> Grid:
     """Lay out the composite grid for [a, b] under spec.
 
-    The interval count is padded up to the rule's divisibility requirement
-    by shrinking the step slightly; h is the step actually used.
+    The interval count is padded up to a whole number of Bode panels by
+    shrinking the step slightly; h is the step actually used.
     """
     if not b > a:
         raise ValueError("integration requires a < b")
-    n = _interval_count(a, b, spec.step, _RULE_DIVISOR[spec.rule])
-    pattern = _weight_pattern(spec.rule, n)
+    n = _interval_count(a, b, spec.step)
+    pattern = _weight_pattern(n)
     if spec.precision_kind == "extended":
         h = (DD(b) - DD(a)) / DD(float(n))
         x = DD(np.arange(n + 1, dtype=np.float64)) * h + DD(a)
@@ -154,7 +145,7 @@ def assemble(samples, grid: Grid) -> IntegralResult:
 
 
 def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate f over [a, b], a < b, with the rule, step and kind of spec.
+    """Integrate f over [a, b], a < b, with the step and kind of spec.
 
     f is called once with the whole abscissa grid (an ndarray, or a DD array
     in the extended kind) and returns real samples of the same length.

@@ -69,15 +69,20 @@ def test_series_truncation_indifference(tmp_path):
 
 def test_integrals_resonant_columns_and_assembly(tmp_path):
     out = tmp_path / "ints.csv"
-    rc = main(["integrals", "--alpha", "4", "--t-end", "3.0",
-               "--t-steps", "6", "--jobs", "1", "--out", str(out)])
-    assert rc == 0
-    _, header, cols = _read_csv(out)
-    assert header == ["t", "J1", "J2", "sigma_z", "cancellation", "status"]
-    pref = math.exp(-16.0)
-    assembled = -0.5 * pref + cols["J1"] + cols["J2"]
-    assert np.abs(assembled - cols["sigma_z"]).max() < 1e-15
-    assert np.all(cols["status"] == 0)
+    # a short run, then the benchmark's collapse grid: 101 banded rows
+    for t_end, t_steps in (3.0, 6), (4.0 * math.pi, 100):
+        rc = main(["integrals", "--alpha", "4", "--t-end", repr(t_end),
+                   "--t-steps", str(t_steps), "--jobs", "1", "--out", str(out)])
+        assert rc == 0
+        _, header, cols = _read_csv(out)
+        assert header == ["t", "J1", "J2", "sigma_z", "cancellation", "status"]
+        pref = math.exp(-16.0)
+        assembled = -0.5 * pref + cols["J1"] + cols["J2"]
+        assert np.abs(assembled - cols["sigma_z"]).max() < 1e-15
+        assert np.all(cols["status"] == 0)
+    series = jc.sigma_z_series(cols["t"], jc.JcmConfig(alpha=4.0),
+                               jc.SeriesSpec(200))
+    assert np.abs(cols["sigma_z"] - series).max() <= 1.5e-14
 
 
 def test_integrals_single_point_at_zero(tmp_path):
@@ -373,7 +378,7 @@ def test_pinned_steps_write_the_single_step_rows(tmp_path):
     meta, _, cols = _read_csv(pinned)
     assert meta["dx"] == meta["dy"] == "0.0025"
     # sigma_z at t = pi on the one default step
-    assert cols["sigma_z"][1].hex() == "-0x1.e7eb49e5b7edap-8"
+    assert cols["sigma_z"][1].hex() == "-0x1.e7eb49e5b7ed3p-8"
     banded_meta, _, banded_cols = _read_csv(banded)
     assert "dx" not in banded_meta and "dy" not in banded_meta
     early = cols["t"] <= 4.0 * math.pi
@@ -583,22 +588,23 @@ def test_config_file_merging_and_flag_precedence(tmp_path):
     assert cols["t"][-1] == 3.0
     # a config file writes the bytes of the same settings given as flags,
     # whatever the command and wherever --config stands
-    cfgfile.write_text("alpha = 4\nt_steps = 10\nrule = 'bode'\n")
+    cfgfile.write_text("alpha = 4\nt_steps = 10\nprecision = 'extended'\n")
     flagged = tmp_path / "flags.csv"
     for command in (["integrals", "--dx", "1e-2", "--dy", "1e-2"],
                     ["thermal", "--mode", "series"]):
         common = command + ["--t-end", "3", "--jobs", "1", "--out"]
         assert main(["--config", str(cfgfile)] + common + [str(out)]) == 0
         assert main(common + [str(flagged), "--alpha", "4", "--t-steps", "10",
-                              "--rule", "bode"]) == 0
+                              "--precision", "extended"]) == 0
         assert out.read_bytes() == flagged.read_bytes(), command
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    # a config value is parsed and checked as its flag is
+    # a config value is parsed and checked as its flag is; there is one
+    # quadrature rule, so `rule` is no key
     cfgfile = tmp_path / "bad.cfg"
     for line in ("not_a_key = 1", "alpha = abc", "t_steps = 1e1",
-                 "rule = trapezoid", "precision = turbo", "out = x.csv",
+                 "rule = bode", "precision = turbo", "out = x.csv",
                  "command = series", "alpha 4"):
         cfgfile.write_text(line + "\n")
         for command in ("series", "integrals", "thermal", "check"):
@@ -613,9 +619,10 @@ def test_the_parser_takes_one_of_four_commands(capsys):
         main(["--help"])
     assert stop.value.code == 0
     assert "{series,integrals,thermal,check}" in capsys.readouterr().out
-    # a missing, unknown or second command, or a bad flag, is a usage error
+    # a missing, unknown or second command, or a bad flag, is a usage error;
+    # there is one quadrature rule, so --rule is no flag
     for argv in ([], ["--alpha", "4"], ["simulate"], ["series", "check"],
-                 ["series", "--rule", "trapezoid"], ["series", "--no-such-flag"]):
+                 ["series", "--rule", "bode"], ["series", "--no-such-flag"]):
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2, argv
@@ -645,6 +652,11 @@ def test_invalid_params_exit2(capsys):
             assert main([command, flag, "1e200", "--t-steps", "1",
                          "--jobs", "1"]) == 2
     capsys.readouterr()
+    # so does gamma_tilde^2, which every command refuses by its name
+    for command in ("series", "integrals", "thermal", "check"):
+        assert main([command, "--gamma-tilde", "1e200", "--t-steps", "2",
+                     "--jobs", "1"]) == 2, command
+        assert "error: gamma_tilde is out of range" in capsys.readouterr().err
     # every setting is checked whatever the command, with the message of
     # the command that uses it; a flag given twice takes its last value
     short = ["--t-end", "1", "--t-steps", "1", "--jobs", "1"]
@@ -770,15 +782,15 @@ def test_check_runs_in_the_kind_of_precision(monkeypatch):
 
 
 def test_extended_precision_builds_no_extended_x_grid(monkeypatch, capsys):
-    # the x grid is the Simpson one, the y grid the Bode one
+    # each grid is built by _sqrt_grid, whose axis names it
     calls = []
-    build_grid = jc.jcm.quadrature.build_grid
+    sqrt_grid = jc.jcm._sqrt_grid
 
-    def counting(a, b, spec):
-        calls.append((spec.rule, spec.precision_kind))
-        return build_grid(a, b, spec)
+    def counting(spec, axis):
+        calls.append((axis, spec.precision_kind))
+        return sqrt_grid(spec, axis)
 
-    monkeypatch.setattr(jc.jcm.quadrature, "build_grid", counting)
+    monkeypatch.setattr(jc.jcm, "_sqrt_grid", counting)
     for argv in (["integrals", "--alpha", "4", "--precision", "extended",
                   "--t-end", "3", "--t-steps", "2", "--jobs", "1"],
                  ["check", "--alpha", "4", "--precision", "extended"]):
@@ -786,9 +798,9 @@ def test_extended_precision_builds_no_extended_x_grid(monkeypatch, capsys):
         jc.jcm._family.cache_clear()
         assert main(argv) == 0
         counts = collections.Counter(calls)
-        assert counts[("simpson", "extended")] == 0, argv
-        assert counts[("simpson", "standard")] >= 1, argv
-        assert counts[("bode", "extended")] >= 1, argv
+        assert counts[("x", "extended")] == 0, argv
+        assert counts[("x", "standard")] >= 1, argv
+        assert counts[("y", "extended")] >= 1, argv
     capsys.readouterr()
 
 

@@ -124,9 +124,10 @@ def test_representation_agreement_extended():
 
 
 def test_abel_plana_identity_all_amplitudes():
+    # Bode's h^6 end term at v = 0 leaves rounding, not the step
     for alpha in (1.0, 2.0, 3.0, 4.0):
         lhs, rhs = jc.abel_plana_identity(alpha)
-        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
+        assert abs(lhs - rhs) <= 1e-14 * abs(rhs), alpha
 
 
 def test_identity_alpha4_value():
@@ -437,13 +438,13 @@ def test_profile_rows_do_not_depend_on_the_chunk(cfg4, cfg4_detuned):
     # to the bit; its cancellation, a diagnostic, to one ulp
     for kind, (j1, j2, sigma, cancel), (lhs, rhs) in (
             ("standard",
-             ("-0x1.ffffff0da6b1fp-1", "0x1.e1f8dd19d6f74p-26",
-              "-0x1.ffffffffffff1p-1", "0x1.0082900d38f86p+0"),
-             ("0x1.0f2ebc0a80018p+22", "0x1.0f2ebc0a80020p+22")),
+             ("-0x1.ffffff0da6b21p-1", "0x1.e1f8dd19d6f74p-26",
+              "-0x1.ffffffffffff3p-1", "0x1.0082900d38f86p+0"),
+             ("0x1.0f2ebc0a80019p+22", "0x1.0f2ebc0a80020p+22")),
             ("extended",
-             ("-0x1.ffffff0da6b1fp-1", "0x1.e1f8dd19d6f71p-26",
-              "-0x1.ffffffffffff1p-1", "0x1.0082900d38f86p+0"),
-             ("0x1.0f2ebc0a80018p+22", "0x1.0f2ebc0a80020p+22"))):
+             ("-0x1.ffffff0da6b21p-1", "0x1.e1f8dd19d6f71p-26",
+              "-0x1.ffffffffffff3p-1", "0x1.0082900d38f86p+0"),
+             ("0x1.0f2ebc0a80019p+22", "0x1.0f2ebc0a80020p+22"))):
         # the kind is the correction's: the line integral is standard only
         x_spec = X
         y_spec = dataclasses.replace(Y, precision_kind=kind)

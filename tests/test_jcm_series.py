@@ -256,6 +256,10 @@ def test_config_validation():
         jc.JcmConfig(alpha=1.0, kappa=1e-200, delta_omega=1e200)
     # squares up to the largest double are accepted
     assert math.isfinite(jc.JcmConfig(alpha=1e154, delta_omega=1e154).c)
+    assert jc.ThermalConfig(theta=0.025, gamma_tilde=-1e154).gamma_tilde == -1e154
+    for gamma_tilde in (1e200, -1e200):
+        with pytest.raises(ValueError, match="gamma_tilde"):
+            jc.ThermalConfig(theta=0.025, gamma_tilde=gamma_tilde)
     for name in ("alpha", "kappa", "delta_omega"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -20,14 +20,13 @@ _EXPORTS = {
     **dict.fromkeys((
         "BANDED_X_SPEC", "BANDED_Y_SPEC", "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",
         "JcmConfig", "PerturbativeRegimeWarning", "SeriesSpec", "ThermalConfig",
-        "ThetaResult", "abel_plana_identity", "const_plateau",
+        "abel_plana_identity", "const_plateau",
         "correction_integrand_probe", "correction_origin", "detuned_profile",
         "envelope_approximation", "envelope_factor", "j2_integral",
         "p1_correction", "p2_correction", "perturbative_strength",
         "pg_series", "pg_thermal", "q_g", "resonant_profile",
         "sigma_z_series", "sigma_z_series_resonant", "theta_of_beta"), "jcm"),
-    **dict.fromkeys(("IntegralResult", "QuadratureSpec", "integrate"),
-                    "quadrature"),
+    **dict.fromkeys(("IntegralResult", "QuadratureSpec"), "quadrature"),
     **dict.fromkeys(("log_gamma", "principal_sqrt", "reciprocal_gamma"),
                     "special"),
 }

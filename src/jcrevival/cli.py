@@ -75,8 +75,10 @@ class RunConfig:
             raise ValueError("jobs must be >= 0 (0 means all cores)")
         # beta_epsilon, when given, sets the theta the header records
         if self.beta_epsilon is not None:
-            self.theta = jcm.theta_of_beta(self.beta_epsilon).exact
-        self.jcm_config(), self.thermal_config(), self.series_spec(), self.specs()
+            self.theta = jcm.theta_of_beta(self.beta_epsilon)
+        # builds, and so checks, both configs and refuses a P2 that overflows
+        jcm.perturbative_strength(self.jcm_config(), self.thermal_config())
+        self.series_spec(), self.specs()
         if self.t_steps < 1:
             raise ValueError("t_steps must be >= 1")
         for name in ("t_start", "t_end"):
@@ -322,9 +324,10 @@ def cmd_integrals(cfg: RunConfig) -> int:
 def cmd_thermal(cfg: RunConfig) -> int:
     t = cfg.time_grid()
     strength = jcm.perturbative_strength(cfg.jcm_config(), cfg.thermal_config())
-    if strength > 0.5:
-        print(f"warning: perturbative strength {strength:.3g} > 0.5; the "
-              "second-order expansion is marginal here", file=sys.stderr)
+    if strength > jcm.PERTURBATIVE_LIMIT:
+        print(f"warning: perturbative strength {strength:.3g} > "
+              f"{jcm.PERTURBATIVE_LIMIT:g}; the second-order expansion is "
+              "marginal here", file=sys.stderr)
     columns = _chunk_columns(_thermal_chunk, cfg, t)
     _ensure_finite(columns)
     _write_csv(cfg, t, columns)
@@ -360,8 +363,8 @@ def cmd_check(cfg: RunConfig) -> int:
         sigma = jcm.sigma_z_series(ts, jcfg, spec)
         prof = jcm.resonant_profile(ts, jcfg, x_spec, y_spec,
                                     escalation=escalation)
-        report("collapse-window residual |sigma_series - J1|, t in [0, 4pi]",
-               float(np.abs(sigma - prof["J1"]).max()), 1.0e-3)
+        report("collapse-window residual |sigma_series - sigma_z|, t in [0, 4pi]",
+               float(np.abs(sigma - prof["sigma_z"]).max()), 1.0e-8)
 
     worst = 0.0
     for c_val in (0.0, 1.0, 4.0):

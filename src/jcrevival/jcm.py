@@ -18,8 +18,9 @@ Times are measured in units of 1/|kappa|.  The correction integrands
 oscillate with an envelope that grows like exp(t^2/(3 pi)); every integral
 therefore reports a cancellation diagnostic, and operations escalate to the
 extended (double-double) scalar kind or signal once the standard budget of
-~1e10 is exhausted.  The revival window t in [4 pi, 8 pi] at alpha = 4 needs
-the extended kind; beyond roughly 8 pi even that is insufficient and the
+~1e10 is exhausted.  At alpha = 4 the standard kind holds the revival
+window t in [4 pi, 8 pi] up to about 6 pi, and its rows escalate from there;
+beyond roughly 8 pi even the extended kind is insufficient and the
 computation refuses rather than returning noise.
 """
 
@@ -43,6 +44,8 @@ EULER_GAMMA = special.EULER_GAMMA
 # prefix-sum growth beyond which a kind's digits are exhausted (value rounds
 # to noise); standard doubles hold ~16 digits, double-double ~32
 CANCELLATION_BUDGET = {"standard": 1e10, "extended": 1e25}
+# perturbative_strength above which the second-order truncation is suspect
+PERTURBATIVE_LIMIT = 0.5
 
 Mode = Literal["series", "integral"]
 Escalation = Literal["raise", "escalate", "ignore"]
@@ -113,9 +116,23 @@ class ThermalConfig:
 
 
 def perturbative_strength(cfg: JcmConfig, thermal: ThermalConfig) -> float:
-    """theta^2 (4 gamma_tilde^2 + 1) alpha^2; above ~0.5 the second-order
-    truncation is no longer trustworthy."""
+    """theta^2 (4 gamma_tilde^2 + 1) alpha^2; above PERTURBATIVE_LIMIT the
+    second-order truncation is no longer trustworthy.  Refuses, as
+    _p2_coefficients does, a pair alpha, gamma_tilde that overflows P2."""
+    _p2_coefficients(cfg, thermal)
     return thermal.theta ** 2 * (4.0 * thermal.gamma_tilde ** 2 + 1.0) * cfg.alpha ** 2
+
+
+def _p2_coefficients(cfg: JcmConfig, thermal: ThermalConfig):
+    """(c0, c1, c2) of P2 = c0 P_g - c1 Q^(1) + c2 Q^(2); a ValueError
+    where they, or the sum that bounds |P2|, overflow a double."""
+    a2, g2 = cfg.alpha ** 2, thermal.gamma_tilde ** 2
+    coeffs = (2.0 * (2.0 * a2 * g2 - g2 - 1.0), 2.0 * a2 * (4.0 * g2 + 1.0),
+              4.0 * a2 * g2)
+    if not math.isfinite(sum(map(abs, coeffs))):
+        raise ValueError(f"alpha = {cfg.alpha!r} and gamma_tilde = "
+                         f"{thermal.gamma_tilde!r} overflow the coefficients of P2")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -132,25 +149,15 @@ class SeriesSpec:
 DEFAULT_SERIES_SPEC = SeriesSpec()
 
 
-@dataclass
-class ThetaResult:
-    exact: float
-    approximate: float
-
-
-def theta_of_beta(beta_epsilon: float) -> ThetaResult:
-    """theta from tanh(theta) = e^{-beta epsilon / 2}.
-
-    Returns both the exact inversion and the leading-order approximation
-    theta ~ e^{-beta epsilon / 2} (they differ at O(theta^3)).
-    """
+def theta_of_beta(beta_epsilon: float) -> float:
+    """The exact theta of tanh(theta) = e^{-beta epsilon / 2}."""
     if not beta_epsilon > 0.0:
         raise ValueError("beta_epsilon must be positive (low-temperature regime)")
     x = math.exp(-beta_epsilon / 2.0)
     if x == 1.0:
         raise ValueError(f"beta_epsilon = {beta_epsilon!r} is too small: "
                          "e^{-beta_epsilon / 2} rounds to 1, where theta is infinite")
-    return ThetaResult(exact=math.atanh(x), approximate=x)
+    return math.atanh(x)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +192,7 @@ def _require_tail(cfg: JcmConfig, name: str, limit: float, remedy: str):
     need = cfg.alpha ** 2 + 10.0 * math.sqrt(cfg.alpha ** 2 + 1.0)
     if limit < need:
         raise ValueError(f"{name} = {limit:g} does not cover the Poisson tail "
-                         f"for alpha = {cfg.alpha} (need >= {need:.1f}); "
+                         f"for alpha = {cfg.alpha} (need >= {need:.4g}); "
                          f"raise {remedy}")
 
 
@@ -744,17 +751,14 @@ def _thermal_terms(t_arr: np.ndarray, cfg: JcmConfig, thermal: ThermalConfig,
     The brackets Q^(0) = P_g, Q^(1) and, for gamma_tilde != 0, Q^(2) are
     evaluated in turn.  Nothing here warns; callers report the regime.
     """
+    c0, c1, c2 = _p2_coefficients(cfg, thermal)
     q_args = (cfg, mode, series_spec, x_spec, y_spec, escalation)
     g = thermal.gamma_tilde
     pg = q_g(0, t_arr, *q_args)
     q1 = q_g(1, t_arr, *q_args)
     p1 = 2.0 * cfg.alpha * g * (pg - q1) if g != 0.0 else np.zeros_like(t_arr)
-    a2 = cfg.alpha ** 2
-    g2 = g ** 2
     q2 = q_g(2, t_arr, *q_args) if g != 0.0 else 0.0
-    p2 = (2.0 * (2.0 * a2 * g2 - g2 - 1.0) * pg
-          - 2.0 * a2 * (4.0 * g2 + 1.0) * q1
-          + 4.0 * a2 * g2 * q2)
+    p2 = c0 * pg - c1 * q1 + c2 * q2
     return p1, p2, pg + thermal.theta * p1 + 0.5 * thermal.theta ** 2 * p2
 
 
@@ -774,10 +778,8 @@ def p1_correction(t, cfg: JcmConfig, thermal: ThermalConfig,
     """First-order thermal correction 2 a g~ [P_g - Q^(1)].
 
     The expansion parameter theta is applied at assembly (pg_thermal), not
-    here.  gamma_tilde = 0 gives zeros without evaluating a bracket.
+    here.
     """
-    if thermal.gamma_tilde == 0.0:
-        return _rows(t, np.zeros_like)
     return _rows(t, lambda t_arr: _thermal_terms(
         t_arr, cfg, thermal, mode, series_spec, x_spec, y_spec, escalation)[0])
 
@@ -810,13 +812,11 @@ def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,
     result leaves [0, 1] or the parameters sit outside the perturbative
     regime: that signals expansion breakdown, not a numerical bug.
     """
-    if perturbative_strength(cfg, thermal) > 0.5:
+    if perturbative_strength(cfg, thermal) > PERTURBATIVE_LIMIT:
         warnings.warn(
-            "theta^2 (4 gamma_tilde^2 + 1) alpha^2 > 0.5: outside the "
-            "reliable second-order regime", PerturbativeRegimeWarning,
-            stacklevel=2)
-    if thermal.theta == 0.0:
-        return q_g(0, t, cfg, mode, series_spec, x_spec, y_spec, escalation)
+            f"theta^2 (4 gamma_tilde^2 + 1) alpha^2 > {PERTURBATIVE_LIMIT:g}: "
+            "outside the reliable second-order regime",
+            PerturbativeRegimeWarning, stacklevel=2)
     out = _rows(t, lambda t_arr: _thermal_terms(
         t_arr, cfg, thermal, mode, series_spec, x_spec, y_spec, escalation)[2])
     if np.any(_outside_unit_interval(out)):

@@ -3,10 +3,11 @@
 Accumulation is ``special.compensated_sum`` in either kind: the exact sum
 of the terms' float64 words, faithfully rounded to a double, so two runs
 with the same spec are bit-identical.
-Integrands are called once with the whole abscissa grid: an ndarray for
-the standard kind, a ``ddmath.DD`` array for the extended kind; they return
-real samples of the same length, which one :func:`assemble` sums in either
-kind through ``special``'s kind primitives.
+A caller lays out a grid with :func:`build_grid`, samples its integrand
+on the whole abscissa array (an ndarray for the standard kind, a
+``ddmath.DD`` array for the extended kind) and hands the real samples to
+:func:`assemble`, which sums them in either kind through ``special``'s
+kind primitives.
 
 Every result carries a cancellation diagnostic (largest intermediate
 partial sum over the final value); callers that integrate violently
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -142,15 +143,3 @@ def assemble(samples, grid: Grid) -> IntegralResult:
     total = special.compensated_sum(terms)
     cancel = _cancellation(np.abs(np.cumsum(special.leading(terms))), abs(total))
     return IntegralResult(value=total, cancellation_magnitude=cancel)
-
-
-def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate f over [a, b], a < b, with the step and kind of spec.
-
-    f is called once with the whole abscissa grid (an ndarray, or a DD array
-    in the extended kind) and returns real samples of the same length.
-    Complex samples raise TypeError and non-finite ones IntegrandError, as
-    in :func:`assemble`.
-    """
-    grid = build_grid(a, b, spec)
-    return assemble(f(grid.x), grid)

@@ -44,7 +44,6 @@ _LANCZOS_PAIRS = (
     (0.1208650973866179e-2, -2.0865807558493542e-20),
     (-0.5395239384953e-5, 3.2754456442951606e-22),
 )
-LANCZOS_COEFFS = tuple(hi for hi, _ in _LANCZOS_PAIRS)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -143,11 +142,10 @@ def log_gamma(z):
 
     Accepts standard (complex, float, ndarray) or extended (DD/CDD) input
     and returns the matching kind.  Raises ValueError off the right
-    half-plane; use :func:`reciprocal_gamma` there instead.
+    half-plane, which no integrand of the package reaches.
     """
     if not np.all(leading(z.re if isinstance(z, CDD) else z).real > 0.0):
-        raise ValueError("log_gamma requires Re(z) > 0; use reciprocal_gamma "
-                         "for the rest of the plane")
+        raise ValueError("log_gamma requires Re(z) > 0")
     coeffs = [in_kind(c, z) for c in _LANCZOS_PAIRS]
     series = coeffs[0] + 0.0 * z
     den = z
@@ -159,31 +157,14 @@ def log_gamma(z):
     return (z + 0.5) * log(y) - y + ln_sqrt_2pi + log(series) - log(z)
 
 
-def _sinpi(z):
-    """sin(pi z) of a complex z, reduced about the nearest integer; exact
-    zeros at integers."""
-    n = np.round(z.real)
-    return np.sin((z - n) * np.pi) * np.where(np.mod(n, 2.0) == 0, 1.0, -1.0)
-
-
 def reciprocal_gamma(z):
-    """1/Gamma(z), entire in z, for float or complex input (standard kind).
-
-    Uses exp(-log_gamma) on the right half-plane and the reflection
-    1/Gamma(z) = Gamma(1-z) sin(pi z)/pi elsewhere, which gives exact zeros
-    at z = 0, -1, -2, ...  A DD or CDD argument raises TypeError, as numpy
-    does for any object it cannot read as a complex number.
+    """1/Gamma(z) = exp(-log_gamma(z)) on Re(z) > 0, for float or complex
+    input (standard kind); elsewhere log_gamma's ValueError.  A DD or CDD
+    argument raises TypeError, as numpy does for any object it cannot read
+    as a complex number.
     """
     scalar_in = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    neg = z.real <= 0.0
-    # each lane's unused branch sees a harmless argument
-    out = np.exp(-log_gamma(np.where(neg, 1.0, z)))
-    if np.any(neg):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            refl = np.exp(log_gamma(np.where(neg, 1.0 - z, 1.0))) * \
-                _sinpi(np.where(neg, z, 0.0)) / np.pi
-        out = np.where(neg, refl, out)
+    out = np.exp(-log_gamma(np.atleast_1d(np.asarray(z, dtype=np.complex128))))
     if not np.all(np.isfinite(out)):
         raise OverflowError("reciprocal_gamma overflowed; argument too large")
     return out[0] if scalar_in else out

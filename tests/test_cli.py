@@ -657,6 +657,18 @@ def test_invalid_params_exit2(capsys):
         assert main([command, "--gamma-tilde", "1e200", "--t-steps", "2",
                      "--jobs", "1"]) == 2, command
         assert "error: gamma_tilde is out of range" in capsys.readouterr().err
+    # 1e154 squares to a double, but 4 alpha^2 (4 gamma_tilde^2 + 1) in P2
+    # overflows: refused by every command, as above, before a row is built
+    for command in ("series", "integrals", "thermal", "check"):
+        assert main([command, "--gamma-tilde", "1e154", "--mode", "series",
+                     "--t-steps", "2", "--jobs", "1"]) == 2, command
+        assert capsys.readouterr().err == ("error: alpha = 4.0 and gamma_tilde = "
+                                           "1e+154 overflow the coefficients of P2\n")
+    # the Poisson tail bound prints in four digits, however large alpha is
+    for alpha, need in (("8", "144.6"), ("1e150", "1e+300")):
+        assert main(["series", "--alpha", alpha, "--t-steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"(need >= {need}); raise n_max" in err and len(err) < 120, err
     # every setting is checked whatever the command, with the message of
     # the command that uses it; a flag given twice takes its last value
     short = ["--t-end", "1", "--t-steps", "1", "--jobs", "1"]
@@ -759,6 +771,9 @@ def test_check_passes_on_defaults(capsys):
     assert rc == 0
     assert "ALL CHECKS PASSED" in out
     assert out.count("PASS") >= 8
+    # the series and the assembled sigma_z agree to 1e-9 at any alpha
+    assert main(["check", "--alpha", "2"]) == 0
+    assert "ALL CHECKS PASSED" in capsys.readouterr().out
 
 
 def test_check_runs_in_the_kind_of_precision(monkeypatch):
@@ -773,7 +788,7 @@ def test_check_runs_in_the_kind_of_precision(monkeypatch):
 
     monkeypatch.setattr(jc.jcm, "abel_plana_identity", recorder((1.0, 1.0)))
     monkeypatch.setattr(jc.jcm, "resonant_profile",
-                        recorder({"J1": np.zeros(201)}))
+                        recorder({"sigma_z": np.zeros(201)}))
     monkeypatch.setattr(jc.jcm, "q_g", recorder(0.0))
     main(["check", "--precision", "extended"])
     # each call takes (x spec, y spec); the kind is the correction's
@@ -814,6 +829,12 @@ def test_check_fails_on_coarse_grid(capsys, tmp_path):
     cfgfile.write_text("dx = 0.5\ndy = 0.5\n")
     assert main(["check", "--config", str(cfgfile)]) == 1
     assert capsys.readouterr().out == out
+    # an x step of 0.05 moves sigma_z by 1.7e-4, which only the
+    # series-vs-sigma_z item catches
+    assert main(["check", "--dx", "0.05"]) == 1
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")] == [
+        "FAIL  collapse-window residual |sigma_series - sigma_z|, t in [0, 4pi]"]
 
 
 def test_public_names_resolve():

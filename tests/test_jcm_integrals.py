@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -733,3 +734,17 @@ def test_perturbative_regime_warning(series200):
     with pytest.warns(jc.PerturbativeRegimeWarning) as caught:
         jc.pg_thermal(np.linspace(0.0, 3.0, 4), cfg, hot, "series", series200)
     assert "thermal P_g left [0, 1]" in [str(w.message).split(":")[0] for w in caught]
+
+
+def test_an_overflowing_p2_is_refused_without_a_warning(series200):
+    # gamma_tilde^2 = 1e308 is a double, 4 alpha^2 (4 gamma_tilde^2 + 1) is
+    # not: refused before a bracket, with no warning
+    cfg = jc.JcmConfig(alpha=4.0)
+    big = jc.ThermalConfig(theta=0.025, gamma_tilde=1e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (jc.pg_thermal, jc.p1_correction, jc.p2_correction):
+            with pytest.raises(ValueError, match=r"gamma_tilde = 1e\+154 overflow"):
+                fn(np.linspace(0.0, 3.0, 4), cfg, big, "series", series200)
+        with pytest.raises(ValueError, match="coefficients of P2"):
+            jc.perturbative_strength(jc.JcmConfig(alpha=0.0), big)

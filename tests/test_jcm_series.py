@@ -272,11 +272,10 @@ def test_config_validation():
 
 
 def test_theta_of_beta_limits():
-    assert jc.theta_of_beta(200.0).exact < 1e-40
-    r = jc.theta_of_beta(8.0)
-    assert r.approximate == pytest.approx(math.exp(-4.0))
-    assert abs(r.exact - r.approximate) == pytest.approx(r.approximate ** 3 / 3.0,
-                                                         rel=1e-3)
+    assert jc.theta_of_beta(200.0) < 1e-40
+    # atanh x = x + x^3/3 + O(x^5) at x = e^{-beta epsilon / 2}
+    x = math.exp(-4.0)
+    assert jc.theta_of_beta(8.0) - x == pytest.approx(x ** 3 / 3.0, rel=1e-3)
     with pytest.raises(ValueError):
         jc.theta_of_beta(0.0)
     with pytest.raises(ValueError):
@@ -289,5 +288,5 @@ def test_theta_of_beta_limits():
 def test_thermal_config_validation():
     with pytest.raises(ValueError):
         jc.ThermalConfig(theta=1.0, gamma_tilde=0.0)
-    assert jc.theta_of_beta(8.0).exact == pytest.approx(
+    assert jc.theta_of_beta(8.0) == pytest.approx(
         math.atanh(math.exp(-4.0)))

@@ -3,8 +3,9 @@
 The commands and their help are in _COMMANDS; flags go before or after.
 
 Outputs are CSV with a `# key=value` comment block recording the full run
-configuration, so a figure can be regenerated from its data file alone.
-Identical configurations produce byte-identical files.
+configuration, so a figure can be regenerated from its data file alone: the
+`command` line names the command and every other line is a flag, `--key
+value` with `-` for `_`.  Identical configurations produce byte-identical files.
 
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 numerical failure.
 """
@@ -47,8 +48,8 @@ EXIT_NUMERICAL = 3
 
 @dataclass
 class RunConfig:
-    """Every CLI setting, declared once: the fields give the flags, the
-    config-file keys and their types, and the order of the CSV header."""
+    """Every CLI setting, declared once: the fields give the flags and their
+    types, and the order of the CSV header."""
 
     command: str
     alpha: float = 4.0
@@ -119,53 +120,21 @@ class RunConfig:
         return t
 
 
-def _settings_parser() -> argparse.ArgumentParser:
-    """A flag for each RunConfig field but `command`, typed by its annotation
-    (a Literal lists the choices, `X | None` parses as X); strict, for config keys."""
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
-                                     exit_on_error=False,
-                                     argument_default=argparse.SUPPRESS)
+def _build_parser() -> argparse.ArgumentParser:
+    """The command, then a flag for each RunConfig field but `command`, typed
+    by its annotation (a Literal lists the choices, `X | None` parses as X)."""
+    parser = argparse.ArgumentParser(
+        prog="jcrevival", argument_default=argparse.SUPPRESS,
+        description="Collapse and revival of Rabi oscillations: series, "
+                    "envelope and integral representations.")
+    parser.add_argument("command", choices=_COMMANDS, help="; ".join(
+        f"{name}: {blurb}" for name, (_, blurb) in _COMMANDS.items()))
     for name, hint in list(typing.get_type_hints(RunConfig).items())[1:]:
         literal = typing.get_origin(hint) is Literal
         parser.add_argument(
             "--" + name.replace("_", "-"),
             type=str if literal else (typing.get_args(hint) or (hint,))[0],
             choices=typing.get_args(hint) if literal else None)
-    return parser
-
-
-def _read_config_file(path: str, settings: argparse.ArgumentParser) -> dict:
-    """Flat `key = value` lines; # starts a comment.  The keys are the flag
-    names but `out`; each value is parsed and checked by its settings flag."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, text = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            text = text.strip().strip("\"'")
-            try:
-                values, unknown = settings.parse_known_args([f"{flag}={text}"])
-            except argparse.ArgumentError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if unknown or flag == "--out":
-                raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-            out.update(vars(values))
-    return out
-
-
-def _build_parser(settings: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jcrevival", parents=[settings],
-        description="Collapse and revival of Rabi oscillations: series, "
-                    "envelope and integral representations.")
-    parser.add_argument("command", choices=_COMMANDS, help="; ".join(
-        f"{name}: {blurb}" for name, (_, blurb) in _COMMANDS.items()))
-    parser.add_argument("--config")
     return parser
 
 
@@ -406,12 +375,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    settings = _settings_parser()
-    args = vars(_build_parser(settings).parse_args(argv))
-    path = args.pop("config")
+    args = vars(_build_parser().parse_args(argv))
     try:
-        # flags override the config file, which overrides the defaults
-        cfg = RunConfig(**(_read_config_file(path, settings) if path else {}) | args)
+        cfg = RunConfig(**args)  # an unset flag keeps its field's default
         return _COMMANDS[cfg.command][0](cfg)
     except (PrecisionLossError, IntegrandError, OverflowError,
             FloatingPointError) as exc:

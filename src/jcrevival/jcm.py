@@ -686,16 +686,16 @@ def detuned_profile(ts, cfg: JcmConfig, l: int = 0,
                     x_spec: QuadratureSpec = BANDED_X_SPEC,
                     y_spec: QuadratureSpec = BANDED_Y_SPEC,
                     escalation: Escalation = "raise") -> dict[str, np.ndarray]:
-    """I1^(l), I2^(l) and the (l = 0) assembled inversion over a time grid,
-    with the cancellation and status of resonant_profile."""
-    pref = math.exp(-cfg.alpha ** 2)
+    """I1^(l), I2^(l) over a time grid, with the cancellation and status of
+    resonant_profile; at l = 0 also the assembled inversion sigma_z, which
+    takes q_g's boundary term f(c + l)/2 as 1/2, its value at l = 0 only."""
     i1, i2, cancel, status = _sweep(
         _times(ts), cfg, l, x_spec, y_spec, escalation)
-    sigma = 1.0 - pref * (1.0 + 2.0 * i1 - 4.0 * i2)
+    out = {"I1": i1, "I2": i2}
     if l == 0:
-        _refuse_noise(sigma, -1.0, "sigma_z", status, escalation)
-    return {"I1": i1, "I2": i2, "sigma_z": sigma, "cancellation": cancel,
-            "status": status}
+        out["sigma_z"] = 1.0 - math.exp(-cfg.alpha ** 2) * (1.0 + 2.0 * i1 - 4.0 * i2)
+        _refuse_noise(out["sigma_z"], -1.0, "sigma_z", status, escalation)
+    return out | {"cancellation": cancel, "status": status}
 
 
 def _refuse_noise(vals, low: float, name: str, status=None,

@@ -164,7 +164,9 @@ def reciprocal_gamma(z):
     as a complex number.
     """
     scalar_in = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    out = np.exp(-log_gamma(np.atleast_1d(np.asarray(z, dtype=np.complex128))))
+    lg = log_gamma(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
+    with np.errstate(over="ignore"):  # refused below, without numpy's warning
+        out = np.exp(-lg)
     if not np.all(np.isfinite(out)):
         raise OverflowError("reciprocal_gamma overflowed; argument too large")
     return out[0] if scalar_in else out

@@ -1,6 +1,7 @@
-"""The command-line surface: columns, exit codes, config handling."""
+"""The command-line surface: columns, exit codes, the parser."""
 
 import collections
+import dataclasses
 import math
 import os
 import subprocess
@@ -575,58 +576,37 @@ def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):
         jobs(-1, 10)
 
 
-def test_config_file_merging_and_flag_precedence(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("# a comment line\nalpha = 2.0\nt_steps = 5\n"
-                       "t-end = 3.0  # comment\n")
-    out = tmp_path / "o.csv"
-    assert main(["series", "--config", str(cfgfile), "--t-steps", "3",
-                 "--out", str(out)]) == 0
-    meta, _, cols = _read_csv(out)
-    assert meta["alpha"] == "2.0"
-    assert len(cols["t"]) == 4  # flag overrode the file
-    assert cols["t"][-1] == 3.0
-    # a config file writes the bytes of the same settings given as flags,
-    # whatever the command and wherever --config stands
-    cfgfile.write_text("alpha = 4\nt_steps = 10\nprecision = 'extended'\n")
-    flagged = tmp_path / "flags.csv"
-    for command in (["integrals", "--dx", "1e-2", "--dy", "1e-2"],
-                    ["thermal", "--mode", "series"]):
-        common = command + ["--t-end", "3", "--jobs", "1", "--out"]
-        assert main(["--config", str(cfgfile)] + common + [str(out)]) == 0
-        assert main(common + [str(flagged), "--alpha", "4", "--t-steps", "10",
-                              "--precision", "extended"]) == 0
-        assert out.read_bytes() == flagged.read_bytes(), command
-
-
-def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    # a config value is parsed and checked as its flag is; there is one
-    # quadrature rule, so `rule` is no key
-    cfgfile = tmp_path / "bad.cfg"
-    for line in ("not_a_key = 1", "alpha = abc", "t_steps = 1e1",
-                 "rule = bode", "precision = turbo", "out = x.csv",
-                 "command = series", "alpha 4"):
-        cfgfile.write_text(line + "\n")
-        for command in ("series", "integrals", "thermal", "check"):
-            assert main([command, "--config", str(cfgfile)]) == 2, line
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {cfgfile}:1: "), err
-    assert err == f"error: {cfgfile}:1: expected key = value\n"
-
-
 def test_the_parser_takes_one_of_four_commands(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])
     assert stop.value.code == 0
-    assert "{series,integrals,thermal,check}" in capsys.readouterr().out
-    # a missing, unknown or second command, or a bad flag, is a usage error;
-    # there is one quadrature rule, so --rule is no flag
+    usage = capsys.readouterr().out
+    assert "{series,integrals,thermal,check}" in usage
+    # one flag per setting, and no other
+    assert [line.split()[0] for line in usage.split("options:")[1].splitlines()
+            if line.startswith("  --")] == [
+        "--" + field.name.replace("_", "-")
+        for field in dataclasses.fields(RunConfig)][1:]
+    # a missing, unknown or second command, a bad flag or a bad value is a
+    # usage error; there is one quadrature rule, so --rule is no flag, and
+    # the settings are flags only, so --config is none either
     for argv in ([], ["--alpha", "4"], ["simulate"], ["series", "check"],
-                 ["series", "--rule", "bode"], ["series", "--no-such-flag"]):
+                 ["series", "--rule", "bode"], ["series", "--no-such-flag"],
+                 ["series", "--config", "x.cfg"], ["series", "--alpha", "abc"],
+                 ["series", "--t-steps", "1e1"],
+                 ["series", "--precision", "turbo"]):
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2, argv
         assert "error:" in capsys.readouterr().err
+
+
+def test_a_unique_flag_prefix_is_its_flag(tmp_path):
+    short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+    assert main(["series", "--alp", "2", "--t-ste", "3", "--out", str(short)]) == 0
+    assert main(["series", "--alpha", "2", "--t-steps", "3",
+                 "--out", str(full)]) == 0
+    assert short.read_bytes() == full.read_bytes()
 
 
 def test_invalid_params_exit2(capsys):
@@ -819,16 +799,11 @@ def test_extended_precision_builds_no_extended_x_grid(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_check_fails_on_coarse_grid(capsys, tmp_path):
+def test_check_fails_on_coarse_grid(capsys):
     rc = main(["check", "--dx", "0.5", "--dy", "0.5"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
-    # the same settings from a config file print the same report
-    cfgfile = tmp_path / "coarse.cfg"
-    cfgfile.write_text("dx = 0.5\ndy = 0.5\n")
-    assert main(["check", "--config", str(cfgfile)]) == 1
-    assert capsys.readouterr().out == out
     # an x step of 0.05 moves sigma_z by 1.7e-4, which only the
     # series-vs-sigma_z item catches
     assert main(["check", "--dx", "0.05"]) == 1

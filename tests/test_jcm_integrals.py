@@ -73,6 +73,16 @@ def test_integral_assembly_at_zero_is_ground_state(cfg4_detuned):
     assert abs(val + 1.0) < 1e-6
 
 
+def test_only_the_l0_profile_assembles_sigma_z(cfg4_detuned):
+    # a shifted bracket's boundary term f(c + l)/2 is not the 1/2 that the
+    # inversion 1 - e^{-a^2} (1 + 2 I1 - 4 I2) takes, so l >= 1 gives none
+    keys = ["I1", "I2", "sigma_z", "cancellation", "status"]
+    assert list(jc.detuned_profile([1.0], cfg4_detuned, 0)) == keys
+    for l in (1, 2):
+        assert list(jc.detuned_profile([1.0], cfg4_detuned, l)) == [
+            key for key in keys if key != "sigma_z"]
+
+
 def test_j_constant_term_value(cfg4):
     assert 0.5 * math.exp(-cfg4.alpha ** 2) == pytest.approx(5.63e-8, rel=2e-3)
 
@@ -415,7 +425,7 @@ def test_rows_no_physics_allows_are_refused():
     assert np.all(prof["status"][outside] == 2)
     with pytest.raises(PrecisionLossError, match=r"sigma_z = .* leaves \[-1, 1\]"):
         jc.resonant_profile(ts[quiet][:1], cfg)
-    # off resonance at l = 0 too; a shifted bracket's sigma_z is no inversion
+    # off resonance at l = 0 too; a shifted bracket assembles no sigma_z
     detuned = jc.JcmConfig(alpha=1e-300, delta_omega=2.0)
     assert list(jc.detuned_profile([0.0, math.pi], detuned, 0,
                                    escalation="ignore")["status"]) == [2, 2]

@@ -45,6 +45,9 @@ def test_reciprocal_gamma_trivial_points():
     for z in (0.0, -1.0 + 0j, np.array([2.0, -0.5 + 1j]), 1j):
         with pytest.raises(ValueError, match=r"requires Re\(z\) > 0$"):
             special.reciprocal_gamma(z)
+    # past the double range it refuses, with no numpy overflow warning first
+    with pytest.raises(OverflowError, match="argument too large"):
+        special.reciprocal_gamma(1.0 + 500j)
 
 
 def test_log_gamma_rejects_left_half_plane():

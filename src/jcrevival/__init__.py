@@ -25,7 +25,7 @@ _EXPORTS = {
         "envelope_approximation", "envelope_factor", "j2_integral",
         "p1_correction", "p2_correction", "perturbative_strength",
         "pg_series", "pg_thermal", "q_g", "resonant_profile",
-        "sigma_z_series", "sigma_z_series_resonant", "theta_of_beta"), "jcm"),
+        "sigma_z_series", "sigma_z_series_resonant"), "jcm"),
     **dict.fromkeys(("IntegralResult", "QuadratureSpec"), "quadrature"),
     **dict.fromkeys(("log_gamma", "principal_sqrt", "reciprocal_gamma"),
                     "special"),

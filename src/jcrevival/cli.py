@@ -57,7 +57,6 @@ class RunConfig:
     kappa: float = 1.0
     gamma_tilde: float = 1.0
     theta: float = 0.025
-    beta_epsilon: float | None = None
     n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max
     x_max: float = jcm.DEFAULT_X_SPEC.upper_limit
     dx: float | None = None  # a step in sqrt(x); None: the band rule's
@@ -74,9 +73,6 @@ class RunConfig:
     def __post_init__(self):  # every setting is checked whatever the command
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means all cores)")
-        # beta_epsilon, when given, sets the theta the header records
-        if self.beta_epsilon is not None:
-            self.theta = jcm.theta_of_beta(self.beta_epsilon)
         # builds, and so checks, both configs and refuses a P2 that overflows
         jcm.perturbative_strength(self.jcm_config(), self.thermal_config())
         self.series_spec(), self.specs()

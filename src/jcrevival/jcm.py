@@ -62,6 +62,9 @@ _BAND_H, _BAND_K, _BAND_P, _BAND_TOL = DEFAULT_X_SPEC.step, 0.41, 2.0, 1e-13
 # 2^20 + 1 points, 8 MiB an array; series rows are summed in blocks of 2^22
 _MAX_INTERVALS = 2 ** 20
 _BLOCK_TERMS = 2 ** 22
+# the line weights sum to about e^{alpha^2}, which the detuned sigma_z
+# doubles: past this |alpha|, 4 e^{alpha^2} is no double
+_LINE_ALPHA_MAX = math.sqrt(math.log(np.finfo(float).max / 4.0))
 
 
 class PerturbativeRegimeWarning(UserWarning):
@@ -147,17 +150,6 @@ class SeriesSpec:
 
 
 DEFAULT_SERIES_SPEC = SeriesSpec()
-
-
-def theta_of_beta(beta_epsilon: float) -> float:
-    """The exact theta of tanh(theta) = e^{-beta epsilon / 2}."""
-    if not beta_epsilon > 0.0:
-        raise ValueError("beta_epsilon must be positive (low-temperature regime)")
-    x = math.exp(-beta_epsilon / 2.0)
-    if x == 1.0:
-        raise ValueError(f"beta_epsilon = {beta_epsilon!r} is too small: "
-                         "e^{-beta_epsilon / 2} rounds to 1, where theta is infinite")
-    return math.atanh(x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +357,10 @@ class _LineFamily:
                  j_form: bool = False):
         if spec.precision_kind != "standard":
             raise ValueError("the line integral takes a standard-kind x spec")
+        if abs(cfg.alpha) > _LINE_ALPHA_MAX:
+            raise ValueError(f"alpha = {cfg.alpha!r} takes the line integral past "
+                             "the double range: the integral form holds |alpha| <= "
+                             f"{_LINE_ALPHA_MAX:.6g}; use the series form")
         _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--x-max)")
         self.grid, jac = _sqrt_grid(spec, "x")
         x = self.grid.x

@@ -251,21 +251,6 @@ def test_thermal_reports_breakdown_rows(tmp_path, capsys):
     assert "thermal P_g left [0, 1] on 7 of 7 rows" in capsys.readouterr().err
 
 
-def test_thermal_beta_epsilon_sets_theta(tmp_path):
-    a, b = tmp_path / "be.csv", tmp_path / "th.csv"
-    theta = math.atanh(math.exp(-4.0))
-    common = ["thermal", "--alpha", "4", "--gamma-tilde", "1",
-              "--t-end", "3.0", "--t-steps", "5", "--jobs", "1"]
-    # beta_epsilon wins over theta, and the header records the theta used
-    assert main(common + ["--beta-epsilon", "8", "--theta", "0.3",
-                          "--out", str(a)]) == 0
-    assert main(common + ["--theta", repr(theta), "--out", str(b)]) == 0
-    ma, _, ca = _read_csv(a)
-    mb, _, cb = _read_csv(b)
-    assert np.array_equal(ca["pg_thermal"], cb["pg_thermal"])
-    assert ma["theta"] == mb["theta"] == repr(theta)
-
-
 def test_thermal_gamma_zero_p1_column(tmp_path):
     out = tmp_path / "g0.csv"
     assert main(["thermal", "--alpha", "4", "--gamma-tilde", "0",
@@ -588,11 +573,13 @@ def test_the_parser_takes_one_of_four_commands(capsys):
         "--" + field.name.replace("_", "-")
         for field in dataclasses.fields(RunConfig)][1:]
     # a missing, unknown or second command, a bad flag or a bad value is a
-    # usage error; there is one quadrature rule, so --rule is no flag, and
-    # the settings are flags only, so --config is none either
+    # usage error; there is one quadrature rule, so --rule is no flag, the
+    # settings are flags only, so --config is none either, and --theta is
+    # the one spelling of theta
     for argv in ([], ["--alpha", "4"], ["simulate"], ["series", "check"],
                  ["series", "--rule", "bode"], ["series", "--no-such-flag"],
-                 ["series", "--config", "x.cfg"], ["series", "--alpha", "abc"],
+                 ["series", "--config", "x.cfg"],
+                 ["thermal", "--beta-epsilon", "8"], ["series", "--alpha", "abc"],
                  ["series", "--t-steps", "1e1"],
                  ["series", "--precision", "turbo"]):
         with pytest.raises(SystemExit) as stop:
@@ -622,16 +609,21 @@ def test_invalid_params_exit2(capsys):
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
     assert main(["series", "--alpha", "4", "--t-steps", "2", "--jobs", "-1"]) == 2
     assert main(["check", "--alpha", "4", "--jobs", "-3"]) == 2
-    # beta_epsilon is checked for every command, not only thermal
-    assert main(["series", "--beta-epsilon", "0", "--t-steps", "1"]) == 2
-    assert main(["thermal", "--beta-epsilon", "1e-20", "--t-steps", "1",
-                 "--jobs", "1"]) == 2
     # alpha^2 and c = (delta_omega / 2 kappa)^2 overflow a double
     for command in ("series", "integrals"):
         for flag in ("--alpha", "--delta-omega"):
             assert main([command, flag, "1e200", "--t-steps", "1",
                          "--jobs", "1"]) == 2
     capsys.readouterr()
+    # the line integrals at alpha = 27 pass the largest double: refused
+    # before a weight is computed; the series, which takes none, holds
+    wide = ["--alpha", "27", "--n-max", "2000", "--x-max", "2000",
+            "--t-steps", "3", "--t-end", "6", "--jobs", "1"]
+    assert main(["integrals"] + wide) == 2
+    assert capsys.readouterr().err == (
+        "error: alpha = 27.0 takes the line integral past the double range: "
+        "the integral form holds |alpha| <= 26.6157; use the series form\n")
+    assert main(["series", "--out", os.devnull] + wide) == 0
     # so does gamma_tilde^2, which every command refuses by its name
     for command in ("series", "integrals", "thermal", "check"):
         assert main([command, "--gamma-tilde", "1e200", "--t-steps", "2",

@@ -271,22 +271,6 @@ def test_config_validation():
             jc.SeriesSpec(n_max=n_max)
 
 
-def test_theta_of_beta_limits():
-    assert jc.theta_of_beta(200.0) < 1e-40
-    # atanh x = x + x^3/3 + O(x^5) at x = e^{-beta epsilon / 2}
-    x = math.exp(-4.0)
-    assert jc.theta_of_beta(8.0) - x == pytest.approx(x ** 3 / 3.0, rel=1e-3)
-    with pytest.raises(ValueError):
-        jc.theta_of_beta(0.0)
-    with pytest.raises(ValueError):
-        jc.theta_of_beta(-1.0)
-    # e^{-beta_epsilon / 2} rounds to 1, where atanh is undefined
-    with pytest.raises(ValueError, match="beta_epsilon"):
-        jc.theta_of_beta(1e-20)
-
-
 def test_thermal_config_validation():
     with pytest.raises(ValueError):
         jc.ThermalConfig(theta=1.0, gamma_tilde=0.0)
-    assert jc.theta_of_beta(8.0) == pytest.approx(
-        math.atanh(math.exp(-4.0)))

@@ -54,7 +54,6 @@ class RunConfig:
     command: str
     alpha: float = 4.0
     delta_omega: float = 0.0
-    kappa: float = 1.0
     gamma_tilde: float = 1.0
     theta: float = 0.025
     n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max
@@ -85,8 +84,7 @@ class RunConfig:
             raise ValueError("t_start must not exceed t_end")
 
     def jcm_config(self) -> jcm.JcmConfig:
-        return jcm.JcmConfig(alpha=self.alpha, kappa=self.kappa,
-                             delta_omega=self.delta_omega)
+        return jcm.JcmConfig(alpha=self.alpha, delta_omega=self.delta_omega)
 
     def thermal_config(self) -> jcm.ThermalConfig:
         return jcm.ThermalConfig(theta=self.theta, gamma_tilde=self.gamma_tilde)
@@ -98,12 +96,20 @@ class RunConfig:
         """(x spec, y spec, escalation) of the grid flags and --precision,
         the y spec's kind (the line integral is standard-kind only); "auto"
         computes in the standard kind and escalates past its budget.  An
-        unset --dx or --dy gives a banded spec (jcm._plan)."""
+        unset --dx or --dy gives a banded spec (jcm._plan).  --x-max and
+        --y-max past the weights' double range are refused."""
         kind = "standard" if self.precision == "auto" else self.precision
         x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, upper_limit=self.x_max,
                                      step=self.dx)
         y_spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
                                      step=self.dy, precision_kind=kind)
+        for axis, spec in (("x", x_spec), ("y", y_spec)):
+            if spec.upper_limit > jcm._WEIGHT_MAX[axis]:
+                raise ValueError(
+                    f"{axis}_max = {spec.upper_limit!r} takes the {axis} weights "
+                    "past the double range: the integral form holds "
+                    f"{axis}_max <= {jcm._WEIGHT_MAX[axis]:g}; lower {axis}_max "
+                    f"(--{axis}-max)")
         return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"
 
     def time_grid(self) -> np.ndarray:
@@ -181,7 +187,7 @@ def _chunk_columns(worker, cfg: RunConfig, t: np.ndarray) -> dict[str, np.ndarra
     if cfg.command == "integrals" or cfg.mode == "integral":
         # c: the l = 0 bracket turns fastest
         jcfg = cfg.jcm_config()
-        y_spec, bands = jcm._plan(jcfg, abs(cfg.kappa) * t, x_spec, y_spec, jcfg.c)
+        y_spec, bands = jcm._plan(jcfg, t, x_spec, y_spec, jcfg.c)
         latest = [rows[-1] for _, rows in bands]
     rest = np.delete(np.arange(t.size), latest)
     deals = [np.arange(t.size)] if jobs == 1 else [latest] + [
@@ -305,7 +311,8 @@ def cmd_thermal(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    """Identity and residual self-tests; prints PASS/FAIL per item."""
+    """Identity and residual self-tests; prints PASS/FAIL per item, and
+    SKIP with the reason for an item the settings rule out."""
     x_spec, y_spec, escalation = cfg.specs()
     failures = 0
 
@@ -316,20 +323,26 @@ def cmd_check(cfg: RunConfig) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: measured {measured:.4e} "
               f"(bound {bound:.1e})")
 
+    def skip(name: str, reason: str):
+        print(f"SKIP  {name}: {reason}")
+
     for alpha in (1.0, 2.0, 3.0, 4.0):
         lhs, rhs = jcm.abel_plana_identity(alpha, x_spec, y_spec)
         report(f"sum-to-integral identity alpha={alpha:g}",
                abs(lhs - rhs) / abs(rhs), 1e-6)
 
     jcfg = cfg.jcm_config()
-    if jcfg.delta_omega == 0.0 and jcfg.alpha != 0.0:
+    no_integral = "the integral form needs alpha != 0" if jcfg.alpha == 0.0 else None
+    residual = "collapse-window residual |sigma_series - sigma_z|, t in [0, 4pi]"
+    if no_integral or jcfg.delta_omega != 0.0:
+        skip(residual, no_integral or "the J decomposition needs delta_omega = 0")
+    else:
         ts = np.linspace(0.0, 4.0 * math.pi, 201)
         spec = cfg.series_spec()
         sigma = jcm.sigma_z_series(ts, jcfg, spec)
         prof = jcm.resonant_profile(ts, jcfg, x_spec, y_spec,
                                     escalation=escalation)
-        report("collapse-window residual |sigma_series - sigma_z|, t in [0, 4pi]",
-               float(np.abs(sigma - prof["sigma_z"]).max()), 1.0e-8)
+        report(residual, float(np.abs(sigma - prof["sigma_z"]).max()), 1.0e-8)
 
     worst = 0.0
     for c_val in (0.0, 1.0, 4.0):
@@ -341,8 +354,10 @@ def cmd_check(cfg: RunConfig) -> int:
     report("correction integrand y->0 limits vs Richardson", worst, 1e-6)
 
     t_probe = 1.3
-    pg = jcm.pg_series(t_probe, jcfg, cfg.series_spec())
-    if jcfg.alpha != 0.0:
+    if no_integral:
+        skip("Q^(0) equals P_g (integral)", no_integral)
+    else:
+        pg = jcm.pg_series(t_probe, jcfg, cfg.series_spec())
         q0i = jcm.q_g(0, t_probe, jcfg, "integral", cfg.series_spec(),
                       x_spec, y_spec, escalation=escalation)
         report("Q^(0) equals P_g (integral)", abs(q0i - pg), 1e-5)
@@ -354,7 +369,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def _origin_limit_residual(cfg: jcm.JcmConfig, l: int, t: float) -> float:
     """Relative gap between the analytic y->0 limit and Richardson
     extrapolation of the directly sampled correction integrand."""
-    analytic = jcm.correction_origin(cfg, l, abs(cfg.kappa) * t)
+    analytic = jcm.correction_origin(cfg, l, t)
     h = 1e-4
     f1, f2, f3 = (jcm.correction_integrand_probe(cfg, l, t, y)
                   for y in (h, h / 2.0, h / 4.0))

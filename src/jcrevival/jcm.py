@@ -14,11 +14,13 @@ the imaginary direction:
 * low-temperature corrections for a thermal coherent state, expanded to
   second order in the small parameter theta with tanh(theta) = e^{-be/2}.
 
-Times are measured in units of 1/|kappa|.  The correction integrands
-oscillate with an envelope that grows like exp(t^2/(3 pi)); every integral
-therefore reports a cancellation diagnostic, and operations escalate to the
-extended (double-double) scalar kind or signal once the standard budget of
-~1e10 is exhausted.  At alpha = 4 the standard kind holds the revival
+As in the paper, times are in units of the inverse atom-field coupling and
+the detuning delta_omega is in units of the coupling, so no setting names
+the coupling itself.  The correction integrands oscillate with an envelope
+that grows like exp(t^2/(3 pi)); every integral therefore reports a
+cancellation diagnostic, and operations escalate to the extended
+(double-double) scalar kind or signal once the standard budget of ~1e10
+is exhausted.  At alpha = 4 the standard kind holds the revival
 window t in [4 pi, 8 pi] up to about 6 pi, and its rows escalate from there;
 beyond roughly 8 pi even the extended kind is insufficient and the
 computation refuses rather than returning noise.
@@ -65,6 +67,10 @@ _BLOCK_TERMS = 2 ** 22
 # the line weights sum to about e^{alpha^2}, which the detuned sigma_z
 # doubles: past this |alpha|, 4 e^{alpha^2} is no double
 _LINE_ALPHA_MAX = math.sqrt(math.log(np.finfo(float).max / 4.0))
+# the largest x_max and y_max whose weights are doubles, whatever alpha is:
+# ln Gamma(x + 1) overflows from x = 2.56e305, and |alpha|^{2iy}/Gamma(1+iy)
+# ~ e^{pi y/2} times its Jacobian 2 sqrt(y) from y = 452.005
+_WEIGHT_MAX = {"x": 2.55e305, "y": 452.0}
 
 
 class PerturbativeRegimeWarning(UserWarning):
@@ -73,30 +79,26 @@ class PerturbativeRegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class JcmConfig:
-    """Physical parameters: coupling kappa, detuning, coherent amplitude."""
+    """Physical parameters: coherent amplitude and detuning."""
 
     alpha: float
-    kappa: float = 1.0
     delta_omega: float = 0.0
 
     def __post_init__(self):
-        if self.kappa == 0.0:
-            raise ValueError("kappa must be nonzero")
-        for name in ("alpha", "kappa", "delta_omega"):
+        for name in ("alpha", "delta_omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         # alpha^2 and c enter every weight and bracket as plain doubles
-        half_detuning = self.delta_omega / (2.0 * self.kappa)
         for name, root in (("alpha", self.alpha),
-                           ("c = (delta_omega / 2 kappa)^2", half_detuning)):
+                           ("c = (delta_omega / 2)^2", self.delta_omega / 2.0)):
             if not math.isfinite(root * root):
                 raise ValueError(f"{name} is out of range: {root!r} squared "
                                  "overflows")
 
     @property
     def c(self) -> float:
-        """Dimensionless squared detuning (delta_omega / 2 kappa)^2."""
-        return (self.delta_omega / (2.0 * self.kappa)) ** 2
+        """Squared half detuning (delta_omega / 2)^2."""
+        return (self.delta_omega / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,9 @@ def _log_weight(alpha: float, z):
     two_ln_alpha = 2.0 * special.log(special.in_kind((abs(alpha), 0.0), z))
     if np.iscomplexobj(z) or special.is_extended(z):
         return z * two_ln_alpha - special.log_gamma(z + 1.0)
-    return z * two_ln_alpha - np.array([math.lgamma(v + 1.0) for v in z.tolist()])
+    # at |alpha| < 1 a large z takes it to -inf, whose weight 0 is exact
+    with np.errstate(over="ignore"):
+        return z * two_ln_alpha - np.array([math.lgamma(v + 1.0) for v in z.tolist()])
 
 
 def _poisson_weights(cfg: JcmConfig, spec: SeriesSpec) -> np.ndarray:
@@ -188,11 +192,11 @@ def _require_tail(cfg: JcmConfig, name: str, limit: float, remedy: str):
                          f"raise {remedy}")
 
 
-def _bracket(s, big_t, c):
-    """The Abel-Plana summand f(s) = cos^2(sqrt(s) T) + (c/s) sin^2(sqrt(s) T),
-    with f(0) = 1; s and big_t broadcast against each other."""
+def _bracket(s, t, c):
+    """The Abel-Plana summand f(s) = cos^2(sqrt(s) t) + (c/s) sin^2(sqrt(s) t),
+    with f(0) = 1; s and t broadcast against each other."""
     ratio = np.divide(c, s, out=np.zeros_like(s), where=s > 0.0)
-    s2 = np.sin(np.sqrt(s) * big_t) ** 2
+    s2 = np.sin(np.sqrt(s) * t) ** 2
     return (1.0 - s2) + ratio * s2
 
 
@@ -202,7 +206,7 @@ def _bracket_sum(l: int, t_arr: np.ndarray, cfg: JcmConfig, spec: SeriesSpec):
     _require_index(l)
     s = cfg.c + np.arange(spec.n_max + 1) + float(l)
     return _row_sums(lambda t_blk: _bracket(
-        s[None, :], abs(cfg.kappa) * t_blk[:, None], cfg.c), t_arr, cfg, spec)
+        s[None, :], t_blk[:, None], cfg.c), t_arr, cfg, spec)
 
 
 def _row_sums(terms_of, t_arr, cfg: JcmConfig, spec: SeriesSpec):
@@ -238,7 +242,7 @@ def sigma_z_series(t, cfg: JcmConfig, spec: SeriesSpec = DEFAULT_SERIES_SPEC):
 
 def sigma_z_series_resonant(t, cfg: JcmConfig,
                             spec: SeriesSpec = DEFAULT_SERIES_SPEC):
-    """Resonant form -e^{-a^2} sum w_n cos(2 sqrt(n) |kappa| t).
+    """Resonant form -e^{-a^2} sum w_n cos(2 sqrt(n) t).
 
     Equals sigma_z_series when delta_omega = 0 (cross-checked in tests to
     1e-12); kept as an independent implementation of the same observable.
@@ -248,14 +252,14 @@ def sigma_z_series_resonant(t, cfg: JcmConfig,
     def values_of(t_arr):
         two_root_n = 2.0 * np.sqrt(np.arange(spec.n_max + 1))[None, :]
         return -_row_sums(lambda t_blk: np.cos(
-            two_root_n * (abs(cfg.kappa) * t_blk[:, None])), t_arr, cfg, spec)
+            two_root_n * t_blk[:, None]), t_arr, cfg, spec)
     return _rows(t, values_of)
 
 
 def envelope_approximation(t, cfg: JcmConfig):
     """Large-alpha resonant approximation of the inversion.
 
-    -exp[a^2 (cos(T/|a|) - 1)] cos(|a| T + a^2 sin(T/|a|)) with T = |kappa| t.
+    -exp[a^2 (cos(t/|a|) - 1)] cos(|a| t + a^2 sin(t/|a|)).
     The exponential factor is the beat envelope: it collapses on a time
     scale of order one and recurs with period 2 pi |alpha|.
     """
@@ -265,18 +269,17 @@ def envelope_approximation(t, cfg: JcmConfig):
         raise ValueError("the envelope approximation requires alpha != 0")
     def values_of(t_arr):
         a = abs(cfg.alpha)
-        big_t = abs(cfg.kappa) * t_arr
         return -envelope_factor(t_arr, cfg) * np.cos(
-            a * big_t + cfg.alpha ** 2 * np.sin(big_t / a))
+            a * t_arr + cfg.alpha ** 2 * np.sin(t_arr / a))
     return _rows(t, values_of)
 
 
 def envelope_factor(t, cfg: JcmConfig):
-    """Just the beat envelope exp[a^2 (cos(T/|a|) - 1)]."""
+    """Just the beat envelope exp[a^2 (cos(t/|a|) - 1)]."""
     if cfg.alpha == 0.0:
         raise ValueError("the envelope factor requires alpha != 0")
     return _rows(t, lambda t_arr: np.exp(
-        cfg.alpha ** 2 * (np.cos(abs(cfg.kappa) * t_arr / abs(cfg.alpha)) - 1.0)))
+        cfg.alpha ** 2 * (np.cos(t_arr / abs(cfg.alpha)) - 1.0)))
 
 
 def _times(t) -> np.ndarray:
@@ -310,7 +313,7 @@ def _require_index(l):
 # ---------------------------------------------------------------------------
 
 def _double_angle(s, c: float, j_form: bool):
-    """(b0, b1) with f(s) = b0 + b1 cos(2 sqrt(s) T) for the summand of
+    """(b0, b1) with f(s) = b0 + b1 cos(2 sqrt(s) t) for the summand of
     _bracket, at real or complex s of either kind; (0, 1) for the J form's
     plain cosine."""
     if j_form:
@@ -322,7 +325,7 @@ def _double_angle(s, c: float, j_form: bool):
 def _sqrt_grid(spec: QuadratureSpec, axis: str):
     """(grid, 2v): spec's grid in v = sqrt(x) on [0, sqrt(upper_limit)],
     holding x = v^2 as its abscissae, and the Jacobian dx/dv, in its kind.
-    In v, cos(2 sqrt(x) T) has the uniform wavelength pi/T and the weights
+    In v, cos(2 sqrt(x) t) has the uniform wavelength pi/t and the weights
     decay like a Gaussian (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
     grid of more than 2^20 + 1 nodes is refused before it is built; axis
     ("x" or "y") names the flags that size it."""
@@ -348,7 +351,7 @@ class _LineFamily:
 
     The weight and the square-root arguments do not depend on t, so one
     family instance amortizes them over a whole time sweep.  j_form selects
-    the plain cos(2 sqrt(x) T) bracket of the resonant decomposition;
+    the plain cos(2 sqrt(x) t) bracket of the resonant decomposition;
     otherwise the bracket is cos^2 + (c/(x+c+l)) sin^2 at shifted index l.
     Positive weights keep its error near eps: float64 only; a0, a1 carry dx/dv.
     """
@@ -370,8 +373,8 @@ class _LineFamily:
         b0, b1 = _double_angle(s, cfg.c, j_form)
         self.a0, self.a1 = w * b0, w * b1
 
-    def integral(self, big_t: float) -> IntegralResult:
-        samples = self.a0 + self.a1 * np.cos(self.sqrt_arg * (2.0 * big_t))
+    def integral(self, t: float) -> IntegralResult:
+        samples = self.a0 + self.a1 * np.cos(self.sqrt_arg * (2.0 * t))
         return quadrature.assemble(samples, self.grid)
 
 
@@ -381,9 +384,9 @@ class _CorrectionFamily:
     The integrand is Im{ A(y) * B(iy) } / (e^{2 pi y} - 1) with
     A = |a|^{2iy}/Gamma(1+iy).  The Bose factor is folded into the complex
     cosine's exponentials, keeping every intermediate below
-    ~exp(T^2/(3 pi)) instead of cosh's exp(T sqrt(2 y)); that is what makes
-    the revival window reachable at all.  j_form selects B = cos(2 sqrt(iy) T),
-    otherwise B = cos^2(sqrt(c+l+iy) T) + c/(c+l+iy) sin^2(...).  The kind
+    ~exp(t^2/(3 pi)) instead of cosh's exp(t sqrt(2 y)); that is what makes
+    the revival window reachable at all.  j_form selects B = cos(2 sqrt(iy) t),
+    otherwise B = cos^2(sqrt(c+l+iy) t) + c/(c+l+iy) sin^2(...).  The kind
     is the grid's (spec.precision_kind); a_re, a_im carry its Jacobian.
     """
 
@@ -405,16 +408,16 @@ class _CorrectionFamily:
             self.p, self.q = root.real, root.imag
             self.b = None if j_form else _double_angle(s0, cfg.c, False)
 
-    def integral(self, big_t: float) -> IntegralResult:
+    def integral(self, t: float) -> IntegralResult:
         with np.errstate(all="ignore"):
-            two_t = 2.0 * big_t
+            two_t = 2.0 * t
             su, cu = special.sincos(self.p * two_t)
             qt = self.q * two_t
             ep = special.exp(qt - self.two_pi_y)
             em = special.exp(-qt - self.two_pi_y)
             ch = (ep + em) * 0.5
             sh = (ep - em) * 0.5
-            # cos(2 T z) e^{-2 pi y} for z = p + iq, in parts
+            # cos(2 t z) e^{-2 pi y} for z = p + iq, in parts
             ct_re = cu * ch
             ct_im = -(su * sh)
             if self.b is None:  # J form, (b0, b1) = (0, 1): the bracket is the cosine
@@ -446,22 +449,24 @@ def correction_integrand_probe(cfg: JcmConfig, l: int, t: float, y: float,
     and compare against :func:`correction_origin`.
     """
     _require_index(l)
-    big_t = abs(cfg.kappa) * _time(t)
-    if not 0.0 < y < math.inf:
-        raise ValueError("the probe needs a finite y > 0; use "
-                         "correction_origin at 0")
+    t = _time(t)
+    # e^{2 pi y} - 1 leaves the double range past y = 112.97
+    y_max = math.log(np.finfo(float).max) / (2.0 * math.pi)
+    if not 0.0 < y <= y_max:
+        raise ValueError(f"the probe needs a finite y > 0, at most {y_max:.5g} "
+                         "where e^{2 pi y} is a double; use correction_origin at 0")
     a = np.exp(_log_weight(cfg.alpha, 1j * y))
     s0 = cfg.c + float(l)
     root = np.sqrt(s0 + 1j * y)
     if j_form:
-        bracket = np.cos(2.0 * big_t * root)
+        bracket = np.cos(2.0 * t * root)
     else:
         ratio = cfg.c / (s0 + 1j * y) if cfg.c > 0.0 else 0.0
-        bracket = np.cos(big_t * root) ** 2 + ratio * np.sin(big_t * root) ** 2
+        bracket = np.cos(t * root) ** 2 + ratio * np.sin(t * root) ** 2
     return float((a * bracket).imag / math.expm1(2.0 * math.pi * y))
 
 
-def correction_origin(cfg: JcmConfig, l: int, big_t: float,
+def correction_origin(cfg: JcmConfig, l: int, t: float,
                       j_form: bool = False) -> float:
     """y -> 0 limit of the correction integrand.
 
@@ -473,18 +478,18 @@ def correction_origin(cfg: JcmConfig, l: int, big_t: float,
     """
     _require_index(l)
     _require_positive_alpha(cfg.alpha)
-    big_t = _time(big_t)
+    t = _time(t)
     base = 2.0 * math.log(abs(cfg.alpha)) + EULER_GAMMA
     if j_form:
-        return (base - 2.0 * big_t * big_t) / (2.0 * math.pi)
+        return (base - 2.0 * t * t) / (2.0 * math.pi)
     s0 = cfg.c + float(l)
     if s0 == 0.0:
-        return (base - big_t * big_t) / (2.0 * math.pi)
+        return (base - t * t) / (2.0 * math.pi)
     rt = math.sqrt(s0)
-    sin_sq = math.sin(rt * big_t) ** 2
-    sin_two = math.sin(2.0 * rt * big_t)
-    b_zero = math.cos(rt * big_t) ** 2 + (cfg.c / s0) * sin_sq
-    b_prime = ((cfg.c / s0 - 1.0) * (big_t / (2.0 * rt)) * sin_two
+    sin_sq = math.sin(rt * t) ** 2
+    sin_two = math.sin(2.0 * rt * t)
+    b_zero = math.cos(rt * t) ** 2 + (cfg.c / s0) * sin_sq
+    b_prime = ((cfg.c / s0 - 1.0) * (t / (2.0 * rt)) * sin_two
                - (cfg.c / (s0 * s0)) * sin_sq)
     return (b_zero * base + b_prime) / (2.0 * math.pi)
 
@@ -506,24 +511,23 @@ def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec | None,
     cancellation, status), status 0 for a row held in the requested kind,
     1 for an escalated row and 2 for a row past the budget of its kind."""
     _require_index(l)
-    big_ts = abs(cfg.kappa) * ts
-    line_vals, vals, cancel = (np.zeros_like(big_ts) for _ in range(3))
-    status = np.zeros(big_ts.shape, dtype=int)
-    for (x_band, y_band), rows in _plan(cfg, big_ts, x_spec, y_spec,
+    line_vals, vals, cancel = (np.zeros_like(ts) for _ in range(3))
+    status = np.zeros(ts.shape, dtype=int)
+    for (x_band, y_band), rows in _plan(cfg, ts, x_spec, y_spec,
                                        cfg.c + float(l))[1]:
         line = x_band and _family(_LineFamily, cfg, l, x_band, j_form)
         corr = _family(_CorrectionFamily, cfg, l, y_band, j_form)
         ext = None
         for i in rows:
             if line:
-                line_vals[i] = line.integral(big_ts[i]).value
-            res = corr.integral(big_ts[i])
+                line_vals[i] = line.integral(ts[i]).value
+            res = corr.integral(ts[i])
             kind = y_band.precision_kind
             if (res.cancellation_magnitude > CANCELLATION_BUDGET[kind]
                     and escalation == "escalate" and kind == "standard"):
                 ext = ext or _family(_CorrectionFamily, cfg, l, dataclasses.replace(
                     y_band, precision_kind="extended"), j_form)
-                res = ext.integral(big_ts[i])
+                res = ext.integral(ts[i])
                 kind = "extended"
                 status[i] = 1
             if res.cancellation_magnitude > CANCELLATION_BUDGET[kind]:
@@ -540,23 +544,23 @@ def _sweep(ts, cfg: JcmConfig, l: int, x_spec: QuadratureSpec | None,
     return line_vals, vals, cancel, status
 
 
-def _plan(cfg: JcmConfig, big_ts: np.ndarray, x_spec: QuadratureSpec | None,
+def _plan(cfg: JcmConfig, ts: np.ndarray, x_spec: QuadratureSpec | None,
           y_spec: QuadratureSpec, s: float):
-    """(y_spec widened by _peak_aware for the latest of the scaled times
-    big_ts at s = c + l, the bands in time order as ((x spec, y spec), row
+    """(y_spec widened by _peak_aware for the latest of the times ts at
+    s = c + l, the bands in time order as ((x spec, y spec), row
     indices)); a pinned spec (a step), or an x_spec of None, is every
     band's.  A banded spec (step None) takes the coarsest step k h, k in
-    (4, 2, 1), whose modelled added error K e^{-a^2} (k h)^4 max(T, 1)^p
+    (4, 2, 1), whose modelled added error K e^{-a^2} (k h)^4 max(t, 1)^p
     stays at or below 1e-13: fitted on Simpson's h^4 term from the v = 0
     endpoint, it bounds Bode's h^6 one (README, Precision model).  Rows
-    past T = 4 pi keep h: rounding, not the step, sets their error there."""
-    y_spec = _peak_aware(y_spec, float(big_ts.max(initial=0.0)), s)
+    past t = 4 pi keep h: rounding, not the step, sets their error there."""
+    y_spec = _peak_aware(y_spec, float(ts.max(initial=0.0)), s)
     model = (_BAND_K * math.exp(-cfg.alpha ** 2)
-             * np.maximum(big_ts, 1.0) ** _BAND_P)
-    steps = np.full(big_ts.shape, _BAND_H)
+             * np.maximum(ts, 1.0) ** _BAND_P)
+    steps = np.full(ts.shape, _BAND_H)
     for k in (2.0, 4.0):
         steps[(model * (k * _BAND_H) ** 4 <= _BAND_TOL)
-              & (big_ts <= 4.0 * math.pi)] = k * _BAND_H
+              & (ts <= 4.0 * math.pi)] = k * _BAND_H
     bands = {}  # (x spec, y spec) -> the mask of its rows
     for step in sorted(set(steps.tolist()), reverse=True):  # time order
         key = tuple(spec if spec is None or spec.step
@@ -566,27 +570,27 @@ def _plan(cfg: JcmConfig, big_ts: np.ndarray, x_spec: QuadratureSpec | None,
     return y_spec, [(key, np.flatnonzero(rows)) for key, rows in bands.items()]
 
 
-def _peak_aware(spec: QuadratureSpec, big_t: float, s: float) -> QuadratureSpec:
+def _peak_aware(spec: QuadratureSpec, t: float, s: float) -> QuadratureSpec:
     """Widen the y-truncation to cover the integrand's exponential peak.
 
-    The folded envelope exp(2 T q - (3/2) pi y) peaks near y* = 2 T^2/(9 pi^2);
+    The folded envelope exp(2 t q - (3/2) pi y) peaks near y* = 2 t^2/(9 pi^2);
     four times that, widened to a whole v-step, keeps the tail negligible.
     A widened grid is refused, before it is built, when the phase
-    2 T Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or more
+    2 t Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or more
     over its last v-step: the row is aliased at any truncation.  So is a
-    row whose peak lies past every double (T beyond about 1.3e154).  A
+    row whose peak lies past every double (t beyond about 1.3e154).  A
     banded spec is checked at h, its rows' step past 4 pi.
     """
-    need = 4.0 * 2.0 * big_t * big_t / (9.0 * math.pi ** 2)
+    need = 4.0 * 2.0 * t * t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
     turn, step = math.inf, spec.step or _BAND_H
     if math.isfinite(need):
         v_max = math.ceil(math.sqrt(need) / step) * step
-        turn = 2.0 * big_t * (complex(s, v_max ** 2) ** 0.5 -
+        turn = 2.0 * t * (complex(s, v_max ** 2) ** 0.5 -
                               complex(s, (v_max - step) ** 2) ** 0.5).real
     if not turn < math.pi:
-        raise ValueError(f"T = {big_t:g} turns the correction phase by "
+        raise ValueError(f"t = {t:g} turns the correction phase by "
                          f"{turn:.3g} rad over a v-step of {step:g}, "
                          "aliased at any y_max; lower the step (--dy)")
     return dataclasses.replace(spec, upper_limit=v_max * v_max)
@@ -640,7 +644,7 @@ def abel_plana_identity(alpha: float,
     Computes lhs = (1/2) integral of |a|^{2x}/Gamma(x+1)
                  - integral of Im{|a|^{2iy}/Gamma(1+iy)}/(e^{2 pi y} - 1)
     and returns (lhs, rhs) with rhs = -1/4 + e^{a^2}/2 exact: the J form's
-    line and correction integrals at T = 0.
+    line and correction integrals at t = 0.
     """
     cfg = JcmConfig(alpha=alpha)
     line, corr = _sweep(np.zeros(1), cfg, 0, x_spec, y_spec, "raise",
@@ -731,7 +735,7 @@ def q_g(l: int, t, cfg: JcmConfig, mode: Mode = "series",
         if mode != "integral":
             raise ValueError(f"unknown mode {mode!r}")
         i1, i2 = _sweep(t_arr, cfg, l, x_spec, y_spec, escalation, refuse=True)[:2]
-        boundary = _bracket(cfg.c + float(l), abs(cfg.kappa) * t_arr, cfg.c)
+        boundary = _bracket(cfg.c + float(l), t_arr, cfg.c)
         q = math.exp(-cfg.alpha ** 2) * (0.5 * boundary + i1 - 2.0 * i2)
         _refuse_noise(q, 0.0, f"Q^({l})")
         return q

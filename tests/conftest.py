@@ -42,7 +42,7 @@ def cfg4():
 
 @pytest.fixture(scope="session")
 def cfg4_detuned():
-    return JcmConfig(alpha=4.0, delta_omega=4.0, kappa=1.0)
+    return JcmConfig(alpha=4.0, delta_omega=4.0)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import jcrevival as jc
 from jcrevival.errors import PrecisionLossError
 
 ALPHA4 = jc.JcmConfig(alpha=4.0)
-DETUNED = jc.JcmConfig(alpha=4.0, delta_omega=4.0, kappa=1.0)
+DETUNED = jc.JcmConfig(alpha=4.0, delta_omega=4.0)
 SERIES = jc.SeriesSpec(n_max=200)
 
 X_STD = jc.DEFAULT_X_SPEC

@@ -347,7 +347,7 @@ def test_the_parent_first_runs_the_latest_row_of_each_planned_band(
     cfg = RunConfig(command=command[0], mode="integral", t_steps=16)
     x_spec, y_spec, _ = cfg.specs()
     t, jcfg = cfg.time_grid(), cfg.jcm_config()
-    bands = jc.jcm._plan(jcfg, abs(jcfg.kappa) * t, x_spec, y_spec, jcfg.c)[1]
+    bands = jc.jcm._plan(jcfg, t, x_spec, y_spec, jcfg.c)[1]
     assert len(bands) == 2  # the coarse rows up to 4 pi, then the fine ones
     assert np.array_equal(first[0], t[[rows[-1] for _, rows in bands]])
 
@@ -574,11 +574,12 @@ def test_the_parser_takes_one_of_four_commands(capsys):
         for field in dataclasses.fields(RunConfig)][1:]
     # a missing, unknown or second command, a bad flag or a bad value is a
     # usage error; there is one quadrature rule, so --rule is no flag, the
-    # settings are flags only, so --config is none either, and --theta is
-    # the one spelling of theta
+    # settings are flags only, so --config is none either, --theta is the
+    # one spelling of theta, and times are in units of the inverse
+    # coupling, so --kappa is none
     for argv in ([], ["--alpha", "4"], ["simulate"], ["series", "check"],
                  ["series", "--rule", "bode"], ["series", "--no-such-flag"],
-                 ["series", "--config", "x.cfg"],
+                 ["series", "--config", "x.cfg"], ["series", "--kappa", "1"],
                  ["thermal", "--beta-epsilon", "8"], ["series", "--alpha", "abc"],
                  ["series", "--t-steps", "1e1"],
                  ["series", "--precision", "turbo"]):
@@ -586,6 +587,17 @@ def test_the_parser_takes_one_of_four_commands(capsys):
             main(argv)
         assert stop.value.code == 2, argv
         assert "error:" in capsys.readouterr().err
+
+
+def test_no_csv_header_names_the_coupling(tmp_path):
+    # times and the detuning are in units of the coupling: no line sets it
+    for command in ("series", "integrals", "thermal"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--t-end", "1", "--t-steps", "1", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        meta = _read_csv(out)[0]
+        assert list(meta)[:3] == ["command", "alpha", "delta_omega"], command
+        assert "kappa" not in meta, command
 
 
 def test_a_unique_flag_prefix_is_its_flag(tmp_path):
@@ -601,7 +613,6 @@ def test_invalid_params_exit2(capsys):
     assert main(["series", "--t-start", "5", "--t-end", "1"]) == 2
     assert main(["series", "--t-start", "1", "--t-end", "1.0000000000000002",
                  "--t-steps", "4"]) == 2
-    assert main(["series", "--alpha", "4", "--kappa", "0"]) == 2
     # the default x_max = 100 does not cover the Poisson tail at alpha = 8
     assert main(["integrals", "--alpha", "8", "--t-steps", "1",
                  "--jobs", "1"]) == 2
@@ -609,7 +620,7 @@ def test_invalid_params_exit2(capsys):
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
     assert main(["series", "--alpha", "4", "--t-steps", "2", "--jobs", "-1"]) == 2
     assert main(["check", "--alpha", "4", "--jobs", "-3"]) == 2
-    # alpha^2 and c = (delta_omega / 2 kappa)^2 overflow a double
+    # alpha^2 and c = (delta_omega / 2)^2 overflow a double
     for command in ("series", "integrals"):
         for flag in ("--alpha", "--delta-omega"):
             assert main([command, flag, "1e200", "--t-steps", "1",
@@ -624,6 +635,29 @@ def test_invalid_params_exit2(capsys):
         "error: alpha = 27.0 takes the line integral past the double range: "
         "the integral form holds |alpha| <= 26.6157; use the series form\n")
     assert main(["series", "--out", os.devnull] + wide) == 0
+    # so are grid flags past the weights' double range, whatever alpha is,
+    # without a numpy warning: ln Gamma(x + 1) overflows from x = 2.56e305,
+    # and 1/Gamma(1 + iy) times its Jacobian from y = 452.005; as every
+    # setting, whatever the command
+    for argv, axis, limit in (
+            (["integrals", "--dx", "1e150", "--x-max", "3e305"], "x", "2.55e+305"),
+            (["integrals", "--dx", "1e152", "--x-max", "1e308"], "x", "2.55e+305"),
+            (["integrals", "--alpha", "4", "--y-max", "500"], "y", "452"),
+            (["integrals", "--alpha", "0.5", "--y-max", "452.3"], "y", "452"),
+            (["thermal", "--mode", "integral", "--y-max", "500"], "y", "452"),
+            (["check", "--y-max", "500"], "y", "452"),
+            (["series", "--y-max", "500"], "y", "452")):
+        assert main(argv + ["--t-steps", "2", "--t-end", "1", "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {axis}_max = {float(argv[-1])!r} takes the {axis} weights "
+            f"past the double range: the integral form holds {axis}_max <= "
+            f"{limit}; lower {axis}_max (--{axis}-max)\n"), argv
+    # the largest ones run, at a tiny alpha too, whose 2 x ln|alpha| is -inf
+    for argv in (["--x-max", "2.55e305", "--dx", "1e150"], ["--y-max", "452"],
+                 ["--x-max", "2.55e305", "--dx", "1e150", "--alpha", "1e-200",
+                  "--t-start", "1"]):
+        assert main(["integrals", "--t-steps", "2", "--t-end", "1", "--jobs", "1",
+                     "--out", os.devnull] + argv) == 0, argv
     # so does gamma_tilde^2, which every command refuses by its name
     for command in ("series", "integrals", "thermal", "check"):
         assert main([command, "--gamma-tilde", "1e200", "--t-steps", "2",
@@ -659,7 +693,7 @@ def test_invalid_params_exit2(capsys):
 
 
 def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
-    # T = 1e6 would widen y_max to about 9e10: 1.2e8 nodes per array
+    # t = 1e6 would widen y_max to about 9e10: 1.2e8 nodes per array
     late = ["--t-start", "1e6", "--t-end", "1e6", "--t-steps", "1"]
     for command in (["integrals", "--alpha", "4"],
                     ["integrals", "--alpha", "4", "--delta-omega", "4"],
@@ -669,12 +703,9 @@ def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
             assert "aliased at any y_max" in capsys.readouterr().err
     # a series run integrates nothing in y, so it has nothing to refuse
     assert main(["thermal", "--mode", "series", "--jobs", "1"] + late) == 0
-    # past T of about 1.3e154 the peak overflows: aliased, not a numerical failure
-    for argv in (["integrals", "--alpha", "4", "--t-end", "1e300", "--t-steps", "2"],
-                 ["integrals", "--alpha", "4", "--kappa", "1e300", "--t-end", "3",
-                  "--t-steps", "2"]):
-        assert main(argv) == 2
-        assert "aliased at any y_max" in capsys.readouterr().err
+    # past t of about 1.3e154 the peak overflows: aliased, not a numerical failure
+    assert main(["integrals", "--alpha", "4", "--t-end", "1e300", "--t-steps", "2"]) == 2
+    assert "aliased at any y_max" in capsys.readouterr().err
 
 
 def test_a_grid_past_the_ceiling_is_refused_before_it_is_built(capsys,
@@ -746,6 +777,25 @@ def test_check_passes_on_defaults(capsys):
     # the series and the assembled sigma_z agree to 1e-9 at any alpha
     assert main(["check", "--alpha", "2"]) == 0
     assert "ALL CHECKS PASSED" in capsys.readouterr().out
+
+
+def test_check_names_what_it_skips(capsys):
+    """alpha = 0 has no integral form and the J decomposition is resonant:
+    each item they rule out prints one SKIP line with its reason, and the
+    run still passes on what it measured."""
+    residual = "collapse-window residual |sigma_series - sigma_z|, t in [0, 4pi]"
+    q0 = "Q^(0) equals P_g (integral)"
+    for argv, skipped in (
+            (["--alpha", "0"], [f"SKIP  {residual}: the integral form needs alpha != 0",
+                                f"SKIP  {q0}: the integral form needs alpha != 0"]),
+            (["--delta-omega", "4"],
+             [f"SKIP  {residual}: the J decomposition needs delta_omega = 0"]),
+            ([], [])):
+        assert main(["check"] + argv) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("SKIP")] == skipped, argv
+        assert lines[-1] == "ALL CHECKS PASSED", argv
+        assert len(lines) == 8, argv  # each item PASSes or SKIPs, once
 
 
 def test_check_runs_in_the_kind_of_precision(monkeypatch):

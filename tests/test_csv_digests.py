@@ -23,32 +23,32 @@ T_8PI = repr(8.0 * math.pi)
 RUNS = {
     "integrals, escalating": (
         ["integrals", "--t-start", "15.0", "--t-end", T_8PI, "--t-steps", "16"],
-        "aa357f335914f78fdfa1a9cf871ae125a8468676c34691fa087de6bfbf2a415e"),
+        "5ee40668ad17fa9424260179aa34017b59c8b2ec9d299b071c41e4e035e36377"),
     "integrals, detuned": (
         ["integrals", "--delta-omega", "4", "--t-end", "12.0", "--t-steps", "24"],
-        "2ff767ead027711dc4196b2527b7ba4e63f735f0096b4f36be26bd4ce4c9f787"),
+        "48cd44735dcc83732c53c526fa43ad4bb984b747bae7fde9f16029310165527f"),
     "integrals, extended": (
         ["integrals", "--precision", "extended", "--t-start", "18.0",
          "--t-end", "21.0", "--t-steps", "3"],
-        "67542bf606d83e3a4555f9a4246d6d5245b8bcd5275aea7f1d4259e69171fa34"),
+        "afd9776ac2b9387db22e6179b2eb488b60bdca9892519af68b2db1e7d8583daa"),
     "thermal, integral": (
         ["thermal", "--mode", "integral", "--t-end", T_8PI, "--t-steps", "16"],
-        "14bf0d73d9bcfe2a42f176801cb0506c00950d2fdcf15aead17f140d73a0ff98"),
+        "7d445126510157d37d168b33bc12b5cfbc26bd5edcbad2b8acf880f508f3220e"),
     "thermal, integral, detuned": (
         ["thermal", "--mode", "integral", "--delta-omega", "4", "--t-end", "9.0",
          "--t-steps", "9"],
-        "c257824a61dc4a922b3e9998ea823153628acc36ec3689bf174cba46f66bab3f"),
+        "d9c2ffb1242906b05a1a5108efb7a247a73ea5f642256223e01a9b0b679420c8"),
     "thermal, series": (
         ["thermal", "--mode", "series", "--t-steps", "40"],
-        "fbdbd328af400e41d6eb96de6cb477cfcf546233380b0f8c16b5489d8be09a4f"),
+        "81aa359eec51ba569d87779c81bc8764f7b9c58423dfaba0f73098285a223730"),
     # theta = atanh(e^{-4}), the theta of beta epsilon = 8
     "thermal, beta epsilon 8": (
         ["thermal", "--theta", "0.01831768737184815", "--t-end", "6.0",
          "--t-steps", "12"],
-        "68c69c57e4307bfed6d0316bc4b50238950ace14d0d0ff52ef618b1f7e16d24a"),
+        "74445cd4cc85cf4c0b3b27cf7271cd16619645010a895b864ed6734a58758903"),
     "series": (
         ["series", "--t-steps", "40"],
-        "f3030182f0732029deed9f22beb238ed6f6b7bdca52b7f0c74ad3ca59e9d0756"),
+        "951e55db5b9aa71ca64e966210b3ca1a61bdc1a90fb6792a0c34a539a46717be"),
 }
 
 

@@ -75,13 +75,9 @@ def test_sigma_starts_at_ground_state(cfg4, series200):
 
 def test_two_series_forms_agree_to_1e12(cfg4, series200):
     ts = np.linspace(0.0, 8.0 * math.pi, 300)
-    # kappa != 1 scales the phase by |kappa| instead of folding kappa^2
-    # into the square root
-    for cfg in (cfg4, jc.JcmConfig(alpha=4.0, kappa=0.7),
-                jc.JcmConfig(alpha=4.0, kappa=-1.9)):
-        a = jc.sigma_z_series(ts, cfg, series200)
-        b = jc.sigma_z_series_resonant(ts, cfg, series200)
-        assert np.abs(a - b).max() < 1e-12
+    a = jc.sigma_z_series(ts, cfg4, series200)
+    b = jc.sigma_z_series_resonant(ts, cfg4, series200)
+    assert np.abs(a - b).max() < 1e-12
 
 
 def test_series_rows_do_not_depend_on_the_batch(cfg4, monkeypatch):
@@ -163,7 +159,8 @@ def test_correction_probes_refuse_a_bad_time(t):
             call()
 
 
-@pytest.mark.parametrize("y", [0.0, -0.1, math.nan, math.inf])
+# past y = 112.97 the probe's unfolded e^{2 pi y} - 1 is no double
+@pytest.mark.parametrize("y", [0.0, -0.1, math.nan, math.inf, 113.0, 500.0])
 def test_correction_probe_needs_a_finite_positive_y(y):
     with pytest.raises(ValueError, match="needs a finite y > 0"):
         jc.correction_integrand_probe(_CFG4, 0, 1.0, y)
@@ -244,23 +241,21 @@ def test_envelope_requires_resonance_and_field():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        jc.JcmConfig(alpha=1.0, kappa=0.0)
-    cfg = jc.JcmConfig(alpha=1.0, kappa=2.0, delta_omega=4.0)
-    assert cfg.c == pytest.approx(1.0)
+    assert jc.JcmConfig(alpha=1.0, delta_omega=4.0).c == 4.0
+    # the coupling is the unit of time and detuning, no field
+    with pytest.raises(TypeError):
+        jc.JcmConfig(alpha=1.0, kappa=1.0)
     with pytest.raises(ValueError, match="alpha"):
         jc.JcmConfig(alpha=1e200)
     with pytest.raises(ValueError, match="delta_omega"):
         jc.JcmConfig(alpha=1.0, delta_omega=1e200)
-    with pytest.raises(ValueError, match="delta_omega"):
-        jc.JcmConfig(alpha=1.0, kappa=1e-200, delta_omega=1e200)
     # squares up to the largest double are accepted
     assert math.isfinite(jc.JcmConfig(alpha=1e154, delta_omega=1e154).c)
     assert jc.ThermalConfig(theta=0.025, gamma_tilde=-1e154).gamma_tilde == -1e154
     for gamma_tilde in (1e200, -1e200):
         with pytest.raises(ValueError, match="gamma_tilde"):
             jc.ThermalConfig(theta=0.025, gamma_tilde=gamma_tilde)
-    for name in ("alpha", "kappa", "delta_omega"):
+    for name in ("alpha", "delta_omega"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 jc.JcmConfig(**{"alpha": 1.0, name: value})

@@ -104,12 +104,7 @@ class RunConfig:
         y_spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
                                      step=self.dy, precision_kind=kind)
         for axis, spec in (("x", x_spec), ("y", y_spec)):
-            if spec.upper_limit > jcm._WEIGHT_MAX[axis]:
-                raise ValueError(
-                    f"{axis}_max = {spec.upper_limit!r} takes the {axis} weights "
-                    "past the double range: the integral form holds "
-                    f"{axis}_max <= {jcm._WEIGHT_MAX[axis]:g}; lower {axis}_max "
-                    f"(--{axis}-max)")
+            jcm._require_weight_range(spec, axis)
         return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"
 
     def time_grid(self) -> np.ndarray:
@@ -294,19 +289,12 @@ def cmd_integrals(cfg: RunConfig) -> int:
 
 def cmd_thermal(cfg: RunConfig) -> int:
     t = cfg.time_grid()
-    strength = jcm.perturbative_strength(cfg.jcm_config(), cfg.thermal_config())
-    if strength > jcm.PERTURBATIVE_LIMIT:
-        print(f"warning: perturbative strength {strength:.3g} > "
-              f"{jcm.PERTURBATIVE_LIMIT:g}; the second-order expansion is "
-              "marginal here", file=sys.stderr)
     columns = _chunk_columns(_thermal_chunk, cfg, t)
     _ensure_finite(columns)
     _write_csv(cfg, t, columns)
-    outside = int(jcm._outside_unit_interval(columns["pg_thermal"]).sum())
-    if outside:
-        print(f"warning: thermal P_g left [0, 1] on {outside} of {t.size} "
-              "rows: the perturbative expansion breaks down there",
-              file=sys.stderr)
+    for text in jcm._regime_warnings(cfg.jcm_config(), cfg.thermal_config(),
+                                     columns["pg_thermal"]):
+        print(f"warning: {text}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -344,13 +332,9 @@ def cmd_check(cfg: RunConfig) -> int:
                                     escalation=escalation)
         report(residual, float(np.abs(sigma - prof["sigma_z"]).max()), 1.0e-8)
 
-    worst = 0.0
-    for c_val in (0.0, 1.0, 4.0):
-        for l in (0, 1, 2):
-            for t in (0.5, 1.0, 2.0):
-                probe = jcm.JcmConfig(alpha=jcfg.alpha if jcfg.alpha else 4.0,
-                                      delta_omega=2.0 * math.sqrt(c_val))
-                worst = max(worst, _origin_limit_residual(probe, l, t))
+    worst = max(_origin_limit_residual(jcm.JcmConfig(
+        alpha=jcfg.alpha or 4.0, delta_omega=2.0 * math.sqrt(c_val)), l, t)
+        for c_val in (0.0, 1.0, 4.0) for l in (0, 1, 2) for t in (0.5, 1.0, 2.0))
     report("correction integrand y->0 limits vs Richardson", worst, 1e-6)
 
     t_probe = 1.3

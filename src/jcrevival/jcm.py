@@ -128,6 +128,19 @@ def perturbative_strength(cfg: JcmConfig, thermal: ThermalConfig) -> float:
     return thermal.theta ** 2 * (4.0 * thermal.gamma_tilde ** 2 + 1.0) * cfg.alpha ** 2
 
 
+def _regime_warnings(cfg: JcmConfig, thermal: ThermalConfig, pg):
+    """Yield the regime and [0, 1]-breakdown warnings of a thermal P_g pg."""
+    strength = perturbative_strength(cfg, thermal)
+    if strength > PERTURBATIVE_LIMIT:
+        yield (f"perturbative strength theta^2 (4 gamma_tilde^2 + 1) alpha^2 = "
+               f"{strength:.3g} > {PERTURBATIVE_LIMIT:g}: outside the reliable "
+               "second-order regime")
+    outside = int(_outside_unit_interval(pg).sum())
+    if outside:
+        yield (f"thermal P_g left [0, 1] on {outside} of {np.size(pg)} rows: "
+               "the perturbative expansion breaks down there")
+
+
 def _p2_coefficients(cfg: JcmConfig, thermal: ThermalConfig):
     """(c0, c1, c2) of P2 = c0 P_g - c1 Q^(1) + c2 Q^(2); a ValueError
     where they, or the sum that bounds |P2|, overflow a double."""
@@ -327,16 +340,26 @@ def _sqrt_grid(spec: QuadratureSpec, axis: str):
     holding x = v^2 as its abscissae, and the Jacobian dx/dv, in its kind.
     In v, cos(2 sqrt(x) t) has the uniform wavelength pi/t and the weights
     decay like a Gaussian (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
-    grid of more than 2^20 + 1 nodes is refused before it is built; axis
-    ("x" or "y") names the flags that size it."""
+    grid of over 2^20 + 1 nodes or past the weights' range is refused
+    before it is built; axis ("x" or "y") names the flags that size it."""
     v_max = math.sqrt(spec.upper_limit)
     if v_max / spec.step > _MAX_INTERVALS:
         raise ValueError(f"the {axis} grid would hold {v_max / spec.step:.3g} "
                          "nodes, more than 2^20 + 1; lower "
                          f"{axis}_max (--{axis}-max) or raise the step (--d{axis})")
+    _require_weight_range(spec, axis)
     grid = quadrature.build_grid(0.0, v_max, spec)
     v = grid.x
     return dataclasses.replace(grid, x=v * v), v * 2.0
+
+
+def _require_weight_range(spec: QuadratureSpec, axis: str):
+    """Refuse a spec whose axis ("x" or "y") weights leave the double range."""
+    if spec.upper_limit > _WEIGHT_MAX[axis]:
+        raise ValueError(
+            f"{axis}_max = {spec.upper_limit!r} takes the {axis} weights past "
+            f"the double range: the integral form holds {axis}_max <= "
+            f"{_WEIGHT_MAX[axis]:g}; lower {axis}_max (--{axis}-max)")
 
 
 def _require_positive_alpha(alpha: float):
@@ -470,28 +493,26 @@ def correction_origin(cfg: JcmConfig, l: int, t: float,
                       j_form: bool = False) -> float:
     """y -> 0 limit of the correction integrand.
 
-    The 0/0 at the origin resolves to (B(0) (2 ln|a| + gamma) + B'(0))/(2 pi)
-    where B is the trigonometric bracket continued in iy; the three shapes
-    below cover the resonant cos form, the degenerate c = l = 0 bracket and
-    the general shifted bracket.  Cross-validated against Richardson
-    extrapolation of the sampled integrand in the tests and in `check`.
+    The 0/0 at the origin resolves to (B (2 ln|a| + gamma) + B')/(2 pi), B
+    and B' the value and s-derivative at s0 = c + l of the families' bracket
+    b0 + b1 cos(2 t sqrt(s)), (b0, b1) of _double_angle, at s = s0 + iy.
+    Cross-validated against Richardson extrapolation in the tests and `check`.
     """
     _require_index(l)
     _require_positive_alpha(cfg.alpha)
     t = _time(t)
     base = 2.0 * math.log(abs(cfg.alpha)) + EULER_GAMMA
-    if j_form:
-        return (base - 2.0 * t * t) / (2.0 * math.pi)
     s0 = cfg.c + float(l)
-    if s0 == 0.0:
-        return (base - t * t) / (2.0 * math.pi)
-    rt = math.sqrt(s0)
-    sin_sq = math.sin(rt * t) ** 2
-    sin_two = math.sin(2.0 * rt * t)
-    b_zero = math.cos(rt * t) ** 2 + (cfg.c / s0) * sin_sq
-    b_prime = ((cfg.c / s0 - 1.0) * (t / (2.0 * rt)) * sin_two
-               - (cfg.c / (s0 * s0)) * sin_sq)
-    return (b_zero * base + b_prime) / (2.0 * math.pi)
+    b0, b1 = _double_angle(s0, cfg.c, j_form)
+    phase = 2.0 * t * math.sqrt(s0)
+    db0, slope = 0.0, -2.0 * t * t  # their limits at s0 = 0, where c = l = 0
+    if s0 > 0.0:  # b0' by a complex step; slope = d/ds cos(2 t sqrt(s))
+        h = s0 * 2.0 ** -40
+        db0 = _double_angle(complex(s0, h), cfg.c, j_form)[0].imag / h
+        slope = -t * math.sin(phase) / math.sqrt(s0)
+    # b0 + b1 = 1 in either form: B' = b0' (1 - cos) + b1 slope
+    b_prime = 2.0 * db0 * math.sin(0.5 * phase) ** 2 + b1 * slope
+    return ((b0 + b1 * math.cos(phase)) * base + b_prime) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +596,23 @@ def _peak_aware(spec: QuadratureSpec, t: float, s: float) -> QuadratureSpec:
 
     The folded envelope exp(2 t q - (3/2) pi y) peaks near y* = 2 t^2/(9 pi^2);
     four times that, widened to a whole v-step, keeps the tail negligible.
-    A widened grid is refused, before it is built, when the phase
-    2 t Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or more
-    over its last v-step: the row is aliased at any truncation.  So is a
-    row whose peak lies past every double (t beyond about 1.3e154).  A
+    A widened grid is refused, before it is built, past the y weights'
+    double range (_WEIGHT_MAX; t beyond about 70.84), and then when the
+    phase 2 t Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or
+    more over its last v-step: the row is aliased at any truncation.  A
     banded spec is checked at h, its rows' step past 4 pi.
     """
     need = 4.0 * 2.0 * t * t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
-    turn, step = math.inf, spec.step or _BAND_H
-    if math.isfinite(need):
-        v_max = math.ceil(math.sqrt(need) / step) * step
-        turn = 2.0 * t * (complex(s, v_max ** 2) ** 0.5 -
-                              complex(s, (v_max - step) ** 2) ** 0.5).real
+    step, y_top = spec.step or _BAND_H, _WEIGHT_MAX["y"]
+    v_max = math.ceil(math.sqrt(need) / step) * step if need <= y_top else math.inf
+    if v_max * v_max > y_top:
+        raise ValueError(f"t = {t:g} widens the y grid past the weights' double range: "
+                         f"the integral form holds y_max <= {y_top:g}, reached at t = "
+                         f"{math.pi * math.sqrt(1.125 * y_top):.4g}; lower t (--t-end)")
+    turn = 2.0 * t * (complex(s, v_max ** 2) ** 0.5 -
+                      complex(s, (v_max - step) ** 2) ** 0.5).real
     if not turn < math.pi:
         raise ValueError(f"t = {t:g} turns the correction phase by "
                          f"{turn:.3g} rad over a v-step of {step:g}, "
@@ -746,11 +770,8 @@ def _thermal_terms(t_arr: np.ndarray, cfg: JcmConfig, thermal: ThermalConfig,
                    mode: Mode, series_spec: SeriesSpec, x_spec: QuadratureSpec,
                    y_spec: QuadratureSpec, escalation: Escalation):
     """(P1, P2, thermal P_g) over the 1-d times t_arr, from one evaluation
-    of each needed Q^(l).
-
-    The brackets Q^(0) = P_g, Q^(1) and, for gamma_tilde != 0, Q^(2) are
-    evaluated in turn.  Nothing here warns; callers report the regime.
-    """
+    of each needed bracket: Q^(0) = P_g, Q^(1) and, for gamma_tilde != 0,
+    Q^(2).  Nothing here warns; callers report _regime_warnings."""
     c0, c1, c2 = _p2_coefficients(cfg, thermal)
     q_args = (cfg, mode, series_spec, x_spec, y_spec, escalation)
     g = thermal.gamma_tilde
@@ -808,18 +829,12 @@ def pg_thermal(t, cfg: JcmConfig, thermal: ThermalConfig,
                escalation: Escalation = "raise"):
     """Thermal ground-state probability to second order in theta.
 
-    P_g + theta P1 + (theta^2/2) P2.  Warns (but still returns) when the
-    result leaves [0, 1] or the parameters sit outside the perturbative
-    regime: that signals expansion breakdown, not a numerical bug.
+    P_g + theta P1 + (theta^2/2) P2.  Warns (_regime_warnings), but still
+    returns, when the result leaves [0, 1] or the parameters sit outside
+    the perturbative regime: expansion breakdown, not a numerical bug.
     """
-    if perturbative_strength(cfg, thermal) > PERTURBATIVE_LIMIT:
-        warnings.warn(
-            f"theta^2 (4 gamma_tilde^2 + 1) alpha^2 > {PERTURBATIVE_LIMIT:g}: "
-            "outside the reliable second-order regime",
-            PerturbativeRegimeWarning, stacklevel=2)
     out = _rows(t, lambda t_arr: _thermal_terms(
         t_arr, cfg, thermal, mode, series_spec, x_spec, y_spec, escalation)[2])
-    if np.any(_outside_unit_interval(out)):
-        warnings.warn("thermal P_g left [0, 1]: perturbative breakdown",
-                      PerturbativeRegimeWarning, stacklevel=2)
+    for text in _regime_warnings(cfg, thermal, out):
+        warnings.warn(text, PerturbativeRegimeWarning, stacklevel=2)
     return out

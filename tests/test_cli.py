@@ -140,8 +140,12 @@ def test_thermal_refuses_over_budget_rows(tmp_path, capsys, precision):
             in capsys.readouterr().err)
 
 
-def test_non_finite_integrand_exit3(tmp_path, capsys):
-    # IntegrandError subclasses ValueError but is a numerical failure
+def test_non_finite_integrand_exit3(tmp_path, capsys, monkeypatch):
+    # IntegrandError subclasses ValueError but is a numerical failure.  The
+    # row at t = 100 widens y past the weights' double range, a usage error;
+    # with that range widened here, its e^{2 t q} overflows the standard
+    # kind at y = 40.9 instead
+    monkeypatch.setitem(jc.jcm._WEIGHT_MAX, "y", 1000.0)
     rc = main(["integrals", "--alpha", "4", "--precision", "standard",
                "--t-start", "100", "--t-end", "100", "--t-steps", "1",
                "--dx", "1e-2", "--dy", "1e-2", "--jobs", "1",
@@ -693,19 +697,40 @@ def test_invalid_params_exit2(capsys):
 
 
 def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
-    # t = 1e6 would widen y_max to about 9e10: 1.2e8 nodes per array
-    late = ["--t-start", "1e6", "--t-end", "1e6", "--t-steps", "1"]
+    # t = 30 widens y_max 10 to 9.2^2, whose last v-step of 0.2 turns the
+    # phase by 8.49 rad; t = 1e6 would widen it to about 9e10 (1.2e8 nodes
+    # per array), past the y weights' double range
+    aliased = ["--y-max", "10", "--dy", "0.2", "--t-start", "30", "--t-end", "30"]
+    late = ["--t-start", "1e6", "--t-end", "1e6"]
     for command in (["integrals", "--alpha", "4"],
                     ["integrals", "--alpha", "4", "--delta-omega", "4"],
                     ["thermal", "--mode", "integral"]):
         for jobs in ("1", "2"):
-            assert main(command + late + ["--jobs", jobs]) == 2
-            assert "aliased at any y_max" in capsys.readouterr().err
+            for times, message in ((aliased, "aliased at any y_max"),
+                                   (late, "t = 1e+06 widens the y grid past")):
+                assert main(command + times + ["--t-steps", "1", "--jobs", jobs]) == 2
+                assert message in capsys.readouterr().err
     # a series run integrates nothing in y, so it has nothing to refuse
-    assert main(["thermal", "--mode", "series", "--jobs", "1"] + late) == 0
-    # past t of about 1.3e154 the peak overflows: aliased, not a numerical failure
+    assert main(["thermal", "--mode", "series", "--jobs", "1", "--t-steps", "1"]
+                + late) == 0
+    # a peak past every double (t beyond about 1.3e154) is refused the same way
     assert main(["integrals", "--alpha", "4", "--t-end", "1e300", "--t-steps", "2"]) == 2
-    assert "aliased at any y_max" in capsys.readouterr().err
+    assert "t = 1e+300 widens the y grid past" in capsys.readouterr().err
+
+
+def test_a_row_past_the_weights_range_is_refused_in_one_line(capsys, monkeypatch):
+    # from t of about 70.84 the widened y grid passes y = 452, where the y
+    # weights leave the double range: the whole run is refused before a row
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # --jobs 2 forks
+    for jobs in ("1", "2"):
+        assert main(["integrals", "--alpha", "4", "--t-end", "80", "--t-steps", "10",
+                     "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: t = 80 widens the y grid past the weights' double range: the "
+            "integral form holds y_max <= 452, reached at t = 70.84; lower t "
+            "(--t-end)\n"), jobs
 
 
 def test_a_grid_past_the_ceiling_is_refused_before_it_is_built(capsys,

@@ -1,12 +1,13 @@
 """Reduced runs of every command write the bytes recorded here.
 
 At a fixed spec the CSV bytes stay the same.  Each run below takes one
-path: resonant rows that escalate, detuned rows, the thermal corrections by
-integral (resonant and detuned) and by series, the series, and the
-extended kind from the start.  A change that moves one bit of any column
-on any of them fails here, at --jobs 1 and at --jobs 2.  A change that
-moves bits on purpose updates the table in the same commit and gives each
-moved digest's measured maximum deviation in CHANGES.md.
+path: resonant rows that escalate, rows on a widened y grid, detuned rows,
+the thermal corrections by integral (resonant and detuned) and by series,
+the series, and the extended kind from the start.  A change that moves
+one bit of any column on any of them fails here, at --jobs 1 and at
+--jobs 2.  A change that moves bits on purpose updates the table in the
+same commit and gives each moved digest's measured maximum deviation in
+CHANGES.md.
 """
 
 import hashlib
@@ -24,6 +25,11 @@ RUNS = {
     "integrals, escalating": (
         ["integrals", "--t-start", "15.0", "--t-end", T_8PI, "--t-steps", "16"],
         "5ee40668ad17fa9424260179aa34017b59c8b2ec9d299b071c41e4e035e36377"),
+    # the last rows widen the y grid past --y-max (jcm._peak_aware)
+    "integrals, widened y": (
+        ["integrals", "--alpha", "4", "--y-max", "20", "--t-end", "18.85",
+         "--t-steps", "8"],
+        "98f9b17bc27f8006cd81efa0ca168fe3653a2f1a7a5ffd9084a792ef3e6ff2b1"),
     "integrals, detuned": (
         ["integrals", "--delta-omega", "4", "--t-end", "12.0", "--t-steps", "24"],
         "48cd44735dcc83732c53c526fa43ad4bb984b747bae7fde9f16029310165527f"),

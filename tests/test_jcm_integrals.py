@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,10 +30,12 @@ def _richardson_origin(cfg, l, t, j_form=False, h=1e-4):
 @pytest.mark.parametrize("l", [0, 1, 2])
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_origin_limits_match_richardson(c, l, t):
+    # the J form's cos(2 t sqrt(c + l + iy)) too, whose limit reads c and l
     cfg = jc.JcmConfig(alpha=4.0, delta_omega=2.0 * math.sqrt(c))
-    analytic = jc.correction_origin(cfg, l, t)
-    extrapolated = _richardson_origin(cfg, l, t)
-    assert abs(extrapolated - analytic) <= 1e-6 * max(abs(analytic), 1e-12)
+    for j_form in (False, True):
+        analytic = jc.correction_origin(cfg, l, t, j_form)
+        extrapolated = _richardson_origin(cfg, l, t, j_form)
+        assert abs(extrapolated - analytic) <= 1e-6 * max(abs(analytic), 1e-12), j_form
 
 
 def test_origin_limit_j_form_quoted_formula(cfg4):
@@ -378,14 +381,18 @@ def test_peak_aware_truncation_extends_grid(cfg4):
 
 def test_peak_aware_refuses_an_aliased_widening(cfg4, cfg4_detuned):
     # at s = 0 the phase 2 T Re sqrt(i v^2) turns by sqrt(2) T dv a v-step:
-    # pi from T = pi / (sqrt(2) 0.0025) = 888.6 on the default grid
-    assert jc.jcm._peak_aware(Y, 888.0, 0.0).upper_limit > 7e4
+    # pi from T = pi / (sqrt(2) 0.2) = 11.1 on a grid of step 0.2
+    coarse = dataclasses.replace(Y, upper_limit=10.0, step=0.2)
+    assert jc.jcm._peak_aware(coarse, 11.0, 0.0).upper_limit == pytest.approx(3.4 ** 2)
     for s in (0.0, 4.0):
         with pytest.raises(ValueError, match="aliased at any y_max"):
-            jc.jcm._peak_aware(Y, 890.0, s)
-    # past T of about 1.3e154 the peak itself overflows a double
-    for big_t in (1e155, 1e300, math.inf):
-        with pytest.raises(ValueError, match="aliased at any y_max"):
+            jc.jcm._peak_aware(coarse, 30.0, s)
+    # a widening past the y weights' double range (y_max 452, from T of
+    # about 70.84) is refused first, naming T, up to a peak past every double
+    assert jc.jcm._peak_aware(Y, 70.8, 0.0).upper_limit < 452.0
+    for big_t in (70.85, 890.0, 1e155, 1e300, math.inf):
+        with pytest.raises(ValueError, match="^" + re.escape(f"t = {big_t:g} widens "
+                           "the y grid past the weights' double range")):
             jc.jcm._peak_aware(Y, big_t, 0.0)
     # a grid wide enough already is not widened, so not refused
     wide = dataclasses.replace(Y, upper_limit=1e5)
@@ -394,10 +401,32 @@ def test_peak_aware_refuses_an_aliased_widening(cfg4, cfg4_detuned):
 
 def test_entries_refuse_an_aliased_row_before_its_grid(cfg4, cfg4_detuned,
                                                        no_large_grids):
-    for call in (lambda: jc.j2_integral(1e6, cfg4),
-                 lambda: jc.resonant_profile([1e6], cfg4, escalation="ignore"),
-                 lambda: jc.q_g(2, 1e6, cfg4_detuned, "integral")):
-        with pytest.raises(ValueError, match="aliased at any y_max"):
+    coarse = dataclasses.replace(Y, upper_limit=10.0, step=0.2)
+    for t, spec, message in ((30.0, coarse, "aliased at any y_max"),
+                             (1e6, jc.BANDED_Y_SPEC, "widens the y grid past")):
+        for call in (lambda: jc.j2_integral(t, cfg4, spec),
+                     lambda: jc.resonant_profile([t], cfg4, y_spec=spec,
+                                                 escalation="ignore"),
+                     lambda: jc.q_g(2, t, cfg4_detuned, "integral", y_spec=spec)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_a_grid_past_the_weights_range_is_refused_before_it_is_built(cfg4):
+    # the y weights leave the double range from y = 452.005, ln Gamma(x + 1)
+    # from x = 2.56e305: a grid past either, given or widened from a late
+    # row, is refused before it is built, not met as a non-finite sample
+    wide_y = dataclasses.replace(jc.BANDED_Y_SPEC, upper_limit=500.0)
+    wide_x = dataclasses.replace(jc.BANDED_X_SPEC, upper_limit=3e305, step=1e150)
+    for call, message in (
+            (lambda: jc.resonant_profile([1.0], cfg4, y_spec=wide_y),
+             r"^y_max = 500.0 takes the y weights past the double range"),
+            (lambda: jc.resonant_profile([1.0], cfg4, x_spec=wide_x),
+             r"^x_max = 3e\+305 takes the x weights past the double range"),
+            (lambda: jc.resonant_profile([80.0], cfg4, escalation="escalate"),
+             r"^t = 80 widens the y grid past the weights' double range: the "
+             r"integral form holds y_max <= 452, reached at t = 70\.84")):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
@@ -741,7 +770,9 @@ def test_perturbative_regime_warning(series200):
     hot = jc.ThermalConfig(theta=0.9, gamma_tilde=1.0)
     with pytest.warns(jc.PerturbativeRegimeWarning) as caught:
         jc.pg_thermal(np.linspace(0.0, 3.0, 4), cfg, hot, "series", series200)
-    assert "thermal P_g left [0, 1]" in [str(w.message).split(":")[0] for w in caught]
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "perturbative strength theta^2 (4 gamma_tilde^2 + 1) alpha^2 = 64.8 > 0.5",
+        "thermal P_g left [0, 1] on 4 of 4 rows"]
 
 
 def test_an_overflowing_p2_is_refused_without_a_warning(series200):

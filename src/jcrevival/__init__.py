@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("CDD", "DD"), "ddmath"),
     **dict.fromkeys(("IntegrandError", "PrecisionLossError"), "errors"),
     **dict.fromkeys((
         "BANDED_X_SPEC", "BANDED_Y_SPEC", "DEFAULT_X_SPEC", "DEFAULT_Y_SPEC",

@@ -21,8 +21,10 @@ function schemes of the QD library (Hida, Li & Bailey, ARITH-15, 2001):
 
 Nothing here is adaptive: a given input shape and value always executes the
 same sequence of floating-point operations, so results are bit-reproducible.
-Only the extended kind calls into this module: a standard-kind run makes
-no call here, and sums of either kind are ``special.compensated_sum``'s.
+Only the extended kind calls into this module, on the finite values of the
+correction integrand: the complex kernels take finite parts only, and exp,
+log, sqrt and sincos give numpy's values at their range edges.  A
+standard-kind run makes no call here; sums are ``special.compensated_sum``'s.
 """
 
 from __future__ import annotations
@@ -203,28 +205,6 @@ def _complex(re, im):
     return w
 
 
-def _numpy_at_infinity(np_fn):
-    """Decorate a complex kernel: lanes where a part of an argument is
-    infinite take np_fn of the leading words, numpy's C99 special cases and
-    all, while the kernel sees 1 there, so that no inf - inf forms.  Without
-    such a lane the kernel runs on the arguments as they are."""
-    def decorate(kernel):
-        @functools.wraps(kernel)
-        def run(*zs):
-            zs = [CDD.coerce(z) for z in zs]
-            inf = functools.reduce(np.logical_or, [
-                np.isinf(p.hi) for z in zs for p in (z.re, z.im)])
-            if not np.any(inf):
-                return kernel(*zs)
-            out = kernel(*(CDD(where(inf, 1.0, z.re), where(inf, 0.0, z.im))
-                           for z in zs))
-            with np.errstate(all="ignore"):
-                v = np_fn(*(_complex(z.re.hi, z.im.hi) for z in zs))
-            return CDD(where(inf, v.real, out.re), where(inf, v.imag, out.im))
-        return run
-    return decorate
-
-
 class CDD:
     """A complex double-double number (vectorized)."""
 
@@ -284,8 +264,8 @@ class CDD:
 
     __rmul__ = __mul__
 
-    @_numpy_at_infinity(np.divide)
     def __truediv__(self, other):
+        other = self.coerce(other)
         # z / w = z conj(w') / |w'|^2 2^-k with w' = w 2^-k
         re, im, d, k = _square_sum(other.re, other.im)
         q = CDD((self.re * re + self.im * im) / d, (self.im * re - self.re * im) / d)
@@ -496,28 +476,25 @@ def atan2(y: DD, x: DD) -> DD:
 def _square_sum(x: DD, y: DD):
     """(x 2^-k, y 2^-k, the sum of their squares, k).  In lanes whose
     leading words lie outside _SQUARE_SAFE, k brings max(|x|, |y|) 2^-k
-    into [1/2, 1); elsewhere k is 0.  Lanes with an infinite part come
-    back as zeros, so that no square forms inf - inf.  When no lane needs
-    either, k is None and x and y come back as they are, so in-range calls
-    keep their exact operation sequence."""
-    m = np.fmax(np.abs(x.hi), np.abs(y.hi))  # an infinite part outranks a NaN
+    into [1/2, 1); elsewhere k is 0.  When no lane needs it, k is None and
+    x and y come back as they are, so in-range calls keep their exact
+    operation sequence."""
+    m = np.maximum(np.abs(x.hi), np.abs(y.hi))
     far = (m > _SQUARE_SAFE[1]) | ((m < _SQUARE_SAFE[0]) & (m > 0.0))
     k = np.where(far, np.frexp(m)[1], 0) if np.any(far) else None
     with np.errstate(under="ignore"):
         if k is not None:
-            inf = np.isinf(m)
-            x, y = where(inf, 0.0, x.scale_pow2(-k)), where(inf, 0.0, y.scale_pow2(-k))
+            x, y = x.scale_pow2(-k), y.scale_pow2(-k)
         return x, y, x * x + y * y, k
 
 
 def hypot(x: DD, y: DD) -> DD:
-    """sqrt(x^2 + y^2); inf where a part is infinite, as np.hypot gives."""
+    """sqrt(x^2 + y^2)."""
     *_, s, k = _square_sum(x, y)
     if k is None:
         return sqrt(s)
     with np.errstate(under="ignore"):  # a tiny result's low word may be subnormal
-        out = sqrt(s).scale_pow2(k)
-    return where(np.isinf(x.hi) | np.isinf(y.hi), np.inf, out)
+        return sqrt(s).scale_pow2(k)
 
 
 def cexp(z: CDD) -> CDD:
@@ -529,7 +506,6 @@ def cexp(z: CDD) -> CDD:
     return CDD(r * c, where(real, z.im, where(real, 1.0, r) * s))
 
 
-@_numpy_at_infinity(np.log)
 def clog(z: CDD) -> CDD:
     *_, s, k = _square_sum(z.re, z.im)
     log_r = log(s).scale_pow2(-1)
@@ -538,7 +514,6 @@ def clog(z: CDD) -> CDD:
     return CDD(log_r, atan2(z.im, z.re))
 
 
-@_numpy_at_infinity(np.sqrt)
 def csqrt(z: CDD) -> CDD:
     """Principal square root: branch cut on the negative real axis.  As in
     atan2, a term that underflows is below what the pair can hold."""

@@ -343,14 +343,19 @@ def _sqrt_grid(spec: QuadratureSpec, axis: str):
     grid of over 2^20 + 1 nodes or past the weights' range is refused
     before it is built; axis ("x" or "y") names the flags that size it."""
     v_max = math.sqrt(spec.upper_limit)
-    if v_max / spec.step > _MAX_INTERVALS:
-        raise ValueError(f"the {axis} grid would hold {v_max / spec.step:.3g} "
-                         "nodes, more than 2^20 + 1; lower "
-                         f"{axis}_max (--{axis}-max) or raise the step (--d{axis})")
+    _require_node_ceiling(v_max / spec.step, axis)
     _require_weight_range(spec, axis)
     grid = quadrature.build_grid(0.0, v_max, spec)
     v = grid.x
     return dataclasses.replace(grid, x=v * v), v * 2.0
+
+
+def _require_node_ceiling(intervals: float, axis: str):
+    """Refuse an axis ("x" or "y") grid of over 2^20 + 1 nodes."""
+    if intervals > _MAX_INTERVALS:
+        raise ValueError(f"the {axis} grid would hold {intervals:.3g} "
+                         "nodes, more than 2^20 + 1; lower "
+                         f"{axis}_max (--{axis}-max) or raise the step (--d{axis})")
 
 
 def _require_weight_range(spec: QuadratureSpec, axis: str):
@@ -596,17 +601,19 @@ def _peak_aware(spec: QuadratureSpec, t: float, s: float) -> QuadratureSpec:
 
     The folded envelope exp(2 t q - (3/2) pi y) peaks near y* = 2 t^2/(9 pi^2);
     four times that, widened to a whole v-step, keeps the tail negligible.
-    A widened grid is refused, before it is built, past the y weights'
-    double range (_WEIGHT_MAX; t beyond about 70.84), and then when the
-    phase 2 t Re sqrt(s + i v^2) of the bracket at s = c + l turns by pi or
-    more over its last v-step: the row is aliased at any truncation.  A
-    banded spec is checked at h, its rows' step past 4 pi.
+    A widened grid is refused, before it is built, past the node ceiling
+    or the y weights' double range (_WEIGHT_MAX; t beyond about 70.84), and
+    then when the phase 2 t Re sqrt(s + i v^2) of the bracket at s = c + l
+    turns by pi or more over its last v-step: the row is aliased at any
+    truncation.  A banded spec is checked at h, its rows' step past 4 pi.
     """
     need = 4.0 * 2.0 * t * t / (9.0 * math.pi ** 2)
     if need <= spec.upper_limit:
         return spec
     step, y_top = spec.step or _BAND_H, _WEIGHT_MAX["y"]
-    v_max = math.ceil(math.sqrt(need) / step) * step if need <= y_top else math.inf
+    intervals = math.sqrt(min(need, y_top)) / step
+    _require_node_ceiling(intervals, "y")
+    v_max = math.ceil(intervals) * step if need <= y_top else math.inf
     if v_max * v_max > y_top:
         raise ValueError(f"t = {t:g} widens the y grid past the weights' double range: "
                          f"the integral form holds y_max <= {y_top:g}, reached at t = "

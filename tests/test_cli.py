@@ -736,12 +736,20 @@ def test_a_row_past_the_weights_range_is_refused_in_one_line(capsys, monkeypatch
 def test_a_grid_past_the_ceiling_is_refused_before_it_is_built(capsys,
                                                                no_large_grids):
     # a wide --y-max skips the widening, and its aliasing refusal, entirely
-    for argv, flag in (
-            (["--t-start", "1e6", "--t-end", "1e6", "--y-max", "9.1e10"], "--y-max"),
-            (["--dx", "1e-8", "--t-end", "1"], "--dx")):
+    # (past y = 452 the weights' range refuses it); a widened grid meets the
+    # node ceiling before its node count is rounded, even one past every double
+    ceiling = "would hold"
+    for argv, flag, text in (
+            (["--t-start", "1e6", "--t-end", "1e6", "--y-max", "9.1e10"], "--y-max",
+             "weights past the double range"),
+            (["--dx", "1e-8", "--t-end", "1"], "--dx", ceiling),
+            (["--dy", "1e-9", "--t-end", "1"], "--dy", ceiling),
+            (["--y-max", "10", "--dy", "1e-310", "--t-start", "20", "--t-end", "20"],
+             "--dy", ceiling)):
         assert main(["integrals", "--alpha", "4", "--t-steps", "1",
                      "--jobs", "1"] + argv) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and text in err, argv
     # n_max sizes the series' (rows x terms) arrays the same way
     assert main(["series", "--alpha", "4", "--t-start", "3", "--t-end", "3",
                  "--t-steps", "1", "--n-max", str(2 ** 20 + 1)]) == 2
@@ -884,3 +892,8 @@ def test_public_names_resolve():
     # `from jcrevival import *`
     assert len(jc.__all__) == len(set(jc.__all__))
     assert [name for name in jc.__all__ if not hasattr(jc, name)] == []
+    # the double-double types are the extended kind's, in jcrevival.ddmath
+    assert {"DD", "CDD"}.isdisjoint(jc.__all__)
+    for name in ("DD", "CDD"):
+        with pytest.raises(AttributeError):
+            getattr(jc, name)

@@ -3,11 +3,11 @@
 At a fixed spec the CSV bytes stay the same.  Each run below takes one
 path: resonant rows that escalate, rows on a widened y grid, detuned rows,
 the thermal corrections by integral (resonant and detuned) and by series,
-the series, and the extended kind from the start.  A change that moves
-one bit of any column on any of them fails here, at --jobs 1 and at
---jobs 2.  A change that moves bits on purpose updates the table in the
-same commit and gives each moved digest's measured maximum deviation in
-CHANGES.md.
+the series, and the extended kind from the start; the benchmark's three
+windows run at full size.  A change that moves one bit of any column on
+any of them fails here, at --jobs 1 and at --jobs 2.  A change that moves
+bits on purpose updates the table in the same commit and gives each moved
+digest's measured maximum deviation in CHANGES.md.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ import pytest
 from jcrevival import cli
 from jcrevival.cli import main
 
-T_8PI = repr(8.0 * math.pi)
+T_4PI, T_8PI = repr(4.0 * math.pi), repr(8.0 * math.pi)
 
 # name -> (argv, sha256 of its CSV)
 RUNS = {
@@ -55,6 +55,26 @@ RUNS = {
     "series": (
         ["series", "--t-steps", "40"],
         "951e55db5b9aa71ca64e966210b3ca1a61bdc1a90fb6792a0c34a539a46717be"),
+    # the benchmark's three windows at t_start = 0 (bench/run.py), whose
+    # rows' rounding sets its sigma_err_max
+    "bench collapse": (
+        ["integrals", "--alpha", "4.0", "--precision", "auto", "--t-start", "0.0",
+         "--t-end", T_4PI, "--t-steps", "100"],
+        "216073effbc11dc939a4511d58764696c119b4130b6a4dcc9219f50b6c4a3d14"),
+    "bench revival": (
+        ["integrals", "--alpha", "4.0", "--precision", "auto", "--t-start", "0.0",
+         "--t-end", T_8PI, "--t-steps", "50"],
+        "283ee9f0b1d687e5e6ff0d92b394ef4286abcf01432071203b7025ee661a97ce"),
+    "bench thermal": (
+        ["thermal", "--alpha", "4.0", "--delta-omega", "4.0", "--gamma-tilde", "1.0",
+         "--theta", "0.025", "--mode", "integral", "--t-start", "0.0",
+         "--t-end", T_4PI, "--t-steps", "10"],
+        "2f27700812d4e6e229bea7bd8880ee892649c05ed25f295e7e7d89df899420ef"),
+    # the extended kind up to the y weights' range
+    "integrals, extended to y = 452": (
+        ["integrals", "--alpha", "4", "--y-max", "452", "--precision", "extended",
+         "--t-end", "1", "--t-steps", "2"],
+        "6494fe00c1c6783ff57617c7d7a3d89e6b12a9c548744f854b1b5e4007aa9177"),
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import jcrevival as jc
 from jcrevival import special
+from jcrevival.ddmath import DD
 
 
 def test_pg_is_one_at_t_zero(series200):
@@ -58,13 +59,13 @@ def test_poisson_weights_match_mpmath(alpha, n_max):
     # both kinds, which agree within it, and at real x in the extended kind
     y = np.array([0.05, 0.5, 3.0, 20.0, 99.0])
     std = log_weight(alpha, special.complex_of(0.0, y))
-    ext = log_weight(alpha, special.complex_of(0.0, jc.DD(y))).to_complex()
+    ext = log_weight(alpha, special.complex_of(0.0, DD(y))).to_complex()
     assert np.abs(np.exp(ext - std) - 1.0).max() <= 2e-10
     with mp.workdps(40):
         on_line = [1j * v * two_ln_a - mp.loggamma(1 + 1j * mp.mpf(v)) for v in y]
         on_axis = [v * two_ln_a - mp.loggamma(mp.mpf(v) + 1) for v in x]
         for got, want in ((std, on_line), (ext, on_line),
-                          (log_weight(alpha, jc.DD(x)).to_float(), on_axis)):
+                          (log_weight(alpha, DD(x)).to_float(), on_axis)):
             for g, w in zip(got, want):
                 assert abs(mp.exp(mp.mpc(g) - w) - 1) <= 2e-10, (alpha, g)
 

@@ -56,8 +56,7 @@ class RunConfig:
     delta_omega: float = 0.0
     gamma_tilde: float = 1.0
     theta: float = 0.025
-    n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max
-    x_max: float = jcm.DEFAULT_X_SPEC.upper_limit
+    n_max: int = jcm.DEFAULT_SERIES_SPEC.n_max  # the Fock sum's and x's cutoff
     dx: float | None = None  # a step in sqrt(x); None: the band rule's
     y_max: float = jcm.DEFAULT_Y_SPEC.upper_limit
     dy: float | None = None  # a step in sqrt(y); None: the band rule's
@@ -67,14 +66,16 @@ class RunConfig:
     t_steps: int = 4000
     mode: jcm.Mode = "series"
     out: str | None = None
-    jobs: int = 0  # 0 means all available cores
+    jobs: int = 0  # 0 means every CPU this process may run on
 
     def __post_init__(self):  # every setting is checked whatever the command
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means all cores)")
         # builds, and so checks, both configs and refuses a P2 that overflows
         jcm.perturbative_strength(self.jcm_config(), self.thermal_config())
-        self.series_spec(), self.specs()
+        self.series_spec()  # n_max in [0, 2^20], then past the Poisson tail
+        jcm._require_tail(self.jcm_config(), "n_max", self.n_max, "n_max (--n-max)")
+        self.specs()
         if self.t_steps < 1:
             raise ValueError("t_steps must be >= 1")
         for name in ("t_start", "t_end"):
@@ -95,16 +96,14 @@ class RunConfig:
     def specs(self) -> tuple[QuadratureSpec, QuadratureSpec, jcm.Escalation]:
         """(x spec, y spec, escalation) of the grid flags and --precision,
         the y spec's kind (the line integral is standard-kind only); "auto"
-        computes in the standard kind and escalates past its budget.  An
-        unset --dx or --dy gives a banded spec (jcm._plan).  --x-max and
-        --y-max past the weights' double range are refused."""
+        computes in the standard kind and escalates past its budget.  x runs
+        to n_max; an unset --dx or --dy gives a banded spec (jcm._plan)."""
         kind = "standard" if self.precision == "auto" else self.precision
-        x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC, upper_limit=self.x_max,
-                                     step=self.dx)
+        x_spec = dataclasses.replace(jcm.DEFAULT_X_SPEC,
+                                     upper_limit=float(self.n_max), step=self.dx)
         y_spec = dataclasses.replace(jcm.DEFAULT_Y_SPEC, upper_limit=self.y_max,
                                      step=self.dy, precision_kind=kind)
-        for axis, spec in (("x", x_spec), ("y", y_spec)):
-            jcm._require_weight_range(spec, axis)
+        jcm._require_weight_range(y_spec, "y")
         return x_spec, y_spec, "escalate" if self.precision == "auto" else "ignore"
 
     def time_grid(self) -> np.ndarray:
@@ -162,9 +161,12 @@ def _write_csv(cfg: RunConfig, t: np.ndarray, columns: dict[str, np.ndarray]):
 
 
 def _effective_jobs(cfg: RunConfig, n_samples: int) -> int:
-    """Worker count: at most one per core and one per time sample, and one
-    where the platform cannot fork."""
-    cores = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    """Worker count: at most one per CPU this process may run on and one
+    per time sample, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     return max(1, min(cfg.jobs or cores, cores, n_samples))
 
 
@@ -315,9 +317,15 @@ def cmd_check(cfg: RunConfig) -> int:
         print(f"SKIP  {name}: {reason}")
 
     for alpha in (1.0, 2.0, 3.0, 4.0):
+        identity = f"sum-to-integral identity alpha={alpha:g}"
+        try:  # its line integral runs to n_max, sized for the run's own alpha
+            jcm._require_tail(jcm.JcmConfig(alpha), "n_max", cfg.n_max,
+                              "n_max (--n-max)")
+        except ValueError as exc:
+            skip(identity, str(exc))
+            continue
         lhs, rhs = jcm.abel_plana_identity(alpha, x_spec, y_spec)
-        report(f"sum-to-integral identity alpha={alpha:g}",
-               abs(lhs - rhs) / abs(rhs), 1e-6)
+        report(identity, abs(lhs - rhs) / abs(rhs), 1e-6)
 
     jcfg = cfg.jcm_config()
     no_integral = "the integral form needs alpha != 0" if jcfg.alpha == 0.0 else None

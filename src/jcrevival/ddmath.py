@@ -46,6 +46,8 @@ _SQUARE_SAFE = (2.0 ** -450, 2.0 ** 450)
 TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 LN_SQRT_2PI = (0.9189385332046728, -3.8782941580672414e-17)
+# sincos's range: from |a| = 2^18 pi its n = round(512 a / pi) passes 2^27
+SINCOS_MAX = 2.0 ** 18 * math.pi
 
 
 def _two_sum(a, b):
@@ -437,8 +439,8 @@ def sincos(a: DD):
     a - n pi/512 and (S, C) = (sin, cos)(n pi/512), sin a = S + (C sin r +
     S (cos r - 1)) and cos a = C - (S sin r - C (cos r - 1)), whose small
     corrections add almost no rounding error.  NaN, with no floating-point
-    warnings, where a is not finite or |a| >= 2^18 pi (n >= 2^27)."""
-    ok = np.abs(a.hi) < 2.0 ** 18 * math.pi
+    warnings, where a is not finite or |a| >= SINCOS_MAX."""
+    ok = np.abs(a.hi) < SINCOS_MAX
     edge = not ok.all()
     if edge:
         a = where(ok, a, 0.0)

@@ -71,6 +71,7 @@ _LINE_ALPHA_MAX = math.sqrt(math.log(np.finfo(float).max / 4.0))
 # ln Gamma(x + 1) overflows from x = 2.56e305, and |alpha|^{2iy}/Gamma(1+iy)
 # ~ e^{pi y/2} times its Jacobian 2 sqrt(y) from y = 452.005
 _WEIGHT_MAX = {"x": 2.55e305, "y": 452.0}
+_MAX_FLAG = {"x": "--n-max", "y": "--y-max"}  # the CLI flags that set x_max, y_max
 
 
 class PerturbativeRegimeWarning(UserWarning):
@@ -355,7 +356,7 @@ def _require_node_ceiling(intervals: float, axis: str):
     if intervals > _MAX_INTERVALS:
         raise ValueError(f"the {axis} grid would hold {intervals:.3g} "
                          "nodes, more than 2^20 + 1; lower "
-                         f"{axis}_max (--{axis}-max) or raise the step (--d{axis})")
+                         f"{axis}_max ({_MAX_FLAG[axis]}) or raise the step (--d{axis})")
 
 
 def _require_weight_range(spec: QuadratureSpec, axis: str):
@@ -364,7 +365,7 @@ def _require_weight_range(spec: QuadratureSpec, axis: str):
         raise ValueError(
             f"{axis}_max = {spec.upper_limit!r} takes the {axis} weights past "
             f"the double range: the integral form holds {axis}_max <= "
-            f"{_WEIGHT_MAX[axis]:g}; lower {axis}_max (--{axis}-max)")
+            f"{_WEIGHT_MAX[axis]:g}; lower {axis}_max ({_MAX_FLAG[axis]})")
 
 
 def _require_positive_alpha(alpha: float):
@@ -392,7 +393,7 @@ class _LineFamily:
             raise ValueError(f"alpha = {cfg.alpha!r} takes the line integral past "
                              "the double range: the integral form holds |alpha| <= "
                              f"{_LINE_ALPHA_MAX:.6g}; use the series form")
-        _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--x-max)")
+        _require_tail(cfg, "x_max", spec.upper_limit, "x_max (--n-max)")
         self.grid, jac = _sqrt_grid(spec, "x")
         x = self.grid.x
         w = np.exp(_log_weight(cfg.alpha, x)) * jac
@@ -579,8 +580,16 @@ def _plan(cfg: JcmConfig, ts: np.ndarray, x_spec: QuadratureSpec | None,
     (4, 2, 1), whose modelled added error K e^{-a^2} (k h)^4 max(t, 1)^p
     stays at or below 1e-13: fitted on Simpson's h^4 term from the v = 0
     endpoint, it bounds Bode's h^6 one (README, Precision model).  Rows
-    past t = 4 pi keep h: rounding, not the step, sets their error there."""
-    y_spec = _peak_aware(y_spec, float(ts.max(initial=0.0)), s)
+    past t = 4 pi keep h: rounding, not the step, sets their error there.
+    An extended y spec is refused where the phase 2 t Re sqrt(s + iy) of
+    its latest row passes the double-double sine's range."""
+    t_top = float(ts.max(initial=0.0))
+    y_spec = _peak_aware(y_spec, t_top, s)
+    phase = 2.0 * t_top * (complex(s, y_spec.upper_limit) ** 0.5).real
+    if y_spec.precision_kind == "extended" and not phase < ddmath.SINCOS_MAX:
+        raise ValueError(f"t = {t_top:g} turns the extended correction phase to "
+                         f"{phase:.4g}, past its sine's range 2^18 pi = "
+                         f"{ddmath.SINCOS_MAX:.4g}; use --precision auto")
     model = (_BAND_K * math.exp(-cfg.alpha ** 2)
              * np.maximum(ts, 1.0) ** _BAND_P)
     steps = np.full(ts.shape, _BAND_H)

@@ -1,4 +1,5 @@
 import contextlib
+import os
 import warnings
 
 import numpy as np
@@ -33,6 +34,16 @@ def no_large_grids(monkeypatch):
         return build_grid(a, b, spec)
 
     monkeypatch.setattr(jcm.quadrature, "build_grid", bounded)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) gives this process n CPUs to run on, as the CLI counts them
+    for its workers; a platform without an affinity call gains one."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_cpus
 
 
 @pytest.fixture(scope="session")

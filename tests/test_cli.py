@@ -275,9 +275,9 @@ def test_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_jobs_parallelism_matches_serial(tmp_path, monkeypatch):
+def test_jobs_parallelism_matches_serial(tmp_path, cpus):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)  # fork 2 workers
+    cpus(3)  # fork 2 workers
     # the second run's last rows need a y grid wider than --y-max, and
     # every chunk must integrate on that same grid; the third run's late
     # rows escalate, so its status column is dealt and scattered too; the
@@ -310,7 +310,7 @@ def test_jobs_parallelism_matches_serial(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [["integrals"], ["thermal", "--mode", "integral"]])
-def test_forked_workers_build_no_grid(tmp_path, monkeypatch, command):
+def test_forked_workers_build_no_grid(tmp_path, monkeypatch, cpus, command):
     # on [0, 8 pi] the rows up to 4 pi take the coarse band and the late
     # ones escalate: the latest row of each band, run in this process
     # first, builds every family the workers need
@@ -323,7 +323,7 @@ def test_forked_workers_build_no_grid(tmp_path, monkeypatch, command):
         return build_grid(a, b, spec)
 
     monkeypatch.setattr(jc.jcm.quadrature, "build_grid", in_parent_only)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(2)
     out = tmp_path / "o.csv"
     assert main(command + ["--t-steps", "16", "--jobs", "2", "--out", str(out)]) == 0
     # a line and a correction family per band and bracket, one extended
@@ -335,7 +335,7 @@ def test_forked_workers_build_no_grid(tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize("command", [["integrals"], ["thermal", "--mode", "integral"]])
 def test_the_parent_first_runs_the_latest_row_of_each_planned_band(
-        tmp_path, monkeypatch, command):
+        tmp_path, monkeypatch, cpus, command):
     name = "_thermal_chunk" if command[0] == "thermal" else "_integrals_chunk"
     chunk, first = getattr(cli, name), []
 
@@ -345,7 +345,7 @@ def test_the_parent_first_runs_the_latest_row_of_each_planned_band(
         return chunk(payload)
 
     monkeypatch.setattr(cli, name, recording)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(2)
     out = tmp_path / "o.csv"
     assert main(command + ["--t-steps", "16", "--jobs", "2", "--out", str(out)]) == 0
     cfg = RunConfig(command=command[0], mode="integral", t_steps=16)
@@ -381,7 +381,8 @@ def _in_workers(monkeypatch, action):
     """Make cli._integrals_chunk call action(payload) in forked workers
     only; this process computes its chunks as usual."""
     parent, chunk = os.getpid(), cli._integrals_chunk
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     monkeypatch.setattr(cli, "_integrals_chunk", lambda payload: (
         chunk(payload) if os.getpid() == parent else action(payload)))
 
@@ -427,7 +428,7 @@ def test_a_worker_that_dies_unreported_is_a_clean_error(tmp_path, monkeypatch,
 
 
 def test_a_failing_parent_stops_and_reaps_its_workers(tmp_path, monkeypatch,
-                                                      capsys):
+                                                      capsys, cpus):
     pid_file = tmp_path / "pid"
     parent, chunk = os.getpid(), cli._integrals_chunk
     calls = []
@@ -449,7 +450,7 @@ def test_a_failing_parent_stops_and_reaps_its_workers(tmp_path, monkeypatch,
             time.sleep(0.01)
         raise FloatingPointError("parent chunk failed")
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(2)
     monkeypatch.setattr(cli, "_integrals_chunk", parent_fails_second)
     start = time.perf_counter()
     assert main(_THREE_ROWS + ["--jobs", "2", "--out", str(tmp_path / "o.csv")]) == 3
@@ -463,7 +464,7 @@ def test_forked_run_writes_stdout_once(tmp_path):
     out = tmp_path / "o.csv"
     assert main(_THREE_ROWS + ["--jobs", "1", "--out", str(out)]) == 0
     src = str(Path(jc.__file__).resolve().parents[1])
-    code = ("import os; os.cpu_count = lambda: 2\n"
+    code = ("import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from jcrevival.cli import main\n"
             "print('before')\n"
             f"raise SystemExit(main({_THREE_ROWS + ['--jobs', '2']!r}))\n")
@@ -530,7 +531,7 @@ def test_serial_run_imports_no_process_pool(tmp_path):
     out = tmp_path / "one.csv"
     for t_steps, jobs in (("1", "1"), ("2", "2")):
         assert _fresh_python(
-            "import os, sys; os.cpu_count = lambda: 2\n"
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from jcrevival.cli import main\n"
             "rc = main(['integrals', '--t-start', '0', '--t-end', '1', "
             f"'--t-steps', {t_steps!r}, '--jobs', {jobs!r}, '--out', {str(out)!r}])\n"
@@ -546,19 +547,26 @@ def test_star_import_binds_every_public_name():
         "print(sorted(missing | (set(jcrevival.__all__) - set(ns))))") == "[]"
 
 
-def test_effective_jobs_is_capped_at_the_core_count(monkeypatch):
+def test_effective_jobs_is_capped_at_the_core_count(monkeypatch, cpus):
     # computes the worker count only: no process is started
     def jobs(requested, rows):
         return cli._effective_jobs(RunConfig(command="integrals", jobs=requested),
                                    rows)
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(2)
     assert jobs(4000, 4000) == 2
     assert jobs(0, 4000) == 2  # 0 means all cores
     assert (jobs(1, 4000), jobs(3, 1), jobs(0, 1)) == (1, 1, 1)
+    # the CPUs this process may run on count, not the machine's
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(1)
+    assert (jobs(0, 4000), jobs(2, 4000)) == (1, 1)
+    # a platform with no affinity call counts the machine's
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert jobs(0, 4000) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert (jobs(0, 10), jobs(8, 10)) == (1, 1)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(2)
     monkeypatch.delattr(cli.os, "fork")  # a platform without fork runs serially
     assert (jobs(0, 10), jobs(8, 10)) == (1, 1)
     with pytest.raises(ValueError, match="jobs must be >= 0"):
@@ -586,7 +594,9 @@ def test_the_parser_takes_one_of_four_commands(capsys):
                  ["series", "--config", "x.cfg"], ["series", "--kappa", "1"],
                  ["thermal", "--beta-epsilon", "8"], ["series", "--alpha", "abc"],
                  ["series", "--t-steps", "1e1"],
-                 ["series", "--precision", "turbo"]):
+                 ["series", "--precision", "turbo"],
+                 # --n-max truncates the line integral too: --x-max is no flag
+                 ["integrals", "--x-max", "100"]):
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2, argv
@@ -602,6 +612,7 @@ def test_no_csv_header_names_the_coupling(tmp_path):
         meta = _read_csv(out)[0]
         assert list(meta)[:3] == ["command", "alpha", "delta_omega"], command
         assert "kappa" not in meta, command
+        assert "x_max" not in meta, command  # n_max is the line integral's cutoff
 
 
 def test_a_unique_flag_prefix_is_its_flag(tmp_path):
@@ -617,9 +628,17 @@ def test_invalid_params_exit2(capsys):
     assert main(["series", "--t-start", "5", "--t-end", "1"]) == 2
     assert main(["series", "--t-start", "1", "--t-end", "1.0000000000000002",
                  "--t-steps", "4"]) == 2
-    # the default x_max = 100 does not cover the Poisson tail at alpha = 8
+    # the default n_max = 100 does not cover the Poisson tail at alpha = 8
     assert main(["integrals", "--alpha", "8", "--t-steps", "1",
                  "--jobs", "1"]) == 2
+    assert "raise n_max (--n-max)" in capsys.readouterr().err
+    # the extended sine's range ends at 2^18 pi: a correction phase of
+    # 2 t sqrt(c) = 1e6 is refused before a sample, not met as a NaN one
+    assert main(["integrals", "--alpha", "4", "--delta-omega", "1e6", "--precision",
+                 "extended", "--t-end", "1", "--t-steps", "2", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: t = 1 turns the extended correction phase to 1e+06, past its "
+        "sine's range 2^18 pi = 8.235e+05; use --precision auto\n")
     # --jobs is checked for every command, not only those that deal rows
     assert main(["integrals", "--t-steps", "1", "--jobs", "-1"]) == 2
     assert main(["series", "--alpha", "4", "--t-steps", "2", "--jobs", "-1"]) == 2
@@ -632,36 +651,30 @@ def test_invalid_params_exit2(capsys):
     capsys.readouterr()
     # the line integrals at alpha = 27 pass the largest double: refused
     # before a weight is computed; the series, which takes none, holds
-    wide = ["--alpha", "27", "--n-max", "2000", "--x-max", "2000",
+    wide = ["--alpha", "27", "--n-max", "2000",
             "--t-steps", "3", "--t-end", "6", "--jobs", "1"]
     assert main(["integrals"] + wide) == 2
     assert capsys.readouterr().err == (
         "error: alpha = 27.0 takes the line integral past the double range: "
         "the integral form holds |alpha| <= 26.6157; use the series form\n")
     assert main(["series", "--out", os.devnull] + wide) == 0
-    # so are grid flags past the weights' double range, whatever alpha is,
-    # without a numpy warning: ln Gamma(x + 1) overflows from x = 2.56e305,
-    # and 1/Gamma(1 + iy) times its Jacobian from y = 452.005; as every
-    # setting, whatever the command
-    for argv, axis, limit in (
-            (["integrals", "--dx", "1e150", "--x-max", "3e305"], "x", "2.55e+305"),
-            (["integrals", "--dx", "1e152", "--x-max", "1e308"], "x", "2.55e+305"),
-            (["integrals", "--alpha", "4", "--y-max", "500"], "y", "452"),
-            (["integrals", "--alpha", "0.5", "--y-max", "452.3"], "y", "452"),
-            (["thermal", "--mode", "integral", "--y-max", "500"], "y", "452"),
-            (["check", "--y-max", "500"], "y", "452"),
-            (["series", "--y-max", "500"], "y", "452")):
+    # so is a --y-max past the y weights' double range, whatever alpha is,
+    # without a numpy warning: 1/Gamma(1 + iy) times its Jacobian overflows
+    # from y = 452.005; as every setting, whatever the command (x runs to
+    # n_max <= 2^20, far inside the x weights' range)
+    for argv in (["integrals", "--alpha", "4", "--y-max", "500"],
+                 ["integrals", "--alpha", "0.5", "--y-max", "452.3"],
+                 ["thermal", "--mode", "integral", "--y-max", "500"],
+                 ["check", "--y-max", "500"],
+                 ["series", "--y-max", "500"]):
         assert main(argv + ["--t-steps", "2", "--t-end", "1", "--jobs", "1"]) == 2
         assert capsys.readouterr().err == (
-            f"error: {axis}_max = {float(argv[-1])!r} takes the {axis} weights "
-            f"past the double range: the integral form holds {axis}_max <= "
-            f"{limit}; lower {axis}_max (--{axis}-max)\n"), argv
-    # the largest ones run, at a tiny alpha too, whose 2 x ln|alpha| is -inf
-    for argv in (["--x-max", "2.55e305", "--dx", "1e150"], ["--y-max", "452"],
-                 ["--x-max", "2.55e305", "--dx", "1e150", "--alpha", "1e-200",
-                  "--t-start", "1"]):
-        assert main(["integrals", "--t-steps", "2", "--t-end", "1", "--jobs", "1",
-                     "--out", os.devnull] + argv) == 0, argv
+            f"error: y_max = {float(argv[-1])!r} takes the y weights past the "
+            "double range: the integral form holds y_max <= 452; lower y_max "
+            "(--y-max)\n"), argv
+    # the largest one runs
+    assert main(["integrals", "--t-steps", "2", "--t-end", "1", "--jobs", "1",
+                 "--out", os.devnull, "--y-max", "452"]) == 0
     # so does gamma_tilde^2, which every command refuses by its name
     for command in ("series", "integrals", "thermal", "check"):
         assert main([command, "--gamma-tilde", "1e200", "--t-steps", "2",
@@ -678,7 +691,7 @@ def test_invalid_params_exit2(capsys):
     for alpha, need in (("8", "144.6"), ("1e150", "1e+300")):
         assert main(["series", "--alpha", alpha, "--t-steps", "2"]) == 2
         err = capsys.readouterr().err
-        assert f"(need >= {need}); raise n_max" in err and len(err) < 120, err
+        assert f"(need >= {need}); raise n_max (--n-max)" in err and len(err) < 120, err
     # every setting is checked whatever the command, with the message of
     # the command that uses it; a flag given twice takes its last value
     short = ["--t-end", "1", "--t-steps", "1", "--jobs", "1"]
@@ -686,7 +699,7 @@ def test_invalid_params_exit2(capsys):
             (["integrals", "--n-max", "-3"], "n_max must lie in [0, 2^20]"),
             (["integrals", "--theta", "-1"], "theta must lie in [0, 1)"),
             (["series", "--dx", "-1"], "step must be positive and finite"),
-            (["series", "--x-max", "nan"], "upper_limit must be positive and finite"),
+            (["series", "--y-max", "nan"], "upper_limit must be positive and finite"),
             (["series", "--theta", "1.5"], "theta must lie in [0, 1)"),
             (["series", "--gamma-tilde", "nan"], "gamma_tilde must be finite"),
             (["check", "--t-steps", "0"], "t_steps must be >= 1"),
@@ -694,6 +707,29 @@ def test_invalid_params_exit2(capsys):
              "t_start must not exceed t_end")):
         assert main(argv[:1] + short + argv[1:]) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_n_max_truncates_the_fock_sum_and_the_line_integral(tmp_path, capsys):
+    # at alpha = 8 the Poisson tail needs 144.6: --n-max 145 alone sizes the
+    # series and the line integral it becomes, for every command
+    def columns(argv):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--alpha", "8", "--n-max", "145", "--jobs", "1",
+                            "--out", str(out)]) == 0, argv
+        meta, _, cols = _read_csv(out)
+        assert meta["n_max"] == "145" and "x_max" not in meta, argv
+        return cols
+
+    times = ["--t-end", "20", "--t-steps", "2"]
+    integral = columns(["integrals"] + times)["sigma_z"]
+    series = columns(["series"] + times)["sigma_z_series"]
+    assert np.abs(integral - series).max() < 1e-12
+    thermal = ["thermal", "--t-end", "6", "--t-steps", "3", "--mode"]
+    integral, series = (columns(thermal + [mode])["pg_thermal"]
+                        for mode in ("integral", "series"))
+    assert np.abs(integral - series).max() < 1e-12
+    assert main(["check", "--alpha", "8", "--n-max", "145"]) == 0
+    assert capsys.readouterr().out.endswith("ALL CHECKS PASSED\n")
 
 
 def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
@@ -718,10 +754,10 @@ def test_an_aliased_late_row_is_refused_before_its_grid(capsys, no_large_grids):
     assert "t = 1e+300 widens the y grid past" in capsys.readouterr().err
 
 
-def test_a_row_past_the_weights_range_is_refused_in_one_line(capsys, monkeypatch):
+def test_a_row_past_the_weights_range_is_refused_in_one_line(capsys, cpus):
     # from t of about 70.84 the widened y grid passes y = 452, where the y
     # weights leave the double range: the whole run is refused before a row
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # --jobs 2 forks
+    cpus(2)  # --jobs 2 forks
     for jobs in ("1", "2"):
         assert main(["integrals", "--alpha", "4", "--t-end", "80", "--t-steps", "10",
                      "--jobs", jobs]) == 2
@@ -770,7 +806,7 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     assert "error: Unable to allocate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--x-max", "--y-max"])
+@pytest.mark.parametrize("flag", ["--y-max"])
 def test_non_finite_upper_limit_is_usage_error(capsys, flag):
     assert main(["integrals", flag, "inf", "--t-steps", "1", "--t-end", "0",
                  "--jobs", "1"]) == 2
@@ -813,9 +849,10 @@ def test_check_passes_on_defaults(capsys):
 
 
 def test_check_names_what_it_skips(capsys):
-    """alpha = 0 has no integral form and the J decomposition is resonant:
-    each item they rule out prints one SKIP line with its reason, and the
-    run still passes on what it measured."""
+    """alpha = 0 has no integral form, the J decomposition is resonant and
+    n_max truncates the identity's line integral: each item they rule out
+    prints one SKIP line with its reason, and the run still passes on what
+    it measured."""
     residual = "collapse-window residual |sigma_series - sigma_z|, t in [0, 4pi]"
     q0 = "Q^(0) equals P_g (integral)"
     for argv, skipped in (
@@ -823,6 +860,12 @@ def test_check_names_what_it_skips(capsys):
                                 f"SKIP  {q0}: the integral form needs alpha != 0"]),
             (["--delta-omega", "4"],
              [f"SKIP  {residual}: the J decomposition needs delta_omega = 0"]),
+            # the identity's line integral runs to the n_max of alpha = 1
+            (["--alpha", "1", "--n-max", "20"],
+             [f"SKIP  sum-to-integral identity alpha={a}: n_max = 20 does not "
+              f"cover the Poisson tail for alpha = {a}.0 (need >= {need}); "
+              "raise n_max (--n-max)"
+              for a, need in ((2, "26.36"), (3, "40.62"), (4, "57.23"))]),
             ([], [])):
         assert main(["check"] + argv) == 0, argv
         lines = capsys.readouterr().out.splitlines()

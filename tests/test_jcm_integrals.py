@@ -428,12 +428,17 @@ def test_a_grid_past_the_weights_range_is_refused_before_it_is_built(cfg4):
              r"integral form holds y_max <= 452, reached at t = 70\.84")):
         with pytest.raises(ValueError, match=message):
             call()
+    # the largest x grid runs, at a tiny alpha too, whose 2 x ln|alpha| is -inf
+    widest_x = dataclasses.replace(wide_x, upper_limit=2.55e305)
+    for cfg, t in ((cfg4, [0.5, 1.0]), (jc.JcmConfig(alpha=1e-200), [1.0])):
+        prof = jc.resonant_profile(t, cfg, x_spec=widest_x, escalation="escalate")
+        assert np.all(np.isfinite(prof["sigma_z"])) and not prof["status"].any()
 
 
 def test_a_grid_past_the_ceiling_is_refused_before_it_is_built(no_large_grids):
     # at most 2^20 + 1 nodes an axis: 16 MiB a complex array
     for spec, axis, flags in (
-            (dataclasses.replace(X, step=1e-8), "x", "--x-max.*--dx"),
+            (dataclasses.replace(X, step=1e-8), "x", "--n-max.*--dx"),
             (dataclasses.replace(Y, upper_limit=9.1e10), "y", "--y-max.*--dy")):
         with pytest.raises(ValueError, match=f"the {axis} grid .*{flags}"):
             jc.jcm._sqrt_grid(spec, axis)
